@@ -126,9 +126,7 @@ class GatewayResult:
 
     def summary(self) -> dict[str, Any]:
         """Flat summary dict (the CLI's and bench's reporting surface)."""
-        metrics = self.cluster.metrics
-        hists = metrics.histograms()
-        latency = hists.get("admission_latency", {})
+        latency = self.cluster.metrics.histogram_summary("admission_latency")
         return {
             "ticks": self.ticks,
             "sim_end": self.sim_end,

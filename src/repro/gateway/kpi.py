@@ -59,7 +59,6 @@ class KpiAggregator:
     ) -> dict[str, Any]:
         """Build one KPI snapshot dict from this tick's state."""
         values = metrics.values()
-        hists = metrics.histograms()
         profit = float(values.get("profit_total", 0.0))
         submitted = float(values.get("submitted_total", 0.0))
         shed = float(values.get("shed_total", 0.0))
@@ -75,7 +74,7 @@ class KpiAggregator:
             (offered - offered0) / span if len(self._marks) > 1 else 0.0
         )
 
-        latency = hists.get("admission_latency", {})
+        latency = metrics.histogram_summary("admission_latency")
         return {
             "tick": int(tick),
             "sim_t": int(sim_t),

@@ -17,7 +17,14 @@ snapshot formats bit-identical with or without observability.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
+
+
+def _pick(ordered: list[float], q: float) -> Optional[float]:
+    """Quantile ``q`` of an ascending list (None when empty)."""
+    if not ordered:
+        return None
+    return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
 
 
 class RingHistogram:
@@ -67,26 +74,46 @@ class RingHistogram:
     def merge_from(self, other: "RingHistogram") -> None:
         """Fold another histogram into this one (``other`` unchanged).
 
-        Lifetime aggregates (count, total, min, max) combine exactly.
-        The window keeps the newest ``capacity`` observations treating
-        ``other``'s window as more recent than this one's -- the
-        convention :func:`repro.service.telemetry.merge_registries`
-        relies on when rolling per-shard histograms into a cluster
-        view, where cross-shard observation order is not defined
-        anyway; windowed quantiles over the merged window are the
-        cluster-level approximation.
+        The one-input case of :meth:`merge_many`.
         """
-        if other.count == 0:
+        self.merge_many((other,))
+
+    def merge_many(self, others: Iterable["RingHistogram"]) -> None:
+        """Fold histograms into this one in order, in one pass.
+
+        Lifetime aggregates (count, total, min, max) combine exactly,
+        folded in input order.  The window keeps the newest ``capacity``
+        observations of this window followed by each input's window in
+        turn -- later inputs count as more recent, the convention
+        :func:`repro.service.telemetry.merge_registries` relies on when
+        rolling per-shard histograms into a cluster view, where
+        cross-shard observation order is not defined anyway; windowed
+        quantiles over the merged window are the cluster-level
+        approximation.  The result equals merging the inputs one by
+        one, but each window is copied once instead of once per input.
+        Inputs are unchanged; empty ones are skipped.
+        """
+        merged: Optional[list[float]] = None
+        count, total, lo, hi = self.count, self.total, self.min, self.max
+        for other in others:
+            if other.count == 0:
+                continue
+            if merged is None:
+                merged = self.window()
+            ring, pos = other._ring, other._pos
+            merged += ring[pos:]
+            merged += ring[:pos]
+            count += other.count
+            total += other.total
+            if lo is None or (other.min is not None and other.min < lo):
+                lo = other.min
+            if hi is None or (other.max is not None and other.max > hi):
+                hi = other.max
+        if merged is None:
             return
-        merged = self.window() + other.window()
         self._ring = merged[-self.capacity:]
         self._pos = 0
-        self.count += other.count
-        self.total += other.total
-        if self.min is None or (other.min is not None and other.min < self.min):
-            self.min = other.min
-        if self.max is None or (other.max is not None and other.max > self.max):
-            self.max = other.max
+        self.count, self.total, self.min, self.max = count, total, lo, hi
 
     def window(self) -> list[float]:
         """Retained observations, oldest first."""
@@ -100,9 +127,7 @@ class RingHistogram:
             raise ValueError("quantile must be in [0, 1]")
         if not self._ring:
             return None
-        ordered = sorted(self._ring)
-        index = min(len(ordered) - 1, int(q * len(ordered)))
-        return ordered[index]
+        return _pick(sorted(self._ring), q)
 
     @property
     def mean(self) -> float:
@@ -111,16 +136,17 @@ class RingHistogram:
 
     def summary(self) -> dict[str, Any]:
         """Flat JSON-compatible summary: lifetime aggregates plus
-        windowed p50/p90/p99."""
+        windowed p50/p90/p99 (one sort of the window for all three)."""
+        ordered = sorted(self._ring)
         return {
             "count": self.count,
             "total": self.total,
             "mean": self.mean,
             "min": self.min,
             "max": self.max,
-            "p50": self.quantile(0.50),
-            "p90": self.quantile(0.90),
-            "p99": self.quantile(0.99),
+            "p50": _pick(ordered, 0.50),
+            "p90": _pick(ordered, 0.90),
+            "p99": _pick(ordered, 0.99),
         }
 
     def __len__(self) -> int:

@@ -338,7 +338,7 @@ class SchedulingService:
             self.advance_to(t)
         self.sim.inject_active(payload)
         # no telemetry sample here: injection is a coordinator action,
-        # not a stream event, and mid-run profit reads are O(finished)
+        # not a stream event
         self.metrics.counter("stolen_in_total").inc()
 
     def forget_pending(self, job_id: int) -> Optional[JobSpec]:

@@ -119,6 +119,12 @@ class MetricsRegistry:
             for name in sorted(self._histograms)
         }
 
+    def histogram_summary(self, name: str) -> dict[str, Any]:
+        """Summary of one histogram, ``{}`` when it does not exist (it
+        is not created)."""
+        hist = self._histograms.get(name)
+        return hist.summary() if hist is not None else {}
+
     def values(self) -> dict[str, float]:
         """Current value of every metric, counters before gauges."""
         out: dict[str, float] = {}
@@ -203,19 +209,36 @@ class MetricsRegistry:
         queue depth without a parallel metrics path.  Samples are log
         output, not state, and are not merged.
         """
-        mean = set(mean_gauges)
-        for name, counter in other._counters.items():
-            self.counter(name).inc(counter.value)
-        for name, gauge in other._gauges.items():
-            mine = self.gauge(name)
-            mine.set(mine.value + gauge.value)
-        for name, hist in other._histograms.items():
-            self.histogram(name, capacity=hist.capacity).merge_from(hist)
-        # remember how many registries fed each mean gauge so the final
-        # averaging in merge_registries can divide correctly
-        for name in mean:
-            if name in other._gauges:
-                self._mean_counts[name] = self._mean_counts.get(name, 0) + 1
+        self._merge_all((other,), frozenset(mean_gauges))
+
+    def _merge_all(
+        self, others: Iterable["MetricsRegistry"], mean: frozenset[str]
+    ) -> None:
+        """Fold ``others`` in order: counters and gauges one registry at
+        a time, each histogram in one n-ary pass over all its inputs
+        (:meth:`~repro.observability.metrics.RingHistogram.merge_many`),
+        which equals folding the registries in one by one."""
+        groups: dict[str, list[Any]] = {}
+        for other in others:
+            for name, counter in other._counters.items():
+                self.counter(name).inc(counter.value)
+            for name, gauge in other._gauges.items():
+                mine = self.gauge(name)
+                mine.set(mine.value + gauge.value)
+            for name, hist in other._histograms.items():
+                group = groups.get(name)
+                if group is None:
+                    groups[name] = [hist]
+                else:
+                    group.append(hist)
+            # remember how many registries fed each mean gauge so the
+            # final averaging in merge_registries can divide correctly
+            for name in mean:
+                if name in other._gauges:
+                    self._mean_counts[name] = self._mean_counts.get(name, 0) + 1
+        for name, group in groups.items():
+            # a histogram missing here takes its first input's capacity
+            self.histogram(name, capacity=group[0].capacity).merge_many(group)
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -262,13 +285,10 @@ def merge_registries(
     {'completed_total': 7.0, 'utilization': 0.75}
     """
     # Materialize once: a single-use iterator passed as ``mean_gauges``
-    # would otherwise be exhausted by the first merge_from's set() call,
-    # silently dropping the mean roll-up (and its count bookkeeping) for
-    # every later registry.
-    mean_gauges = frozenset(mean_gauges)
+    # would otherwise be exhausted by the first registry's mean-gauge
+    # bookkeeping, silently dropping the mean roll-up for the others.
     merged = MetricsRegistry()
-    for registry in registries:
-        merged.merge_from(registry, mean_gauges=mean_gauges)
+    merged._merge_all(registries, frozenset(mean_gauges))
     for name, count in merged._mean_counts.items():
         if count > 1:
             gauge = merged.gauge(name)

@@ -166,7 +166,7 @@ class ArraySimulator(Simulator):
         pending = state.pending
         active = state.active
         deadline_heap = state.deadline_heap
-        finished = state.finished
+        add_finished = state.add_finished
         counters = state.counters
         speed = self.speed
         overhead = self.preemption_overhead
@@ -243,7 +243,7 @@ class ArraySimulator(Simulator):
                 job.executing = ()
                 state.prev_running.pop(job_id, None)
                 del active[job_id]
-                finished[job_id] = _finish_record(job)
+                add_finished(_finish_record(job))
                 counters.expiries += 1
                 scheduler.on_expiry(job.view, state.t)
 
@@ -757,7 +757,7 @@ class ArraySimulator(Simulator):
             else:
                 dirty.append((job_id, rel, promoted))
         if completions:
-            finished = state.finished
+            add_finished = state.add_finished
             counters = state.counters
             prev_running = state.prev_running
             active = state.active
@@ -770,7 +770,7 @@ class ArraySimulator(Simulator):
                 job.executing = ()
                 prev_running.pop(job.job_id, None)
                 del active[job.job_id]
-                finished[job.job_id] = _finish_record(job)
+                add_finished(_finish_record(job))
                 counters.completions += 1
                 scheduler.on_completion(job.view, t)
         arena.dirty = dirty

@@ -54,6 +54,7 @@ from __future__ import annotations
 import heapq
 import logging
 import math
+import sys
 from dataclasses import dataclass, field
 from itertools import islice
 from time import perf_counter
@@ -114,6 +115,13 @@ class SimulationResult:
         return self.records[job_id].profit
 
 
+#: ``sum()`` adds floats with Neumaier compensation from Python 3.12 on
+#: (plain left-to-right addition before); the running profit total
+#: follows the same rule so it stays bit-equal to ``sum()`` over the
+#: finished records on every supported version.
+_COMPENSATED_SUM = sys.version_info >= (3, 12)
+
+
 class _RunState:
     """Mutable state of one simulation session (batch or streaming)."""
 
@@ -126,6 +134,8 @@ class _RunState:
         "ids",
         "active",
         "finished",
+        "profit",
+        "profit_c",
         "deadline_heap",
         "prev_running",
         "counters",
@@ -144,7 +154,13 @@ class _RunState:
         #: every job id ever submitted (duplicate detection)
         self.ids: set[int] = set()
         self.active: dict[int, ActiveJob] = {}
+        #: final records, in insertion order; write through add_finished
         self.finished: dict[int, CompletionRecord] = {}
+        #: running ``sum()`` of the finished profits (int 0 while empty,
+        #: exactly as ``sum()`` of an empty sequence)
+        self.profit: float = 0
+        #: compensation term of that sum (only moves on Python >= 3.12)
+        self.profit_c = 0.0
         self.deadline_heap: list[tuple[int, int]] = []  # (deadline, job_id)
         # job_id -> node list of the last pick (pick order preserved; the
         # stale check compares picks element-wise, which for order-stable
@@ -153,6 +169,36 @@ class _RunState:
         self.prev_running: dict[int, list[int]] = {}
         self.counters = RunCounters()
         self.trace = trace
+
+    def add_finished(self, rec: CompletionRecord) -> None:
+        """Store a job's final record and add its profit to the total.
+
+        Every insert into :attr:`finished` goes through here, each job
+        once, so the total folds the profits in the order
+        ``sum(r.profit for r in finished.values())`` visits them and
+        :meth:`profit_total` returns the bit-identical float in O(1).
+        """
+        self.finished[rec.job_id] = rec
+        x = rec.profit
+        s = self.profit
+        if _COMPENSATED_SUM and s.__class__ is float and x.__class__ is float:
+            # CPython's float path of sum(); ints (and a still-int total)
+            # take the plain addition there too
+            t = s + x
+            if abs(s) >= abs(x):
+                self.profit_c += (s - t) + x
+            else:
+                self.profit_c += (x - t) + s
+            self.profit = t
+        else:
+            self.profit = s + x
+
+    def profit_total(self) -> float:
+        """``sum()`` of the finished profits, from the running total."""
+        c = self.profit_c
+        if c and math.isfinite(c):
+            return self.profit + c
+        return self.profit
 
 
 class Simulator:
@@ -311,14 +357,14 @@ class Simulator:
         # jobs never released (horizon before arrival) get empty records
         while state.pending:
             _, job_id, spec = heapq.heappop(state.pending)
-            state.finished[job_id] = CompletionRecord(
+            state.add_finished(CompletionRecord(
                 job_id=job_id,
                 arrival=spec.arrival,
                 deadline=spec.deadline,
                 completion_time=None,
                 profit=0.0,
                 abandoned=True,
-            )
+            ))
             state.counters.abandons += 1
             if emit is not None:
                 emit(state.t, "abandon", job_id)
@@ -367,9 +413,12 @@ class Simulator:
         return self._require_session().counters
 
     def profit_so_far(self) -> float:
-        """Profit accumulated by finished jobs in the open session."""
-        state = self._require_session()
-        return sum(r.profit for r in state.finished.values())
+        """Profit accumulated by finished jobs in the open session.
+
+        O(1): the session keeps a running total, bit-equal to
+        ``sum(r.profit for r in records.values())``.
+        """
+        return self._require_session().profit_total()
 
     # ------------------------------------------------------------------
     # Checkpoint / restore
@@ -459,8 +508,7 @@ class Simulator:
             job = self._active_from_dict(entry)
             state.active[job.job_id] = job
         for entry in data["finished"]:
-            rec = _record_from_dict(entry)
-            state.finished[rec.job_id] = rec
+            state.add_finished(_record_from_dict(entry))
         state.deadline_heap = [(int(d), int(j)) for d, j in data["deadline_heap"]]
         heapq.heapify(state.deadline_heap)
         state.prev_running = {
@@ -562,7 +610,7 @@ class Simulator:
             job.expired = True
             job.dag.mark_preempted(job.executing)
             job.executing = ()
-            state.finished[job_id] = _finish_record(job)
+            state.add_finished(_finish_record(job))
             state.counters.expiries += 1
             if state.trace:
                 state.trace.event(state.t, EventKind.ARRIVAL, job_id)
@@ -648,7 +696,7 @@ class Simulator:
         active = state.active
         deadline_heap = state.deadline_heap
         prev_running = state.prev_running
-        finished = state.finished
+        add_finished = state.add_finished
         counters = state.counters
         trace = state.trace
         speed = self.speed
@@ -745,7 +793,7 @@ class Simulator:
                 job.executing = ()
                 prev_running.pop(job_id, None)
                 del active[job_id]
-                finished[job_id] = _finish_record(job)
+                add_finished(_finish_record(job))
                 counters.expiries += 1
                 if trace:
                     trace.event(state.t, EventKind.EXPIRY, job_id)
@@ -1032,7 +1080,7 @@ class Simulator:
                 job.executing = ()
                 prev_running.pop(job.job_id, None)
                 del active[job.job_id]
-                finished[job.job_id] = _finish_record(job)
+                add_finished(_finish_record(job))
                 counters.completions += 1
                 if trace:
                     trace.event(t, EventKind.COMPLETION, job.job_id)
@@ -1107,7 +1155,7 @@ class Simulator:
             job.dag.mark_preempted(job.executing)
             job.executing = ()
             state.prev_running.pop(job_id, None)
-            state.finished[job_id] = _finish_record(job)
+            state.add_finished(_finish_record(job))
             state.counters.abandons += 1
             if state.trace:
                 state.trace.event(state.t, EventKind.ABANDON, job_id)

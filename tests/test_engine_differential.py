@@ -21,11 +21,16 @@ A separate arm pins mid-run ``snapshot_state``/``restore_state``
 round-trips: a snapshot taken from one backend must restore into any
 *service* backend (event or array -- the legacy oracle predates the
 snapshot API) and finish bit-identically.
+
+A third arm pins the service backends' running profit total:
+``profit_so_far()`` must equal ``sum()`` over the finished records, by
+``repr``, after every advance, across restores, in-transit expiries
+and ``finish()``'s abandon records.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +38,10 @@ from hypothesis import strategies as st
 
 from repro.baselines import FIFOScheduler, GlobalEDF, GreedyDensity
 from repro.core import SNSScheduler
+from repro.dag import chain
 from repro.sim import ENGINE_BACKENDS, SERVICE_BACKENDS, make_engine
+from repro.sim.engine import _RunState
+from repro.sim.jobs import CompletionRecord, JobSpec
 from repro.workloads import WorkloadConfig, generate_workload
 
 BACKENDS = tuple(sorted(ENGINE_BACKENDS))  # ("array", "event", "legacy")
@@ -274,3 +282,161 @@ class TestSnapshotRestoreArm:
         for service work must fail loudly, not silently degrade."""
         sim = make_engine("legacy", m=4, scheduler=SNSScheduler(epsilon=1.0))
         assert not hasattr(sim, "snapshot_state")
+
+
+def _sum_repr(sim):
+    """``repr`` of the reference profit: ``sum()`` over the records."""
+    state = sim._require_session()
+    return repr(sum(rec.profit for rec in state.finished.values()))
+
+
+def _drive_checked(sim, specs, step):
+    """Stream ``specs`` into ``sim`` with extra ``step``-sized advances
+    between arrivals, checking the running total after every advance
+    and every submission."""
+    for spec in sorted(specs, key=lambda sp: (sp.arrival, sp.job_id)):
+        while sim.now + step < spec.arrival:
+            before = sim.now
+            if sim.advance_to(before + step) == before:
+                break  # clamped at the horizon
+            assert repr(sim.profit_so_far()) == _sum_repr(sim)
+        sim.submit(spec, t=max(spec.arrival, sim.now))
+        assert repr(sim.profit_so_far()) == _sum_repr(sim)
+
+
+class TestRunningProfitTotal:
+    """``profit_so_far()`` is O(1): the session keeps a running total
+    that must stay bit-equal to ``sum(r.profit for r in records)``."""
+
+    @pytest.mark.parametrize("backend", SERVICE_BACKENDS)
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10**6),
+        family=st.sampled_from(["mixed", "fork_join", "chain"]),
+        scheduler_name=st.sampled_from(["sns", "edf", "greedy"]),
+        horizon=st.one_of(st.none(), st.integers(min_value=5, max_value=80)),
+        step=st.integers(min_value=1, max_value=9),
+    )
+    def test_total_equals_sum_after_every_advance(
+        self, backend, seed, family, scheduler_name, horizon, step
+    ):
+        specs = _workload(family, seed, n_jobs=25, m=4, load=3.0)
+        sim = _build(backend, 4, scheduler_name, horizon=horizon)
+        sim.start()
+        state = sim._require_session()
+        _drive_checked(sim, specs, step)
+        result = sim.finish()
+        # finish() appends abandon records (horizon runs) last
+        assert len(result.records) == len(specs)
+        assert repr(state.profit_total()) == repr(result.total_profit)
+
+    @pytest.mark.parametrize("backend", SERVICE_BACKENDS)
+    @pytest.mark.parametrize("target", SERVICE_BACKENDS)
+    def test_total_rebuilt_on_restore(self, backend, target):
+        specs = _workload("mixed", 5, n_jobs=40, m=4, load=3.0)
+        ordered = sorted(specs, key=lambda sp: (sp.arrival, sp.job_id))
+        mid = ordered[len(ordered) // 2].arrival + 1
+        first = _build(backend, 4, "sns")
+        first.start()
+        _drive_checked(first, [sp for sp in ordered if sp.arrival <= mid], 3)
+        first.advance_to(mid)
+        assert first.finished_count > 0
+        before = repr(first.profit_so_far())
+        second = _build(target, 4, "sns")
+        second.restore_state(first.snapshot_state())
+        assert repr(second.profit_so_far()) == before == _sum_repr(second)
+        state = second._require_session()
+        _drive_checked(second, [sp for sp in ordered if sp.arrival > mid], 3)
+        result = second.finish()
+        assert repr(state.profit_total()) == repr(result.total_profit)
+
+    @pytest.mark.parametrize("backend", SERVICE_BACKENDS)
+    def test_total_after_in_transit_expiry(self, backend):
+        specs = _workload("chain", 9, n_jobs=12, m=4, load=3.0)
+        source = _build(backend, 4, "sns")
+        dest = _build(backend, 4, "sns")
+        source.start()
+        dest.start()
+        ordered = sorted(specs, key=lambda sp: (sp.arrival, sp.job_id))
+        for spec in ordered:
+            source.submit(spec, t=spec.arrival)
+        source.advance_to(ordered[-1].arrival + 1)
+        live = source._require_session().active
+        job_id = min(live, key=lambda j: live[j].effective_deadline())
+        payload = source.extract_active(job_id)
+        assert payload is not None
+        # the in-transit expiry is dest's first record: its 0.0 profit
+        # turns the int 0 of an empty sum into float 0.0
+        deadline = payload["spec"]["deadline"]
+        dest.advance_to(deadline + 1)
+        dest.inject_active(payload)
+        assert dest._require_session().finished[job_id].expired
+        assert repr(dest.profit_so_far()) == _sum_repr(dest) == "0.0"
+        shift = deadline + 1
+        later = [
+            replace(
+                sp, job_id=sp.job_id + 1000, arrival=sp.arrival + shift,
+                deadline=sp.deadline + shift,
+            )
+            for sp in _workload("chain", 10, n_jobs=8, m=4, load=1.0)
+        ]
+        state = dest._require_session()
+        _drive_checked(dest, later, 2)
+        result = dest.finish()
+        assert result.total_profit > 0
+        assert repr(state.profit_total()) == repr(result.total_profit)
+
+    @pytest.mark.parametrize("backend", SERVICE_BACKENDS)
+    @pytest.mark.parametrize("first_arrival", [0, 5])
+    def test_abandon_only_session_total(self, backend, first_arrival):
+        """A horizon before any completion leaves only abandon records:
+        for jobs still active at the horizon (arrivals 0..) or never
+        released (arrivals 5..).  Their 0.0 profits still turn
+        ``sum()``'s int 0 into float 0.0."""
+        specs = [
+            JobSpec(i, chain(6), arrival=first_arrival + i,
+                    deadline=first_arrival + 40, profit=1.5)
+            for i in range(3)
+        ]
+        sim = _build(backend, 4, "sns", horizon=2)
+        sim.start()
+        state = sim._require_session()
+        for spec in specs:
+            sim.submit(spec)
+        result = sim.finish()
+        assert all(rec.abandoned for rec in result.records.values())
+        assert len(result.records) == 3
+        assert repr(result.total_profit) == "0.0"
+        assert repr(state.profit_total()) == "0.0"
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        profits=st.lists(
+            st.one_of(
+                st.floats(
+                    min_value=0.0, max_value=1e300,
+                    allow_nan=False, allow_infinity=False,
+                ),
+                st.integers(min_value=0, max_value=10**6),
+            ),
+            max_size=40,
+        )
+    )
+    def test_fold_matches_builtin_sum(self, profits):
+        """The running fold reproduces ``sum()`` bit for bit -- plain
+        addition before Python 3.12, compensated from 3.12 on -- for
+        float and int profits, including the int ``0`` of an empty
+        session."""
+        state = _RunState(None)
+        for i, profit in enumerate(profits):
+            state.add_finished(
+                CompletionRecord(
+                    job_id=i, arrival=0, deadline=1, completion_time=1,
+                    profit=profit,
+                )
+            )
+            expected = sum(r.profit for r in state.finished.values())
+            assert repr(state.profit_total()) == repr(expected)
+            assert type(state.profit_total()) is type(expected)
+        if not profits:
+            assert state.profit_total() == 0 and type(state.profit_total()) is int

@@ -6,7 +6,16 @@ and the clock.  These tests pin the contract: two runs from the same
 seed under a :class:`VirtualClock` agree *bit for bit* -- submissions,
 placements, front-door drops, scheduler sheds, per-job profits, KPI
 snapshots, and the autoscaler's entire up/down trajectory.
+
+Two runs of the same code agreeing cannot catch a rewrite that drifts
+the feed, so :class:`TestKpiFeedPinned` also pins the SHA-256 of
+seeded KPI lists against digests recorded before the telemetry path
+was made O(1) per tick.
 """
+
+import hashlib
+import json
+import sys
 
 import pytest
 
@@ -22,9 +31,12 @@ from repro.gateway import (
 
 
 def _run(seed=11, *, autoscale=True, process="sessions", n_jobs=350,
-         buffer_capacity=64, with_feed=False):
+         buffer_capacity=64, with_feed=False, profit="uniform"):
     load = LoadGenerator(
-        LoadConfig(n_jobs=n_jobs, m=8, load=1.3, seed=seed, process=process)
+        LoadConfig(
+            n_jobs=n_jobs, m=8, load=1.3, seed=seed, process=process,
+            profit=profit,
+        )
     )
     cluster = ElasticCluster(
         m=8,
@@ -117,3 +129,39 @@ class TestGatewayDeterminism:
         a, _ = _run(process=process, n_jobs=200)
         b, _ = _run(process=process, n_jobs=200)
         assert a.fingerprint() == b.fingerprint()
+
+
+def _kpi_digest(result):
+    """SHA-256 of the KPI list, minus the wall-clock field."""
+    kpis = [
+        {k: v for k, v in snap.items() if k != "wall_s"}
+        for snap in result.kpis
+    ]
+    blob = json.dumps(kpis, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+class TestKpiFeedPinned:
+    """The KPI feed of a flash-crowd run, pinned by digest: profit
+    totals, rates, shed fraction and the merged admission-latency
+    p50/p99/mean all feed it."""
+
+    def test_unit_profit_feed_pinned(self):
+        # unit profits sum exactly, so this digest holds on every
+        # Python version
+        result, _ = _run(process="flash-crowd", n_jobs=400, profit="unit")
+        assert len(result.kpis) == 129
+        assert _kpi_digest(result) == (
+            "fcba19fef021db507b7ead633bb6ae6f3b97027e39c8e3ea7778b396fbc65495"
+        )
+
+    @pytest.mark.skipif(
+        sys.version_info >= (3, 12),
+        reason="sum() of floats is compensated from 3.12 on, so profit "
+        "totals of fractional profits differ in the last bits there",
+    )
+    def test_uniform_profit_feed_pinned(self):
+        result, _ = _run(process="flash-crowd", n_jobs=400)
+        assert _kpi_digest(result) == (
+            "114303d0dd73c471c25af599d31be87752939e54e9a84f0a49f3ee3f00529513"
+        )

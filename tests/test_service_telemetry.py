@@ -4,9 +4,12 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import SNSScheduler
 from repro.service import MetricsRegistry, SchedulingService, make_shed_policy
+from repro.service.telemetry import MEAN_GAUGES, merge_registries
 from repro.service.cli import main as serve_main
 from repro.workloads import WorkloadConfig, generate_workload
 
@@ -298,6 +301,137 @@ class TestRegistryHistograms:
         assert summary["min"] >= 0.0
         # with in-flight capped at 2 under 3x load, some job waited
         assert summary["max"] > 0.0
+
+
+def _window_merge(acc, other):
+    """Reference pairwise histogram merge on plain state tuples:
+    ``(capacity, window, count, total, min, max)``, the window of
+    ``other`` counting as newer."""
+    cap, window, count, total, lo, hi = acc
+    _, o_window, o_count, o_total, o_lo, o_hi = other
+    if o_count == 0:
+        return acc
+    if lo is None or (o_lo is not None and o_lo < lo):
+        lo = o_lo
+    if hi is None or (o_hi is not None and o_hi > hi):
+        hi = o_hi
+    return (
+        cap, (window + o_window)[-cap:], count + o_count, total + o_total,
+        lo, hi,
+    )
+
+
+def _hist_state(hist):
+    return (
+        hist.capacity, hist.window(), hist.count, repr(hist.total),
+        hist.min, hist.max,
+    )
+
+
+_values = st.floats(
+    min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
+)
+_registry_spec = st.fixed_dictionaries(
+    {
+        "counters": st.dictionaries(
+            st.sampled_from(["completed_total", "shed_total"]),
+            st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
+        ),
+        "gauges": st.dictionaries(
+            st.sampled_from(["queue_depth", *MEAN_GAUGES]), _values
+        ),
+        # name -> (capacity, observations); an empty list leaves an
+        # empty histogram, a missing name leaves no histogram at all
+        "hists": st.dictionaries(
+            st.sampled_from(["admission_latency", "queue_depth", "h"]),
+            st.tuples(
+                st.integers(min_value=1, max_value=6),
+                st.lists(_values, max_size=14),
+            ),
+        ),
+    }
+)
+
+
+def _build_registry(spec):
+    reg = MetricsRegistry()
+    for name, value in spec["counters"].items():
+        reg.counter(name).inc(value)
+    for name, value in spec["gauges"].items():
+        reg.gauge(name).set(value)
+    for name, (capacity, observations) in spec["hists"].items():
+        hist = reg.histogram(name, capacity=capacity)
+        for value in observations:
+            hist.observe(value)
+    return reg
+
+
+class TestMergeRegistriesOnePass:
+    """``merge_registries`` merges each histogram over all inputs in one
+    pass; it must equal the left fold of pairwise ``merge_from``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(specs=st.lists(_registry_spec, max_size=6))
+    def test_equals_left_fold_of_pairwise_merges(self, specs):
+        registries = [_build_registry(spec) for spec in specs]
+        merged = merge_registries(registries)
+
+        folded = MetricsRegistry()
+        for registry in registries:
+            folded.merge_from(registry)
+        for name, count in folded._mean_counts.items():
+            if count > 1:
+                folded.gauge(name).set(folded.gauge(name).value / count)
+
+        assert [(k, repr(v)) for k, v in merged.values().items()] == [
+            (k, repr(v)) for k, v in folded.values().items()
+        ]
+        assert list(merged._histograms) == list(folded._histograms)
+        for name, hist in merged._histograms.items():
+            assert _hist_state(hist) == _hist_state(folded._histograms[name])
+        assert merged.histograms() == folded.histograms()
+
+        # and both equal the plain-tuple reference fold, which takes
+        # the capacity of the first input that has the histogram
+        for name, hist in merged._histograms.items():
+            states = [
+                _hist_state(r._histograms[name])
+                for r in registries
+                if name in r._histograms
+            ]
+            ref = (states[0][0], [], 0, 0.0, None, None)
+            for cap, window, count, total, lo, hi in states:
+                ref = _window_merge(
+                    ref, (cap, window, count, float(total), lo, hi)
+                )
+            cap, window, count, total, lo, hi = ref
+            assert _hist_state(hist) == (cap, window, count, repr(total), lo, hi)
+
+    def test_inputs_with_different_capacities(self):
+        a, b, c = MetricsRegistry(), MetricsRegistry(), MetricsRegistry()
+        for v in range(5):
+            a.histogram("h", capacity=3).observe(float(v))
+        b.histogram("h", capacity=8)  # empty: skipped
+        for v in (10.0, 11.0):
+            c.histogram("h", capacity=1).observe(v)
+        merged = merge_registries([a, b, c]).histogram("h")
+        # the first input sets the capacity; c's own window kept only
+        # its newest observation
+        assert merged.capacity == 3
+        assert merged.window() == [3.0, 4.0, 11.0]
+        assert (merged.count, merged.min, merged.max) == (7, 0.0, 11.0)
+
+    def test_summary_sorts_once_and_matches_quantile(self):
+        reg = MetricsRegistry()
+        hist = reg.histogram("h", capacity=5)
+        for v in (5.0, 1.0, 4.0, 2.0, 3.0, 9.0):
+            hist.observe(v)
+        summary = hist.summary()
+        for key, q in (("p50", 0.50), ("p90", 0.90), ("p99", 0.99)):
+            assert summary[key] == hist.quantile(q)
+        assert reg.histogram_summary("h") == summary
+        assert reg.histogram_summary("missing") == {}
+        assert "missing" not in reg.histograms()
 
 
 class TestServiceTelemetry:
