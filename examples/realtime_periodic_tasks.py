@@ -19,6 +19,7 @@ from repro import SNSScheduler, Simulator
 from repro.analysis import format_table, render_gantt, render_utilization
 from repro.baselines import DoublingNonClairvoyant, FederatedScheduler
 from repro.dag import fork_join, recursive_fork_join
+from repro.observability import TraceRecorder
 from repro.workloads import harmonic_taskset, taskset_utilization, unroll_periodic
 
 SCHEDULERS = {
@@ -69,11 +70,12 @@ def gantt_demo(m: int = 8) -> None:
         pipeline_structures(), base_period=48, m=m, target_utilization=0.35
     )
     specs = unroll_periodic(tasks, horizon=256)
+    recorder = TraceRecorder()
     result = Simulator(
-        m=m, scheduler=SNSScheduler(epsilon=0.5), record_trace=True
+        m=m, scheduler=SNSScheduler(epsilon=0.5), recorder=recorder
     ).run(specs)
-    print(render_gantt(result, width=72, max_jobs=16))
-    print(render_utilization(result, width=72))
+    print(render_gantt(result, recorder.events, width=72, max_jobs=16))
+    print(render_utilization(result, recorder.events, width=72))
     print(
         "\nGlyph intensity = fraction of the machine a job holds;"
         " '|' marks a met deadline bin, 'x' an expiry."

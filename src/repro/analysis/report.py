@@ -17,6 +17,7 @@ from repro.analysis.metrics import summarize
 from repro.analysis.opt import opt_bound
 from repro.analysis.ratios import compare_schedulers
 from repro.analysis.tables import format_table
+from repro.observability.recorder import TraceRecorder
 from repro.sim.engine import Simulator
 from repro.sim.jobs import JobSpec
 from repro.sim.scheduler import Scheduler
@@ -93,12 +94,15 @@ def scheduler_report(
     if gantt_for is not None:
         if gantt_for not in schedulers:
             raise KeyError(f"unknown scheduler {gantt_for!r} for gantt_for")
+        recorder = TraceRecorder()
         traced = Simulator(
             m=m, scheduler=schedulers[gantt_for](), speed=speed,
-            record_trace=True,
+            recorder=recorder,
         ).run(list(specs))
         parts.append("")
         parts.append(f"Schedule of {gantt_for}:")
-        parts.append(render_gantt(traced, width=gantt_width))
-        parts.append(render_utilization(traced, width=gantt_width))
+        parts.append(render_gantt(traced, recorder.events, width=gantt_width))
+        parts.append(
+            render_utilization(traced, recorder.events, width=gantt_width)
+        )
     return "\n".join(parts)

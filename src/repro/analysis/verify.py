@@ -8,9 +8,10 @@ human-readable violation lists (empty = all good).
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Any, Sequence
 
 from repro.core.sns import SNSScheduler
+from repro.observability.spans import allocation_slices
 from repro.sim.engine import SimulationResult
 from repro.sim.jobs import JobSpec
 
@@ -107,23 +108,25 @@ def verify_sns_observation2(
     return problems
 
 
-def verify_trace_consistency(result: SimulationResult) -> list[str]:
-    """Trace slices respect machine capacity and never overlap in time."""
-    problems: list[str] = []
-    trace = result.trace
-    if trace is None:
+def verify_trace_consistency(
+    result: SimulationResult, events: Sequence[Any]
+) -> list[str]:
+    """Trace slices respect machine capacity and never overlap in time.
+
+    ``events`` is the run's recorder trace, read through
+    :func:`~repro.observability.spans.allocation_slices`.
+    """
+    if not events and result.records:
         return ["no trace recorded"]
+    problems: list[str] = []
     prev_end = None
-    for sl in trace.slices:
-        if sl.t1 <= sl.t0:
-            problems.append(f"empty/negative slice [{sl.t0},{sl.t1})")
-        if prev_end is not None and sl.t0 < prev_end:
-            problems.append(f"overlapping slice at t={sl.t0}")
-        prev_end = sl.t1
-        if sl.allocated > result.m:
-            problems.append(
-                f"slice [{sl.t0},{sl.t1}): allocated {sl.allocated} > m"
-            )
-        if sl.busy > sl.allocated:
-            problems.append(f"slice [{sl.t0},{sl.t1}): busy > allocated")
+    for t0, t1, entries in allocation_slices(events):
+        if prev_end is not None and t0 < prev_end:
+            problems.append(f"overlapping slice at t={t0}")
+        prev_end = t1
+        allocated = sum(a for _, a, _ in entries)
+        if allocated > result.m:
+            problems.append(f"slice [{t0},{t1}): allocated {allocated} > m")
+        if sum(e for _, _, e in entries) > allocated:
+            problems.append(f"slice [{t0},{t1}): busy > allocated")
     return problems

@@ -7,7 +7,8 @@ service, the sharded cluster and the resilience supervisor with:
   events for every job lifecycle transition and engine decision point,
   behind a near-zero-cost no-op recorder when disabled;
 * **span analysis** (:mod:`~repro.observability.spans`) -- lifecycle
-  span reconstruction and trace-completeness invariants;
+  span reconstruction, the allocation-slice projection behind Gantt
+  charts and slice checks, and trace-completeness invariants;
 * **metrics** (:mod:`~repro.observability.metrics`) -- ring-buffered
   histograms extending the telemetry registry;
 * **profiling** (:mod:`~repro.observability.profiler`) -- wall-clock
@@ -47,6 +48,7 @@ from repro.observability.spans import (
     SUBMIT_KINDS,
     TERMINAL_KINDS,
     JobSpan,
+    allocation_slices,
     build_spans,
     machine_intervals,
     recompute_profit,
@@ -69,6 +71,7 @@ __all__ = [
     "SUBMIT_KINDS",
     "TERMINAL_KINDS",
     "JobSpan",
+    "allocation_slices",
     "build_spans",
     "machine_intervals",
     "recompute_profit",

@@ -2,8 +2,9 @@
 
 A recorded trace (see :mod:`repro.observability.recorder`) is a flat
 event sequence; this module folds it back into *spans* -- one lifecycle
-span per job, plus per-machine execution intervals -- and checks the
-invariants the property tests pin down:
+span per job, plus per-machine execution intervals and the merged
+allocation slices that Gantt charts and slice checks read -- and checks
+the invariants the property tests pin down:
 
 * every job that appears in a trace has **exactly one terminal event**
   (completed, deadline-missed, shed, abandoned, or cluster-shed);
@@ -149,6 +150,38 @@ def machine_intervals(
                 )
             offset += procs
     return lanes
+
+
+def allocation_slices(
+    events: Iterable[Any], shard: Optional[int] = None
+) -> list[tuple[int, int, tuple[tuple[int, int, int], ...]]]:
+    """Project one shard's ``slice`` events onto maximal allocation slices.
+
+    Returns ``[(t0, t1, entries), ...]`` in trace order, where
+    ``entries`` holds ``(job_id, allocated, executing)`` triples:
+    ``allocated`` processors were dedicated to the job over
+    ``[t0, t1)`` (the paper's processor-step accounting), of which
+    ``executing`` ran ready nodes.  Empty intervals are dropped and
+    contiguous slices with identical entries merge, so decision rounds
+    that changed nothing leave one slice.  ``shard`` selects the
+    events' shard tag (``None``: a single engine or service).
+    """
+    slices: list[tuple[int, int, tuple[tuple[int, int, int], ...]]] = []
+    for event in events:
+        _seq, ev_shard, t0, kind, _job, data = _as_tuple(event)
+        if kind != "slice" or ev_shard != shard or not data:
+            continue
+        t1 = data["t1"]
+        if t1 <= t0:
+            continue
+        entries = tuple(tuple(entry) for entry in data.get("entries", ()))
+        if slices:
+            last_t0, last_t1, last_entries = slices[-1]
+            if last_t1 == t0 and last_entries == entries:
+                slices[-1] = (last_t0, t1, entries)
+                continue
+        slices.append((t0, t1, entries))
+    return slices
 
 
 def recompute_profit(events: Iterable[Any]) -> float:

@@ -61,9 +61,8 @@ from repro.resilience.wal import WriteAheadLog
 from repro.service.queue import sns_density
 from repro.service.service import ServiceResult, ShedRecord
 from repro.service.telemetry import MetricsRegistry
-from repro.sim.engine import SimulationResult
+from repro.sim.engine import RunCounters, SimulationResult
 from repro.sim.jobs import JobSpec
-from repro.sim.trace import RunCounters
 
 
 class ResilientClusterService(ClusterService):

@@ -16,8 +16,7 @@ from repro.sim.picker import (
     CriticalPathPicker,
     make_picker,
 )
-from repro.sim.trace import AllocationSlice, EventKind, RunCounters, Trace, TraceEvent
-from repro.sim.engine import SimulationResult, Simulator
+from repro.sim.engine import RunCounters, SimulationResult, Simulator
 from repro.sim.array_engine import ArraySimulator
 from repro.sim.backends import (
     ENGINE_BACKENDS,
@@ -45,11 +44,7 @@ __all__ = [
     "AdversarialPicker",
     "CriticalPathPicker",
     "make_picker",
-    "AllocationSlice",
-    "EventKind",
     "RunCounters",
-    "Trace",
-    "TraceEvent",
     "SimulationResult",
     "Simulator",
 ]

@@ -37,11 +37,10 @@ import numpy as np
 from repro.dag.graph import DAGStructure
 from repro.dag.node import NodeState
 from repro.errors import AllocationError, SimulationError
-from repro.sim.engine import SimulationResult, _finish_record
+from repro.sim.engine import RunCounters, SimulationResult, _finish_record
 from repro.sim.jobs import CompletionRecord, JobSpec, JobView
 from repro.sim.picker import FIFOPicker, NodePicker
 from repro.sim.scheduler import Scheduler
-from repro.sim.trace import EventKind, RunCounters, Trace
 
 logger = logging.getLogger(__name__)
 
@@ -201,10 +200,9 @@ class _LegacyRunState:
         "deadline_heap",
         "prev_running",
         "counters",
-        "trace",
     )
 
-    def __init__(self, trace: Optional[Trace]) -> None:
+    def __init__(self) -> None:
         self.t = 0
         self.end_time = 0
         self.arrival_seen = False
@@ -216,7 +214,6 @@ class _LegacyRunState:
         self.deadline_heap: list[tuple[int, int]] = []
         self.prev_running: dict[int, set[int]] = {}
         self.counters = RunCounters()
-        self.trace = trace
 
 
 class LegacySimulator:
@@ -233,7 +230,6 @@ class LegacySimulator:
         scheduler: Scheduler,
         picker: Optional[NodePicker] = None,
         speed: float = 1.0,
-        record_trace: bool = False,
         horizon: Optional[int] = None,
         preemption_overhead: float = 0.0,
     ) -> None:
@@ -245,7 +241,6 @@ class LegacySimulator:
         self.scheduler = scheduler
         self.picker = picker if picker is not None else FIFOPicker()
         self.speed = float(speed)
-        self.record_trace = bool(record_trace)
         self.horizon = horizon
         self.preemption_overhead = float(preemption_overhead)
         self._state: Optional[_LegacyRunState] = None
@@ -266,8 +261,7 @@ class LegacySimulator:
         """Open a streaming session (notifies the scheduler)."""
         if self._state is not None:
             raise SimulationError("a session is already active; call finish() first")
-        trace = Trace(self.m, self.speed) if self.record_trace else None
-        self._state = _LegacyRunState(trace)
+        self._state = _LegacyRunState()
         self.scheduler.on_start(self.m, self.speed)
 
     def submit(self, spec: JobSpec, t: Optional[int] = None) -> None:
@@ -319,7 +313,6 @@ class LegacySimulator:
             records=state.finished,
             counters=state.counters,
             end_time=state.end_time,
-            trace=state.trace,
         )
         self._state = None
         return result
@@ -359,8 +352,6 @@ class LegacySimulator:
                 _, _, spec = heapq.heappop(state.pending)
                 job = _LegacyActiveJob(spec)
                 state.active[spec.job_id] = job
-                if state.trace:
-                    state.trace.event(spec.arrival, EventKind.ARRIVAL, spec.job_id)
                 self.scheduler.on_arrival(job.view, state.t)
                 assigned = self.scheduler.assign_deadline(job.view, state.t)
                 if assigned is not None:
@@ -369,10 +360,6 @@ class LegacySimulator:
                             f"scheduler assigned past deadline {assigned} <= {state.t}"
                         )
                     job.assigned_deadline = int(assigned)
-                    if state.trace:
-                        state.trace.event(
-                            state.t, EventKind.DEADLINE_ASSIGNED, spec.job_id, assigned
-                        )
                 eff = job.effective_deadline()
                 if eff is not None:
                     heapq.heappush(state.deadline_heap, (eff, spec.job_id))
@@ -392,8 +379,6 @@ class LegacySimulator:
                 del state.active[job_id]
                 state.finished[job_id] = _finish_record(job)
                 state.counters.expiries += 1
-                if state.trace:
-                    state.trace.event(state.t, EventKind.EXPIRY, job_id)
                 self.scheduler.on_expiry(job.view, state.t)
 
             state.end_time = state.t
@@ -480,8 +465,6 @@ class LegacySimulator:
             state.counters.steps += dt
             state.counters.allocated_steps += allocated_procs * dt
             state.counters.busy_steps += executing_procs * dt
-            if state.trace:
-                state.trace.slice(state.t, state.t + dt, tuple(slice_entries))
             state.t += dt
 
             for job, nodes in assignment:
@@ -495,8 +478,6 @@ class LegacySimulator:
                 del state.active[job.job_id]
                 state.finished[job.job_id] = _finish_record(job)
                 state.counters.completions += 1
-                if state.trace:
-                    state.trace.event(state.t, EventKind.COMPLETION, job.job_id)
                 self.scheduler.on_completion(job.view, state.t)
 
     def _profit_at_completion(self, job: _LegacyActiveJob, t: int) -> float:
@@ -559,6 +540,4 @@ class LegacySimulator:
             state.prev_running.pop(job_id, None)
             state.finished[job_id] = _finish_record(job)
             state.counters.abandons += 1
-            if state.trace:
-                state.trace.event(state.t, EventKind.ABANDON, job_id)
             del state.active[job_id]

@@ -45,9 +45,9 @@ Delegation policy
 -----------------
 Configurations that observe intra-chunk state delegate wholesale to the
 parent event loop (which is the reference semantics, so the result is
-trivially identical): trace recording, invariant validation, an enabled
-structured recorder, a profiler, any non-FIFO node picker, and
-schedulers that declare :attr:`~repro.sim.scheduler.SchedulerBase.reads_progress`
+trivially identical): invariant validation, an enabled structured
+recorder, a profiler, any non-FIFO node picker, and schedulers that
+declare :attr:`~repro.sim.scheduler.SchedulerBase.reads_progress`
 (some scheduler hook reads ``JobView.work_completed``, which must never
 see a stale arena).
 """
@@ -142,8 +142,7 @@ class ArraySimulator(Simulator):
         """Process events up to ``target`` (``None`` = drain everything)."""
         rec = self.recorder
         if (
-            self.record_trace
-            or self.validate
+            self.validate
             or (rec is not None and rec.enabled)
             or self.profiler is not None
             or type(self.picker) is not FIFOPicker

@@ -38,7 +38,7 @@ from repro.sim.engine import Simulator
 #: core of the ``Simulator`` signature (``m``, ``scheduler``, ``picker``,
 #: ``speed``, ``horizon``, ``preemption_overhead``); only ``event`` and
 #: ``array`` accept the observability extras (``recorder``, ``profiler``,
-#: ``record_trace``, ``validate``) and the snapshot/migration API.
+#: ``validate``) and the snapshot/migration API.
 ENGINE_BACKENDS: dict[str, type] = {
     "event": Simulator,
     "array": ArraySimulator,

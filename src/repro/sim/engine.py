@@ -65,7 +65,6 @@ from repro.observability.recorder import SliceData, scheduler_admission
 from repro.sim.jobs import ActiveJob, CompletionRecord, JobSpec, JobView
 from repro.sim.picker import FIFOPicker, NodePicker
 from repro.sim.scheduler import Scheduler
-from repro.sim.trace import EventKind, RunCounters, Trace
 
 logger = logging.getLogger(__name__)
 
@@ -83,6 +82,21 @@ ENGINE_SNAPSHOT_VERSION = 1
 
 
 @dataclass
+class RunCounters:
+    """Cheap always-on statistics of a run."""
+
+    decisions: int = 0
+    steps: int = 0
+    allocated_steps: float = 0.0
+    busy_steps: float = 0.0
+    preemptions: int = 0
+    completions: int = 0
+    expiries: int = 0
+    abandons: int = 0
+    extra: dict = field(default_factory=dict)
+
+
+@dataclass
 class SimulationResult:
     """Everything a finished run reports."""
 
@@ -92,7 +106,6 @@ class SimulationResult:
     counters: RunCounters
     #: time of the final event processed
     end_time: int
-    trace: Optional[Trace] = None
     extra: dict = field(default_factory=dict)
 
     @property
@@ -139,10 +152,9 @@ class _RunState:
         "deadline_heap",
         "prev_running",
         "counters",
-        "trace",
     )
 
-    def __init__(self, trace: Optional[Trace]) -> None:
+    def __init__(self) -> None:
         self.t = 0
         self.end_time = 0
         #: whether the clock has been anchored to the first arrival
@@ -168,7 +180,6 @@ class _RunState:
         # empty stale scan)
         self.prev_running: dict[int, list[int]] = {}
         self.counters = RunCounters()
-        self.trace = trace
 
     def add_finished(self, rec: CompletionRecord) -> None:
         """Store a job's final record and add its profit to the total.
@@ -216,8 +227,6 @@ class Simulator:
     speed:
         Resource augmentation ``s >= 1`` (work removed per processor-step).
         Fractional speeds are allowed (the paper's ``1+eps``).
-    record_trace:
-        Keep a full :class:`~repro.sim.trace.Trace` (costs memory).
     horizon:
         Optional hard stop; unfinished jobs are marked abandoned.
     validate:
@@ -246,7 +255,6 @@ class Simulator:
         scheduler: Scheduler,
         picker: Optional[NodePicker] = None,
         speed: float = 1.0,
-        record_trace: bool = False,
         horizon: Optional[int] = None,
         validate: bool = False,
         preemption_overhead: float = 0.0,
@@ -265,7 +273,6 @@ class Simulator:
         self.scheduler = scheduler
         self.picker = picker if picker is not None else FIFOPicker()
         self.speed = float(speed)
-        self.record_trace = bool(record_trace)
         self.horizon = horizon
         self.validate = bool(validate)
         self.preemption_overhead = float(preemption_overhead)
@@ -298,8 +305,7 @@ class Simulator:
         """
         if self._state is not None:
             raise SimulationError("a session is already active; call finish() first")
-        trace = Trace(self.m, self.speed) if self.record_trace else None
-        self._state = _RunState(trace)
+        self._state = _RunState()
         self.scheduler.on_start(self.m, self.speed)
 
     def submit(self, spec: JobSpec, t: Optional[int] = None) -> None:
@@ -374,7 +380,6 @@ class Simulator:
             records=state.finished,
             counters=state.counters,
             end_time=state.end_time,
-            trace=state.trace,
         )
         self._state = None
         return result
@@ -429,9 +434,9 @@ class Simulator:
         The snapshot captures pending submissions, active jobs (DAG
         execution state included), finished records, the expiry heap,
         preemption bookkeeping and counters -- everything needed for
-        :meth:`restore_state` to resume bit-identically.  The trace (if
-        recorded) is *not* captured; a restored session records a fresh
-        trace from the restore point.  Scheduler state is snapshotted
+        :meth:`restore_state` to resume bit-identically.  Recorder
+        events are *not* captured; an attached recorder sees the
+        restored session from the restore point.  Scheduler state is snapshotted
         separately (see
         :meth:`repro.sim.scheduler.SchedulerBase.snapshot_state`).
         """
@@ -492,8 +497,7 @@ class Simulator:
             raise SimulationError(
                 f"snapshot config {config} does not match simulator {mine}"
             )
-        trace = Trace(self.m, self.speed) if self.record_trace else None
-        state = _RunState(trace)
+        state = _RunState()
         state.t = int(data["t"])
         state.end_time = int(data["end_time"])
         state.arrival_seen = bool(data["arrival_seen"])
@@ -612,9 +616,6 @@ class Simulator:
             job.executing = ()
             state.add_finished(_finish_record(job))
             state.counters.expiries += 1
-            if state.trace:
-                state.trace.event(state.t, EventKind.ARRIVAL, job_id)
-                state.trace.event(state.t, EventKind.EXPIRY, job_id)
             rec = self.recorder
             if rec is not None and rec.enabled:
                 rec.event(state.t, "arrival", job_id)
@@ -625,8 +626,6 @@ class Simulator:
         state.arrival_seen = True
         if eff is not None:
             heapq.heappush(state.deadline_heap, (eff, job_id))
-        if state.trace:
-            state.trace.event(state.t, EventKind.ARRIVAL, job_id)
         rec = self.recorder
         emit = rec.event if (rec is not None and rec.enabled) else None
         if emit is not None:
@@ -698,7 +697,6 @@ class Simulator:
         prev_running = state.prev_running
         add_finished = state.add_finished
         counters = state.counters
-        trace = state.trace
         speed = self.speed
         overhead = self.preemption_overhead
         validate = self.validate
@@ -749,8 +747,6 @@ class Simulator:
                 _, _, spec = heappop(pending)
                 job = ActiveJob(spec)
                 active[spec.job_id] = job
-                if trace:
-                    trace.event(spec.arrival, EventKind.ARRIVAL, spec.job_id)
                 if emit is not None:
                     emit(spec.arrival, "arrival", spec.job_id)
                 if debug_log:
@@ -766,10 +762,6 @@ class Simulator:
                             f"scheduler assigned past deadline {assigned} <= {state.t}"
                         )
                     job.assigned_deadline = int(assigned)
-                    if trace:
-                        trace.event(
-                            state.t, EventKind.DEADLINE_ASSIGNED, spec.job_id, assigned
-                        )
                 eff = job.effective_deadline()
                 if eff is not None:
                     heappush(deadline_heap, (eff, spec.job_id))
@@ -795,8 +787,6 @@ class Simulator:
                 del active[job_id]
                 add_finished(_finish_record(job))
                 counters.expiries += 1
-                if trace:
-                    trace.event(state.t, EventKind.EXPIRY, job_id)
                 if emit is not None:
                     emit(state.t, "expiry", job_id)
                 if debug_log:
@@ -1050,15 +1040,6 @@ class Simulator:
             counters.busy_steps += executing_procs * dt
             if prof_exec is not None:
                 prof_exec.observe(perf() - _p0)
-            if trace:
-                trace.slice(
-                    t,
-                    t + dt,
-                    tuple(
-                        (job.job_id, k, len(nodes))
-                        for job, nodes, k, _dag in assignment
-                    ),
-                )
             if emit is not None:
                 # the assignment list is rebuilt fresh at every decision
                 # and its node lists are replaced (never mutated), so the
@@ -1082,8 +1063,6 @@ class Simulator:
                 del active[job.job_id]
                 add_finished(_finish_record(job))
                 counters.completions += 1
-                if trace:
-                    trace.event(t, EventKind.COMPLETION, job.job_id)
                 if emit is not None:
                     emit(
                         t,
@@ -1157,8 +1136,6 @@ class Simulator:
             state.prev_running.pop(job_id, None)
             state.add_finished(_finish_record(job))
             state.counters.abandons += 1
-            if state.trace:
-                state.trace.event(state.t, EventKind.ABANDON, job_id)
             if emit is not None:
                 emit(state.t, "abandon", job_id)
             del state.active[job_id]

@@ -26,6 +26,7 @@ from repro.analysis import (
 from repro.baselines import FIFOScheduler, GlobalEDF, GreedyDensity
 from repro.core import SNSScheduler
 from repro.dag import block, chain
+from repro.observability import TraceRecorder
 from repro.profit import FlatThenLinear, StepProfit
 from repro.sim import JobSpec, Simulator
 from repro.workloads import WorkloadConfig, generate_workload
@@ -149,12 +150,13 @@ class TestMetrics:
 class TestVerification:
     def test_clean_run_verifies(self):
         specs = generate_workload(WorkloadConfig(n_jobs=20, m=4, load=2.0, seed=2))
+        recorder = TraceRecorder()
         result = Simulator(
-            m=4, scheduler=GlobalEDF(), record_trace=True
+            m=4, scheduler=GlobalEDF(), recorder=recorder
         ).run(specs)
         assert verify_profits(result, specs) == []
         assert verify_work_accounting(result, specs) == []
-        assert verify_trace_consistency(result) == []
+        assert verify_trace_consistency(result, recorder.events) == []
 
     def test_corrupted_profit_detected(self):
         specs = [JobSpec(0, chain(4), arrival=0, deadline=10, profit=2.0)]
@@ -165,7 +167,7 @@ class TestVerification:
     def test_missing_trace_reported(self):
         specs = [JobSpec(0, chain(4), arrival=0, deadline=10)]
         result = Simulator(m=1, scheduler=GlobalEDF()).run(specs)
-        assert verify_trace_consistency(result) == ["no trace recorded"]
+        assert verify_trace_consistency(result, []) == ["no trace recorded"]
 
 
 class TestCompare:

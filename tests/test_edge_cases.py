@@ -8,7 +8,8 @@ from repro.analysis import summarize
 from repro.core import GeneralProfitScheduler, SNSScheduler
 from repro.dag import chain
 from repro.profit import StepProfit
-from repro.sim import EventKind, JobSpec, Simulator
+from repro.observability import TraceRecorder
+from repro.sim import JobSpec, Simulator
 from repro.workloads import WorkloadConfig, generate_workload
 
 
@@ -37,18 +38,19 @@ class TestMetricsEdges:
 class TestDeadlineAssignedEvent:
     def test_trace_records_assignment(self):
         spec = JobSpec(0, chain(6), arrival=0, profit_fn=StepProfit(1.0, 40.0))
+        recorder = TraceRecorder()
         result = Simulator(
             m=2,
             scheduler=GeneralProfitScheduler(epsilon=1.0),
-            record_trace=True,
+            recorder=recorder,
         ).run([spec])
-        kinds = [e.kind for e in result.trace.events]
-        assert EventKind.DEADLINE_ASSIGNED in kinds
-        event = next(
-            e for e in result.trace.events
-            if e.kind == EventKind.DEADLINE_ASSIGNED
+        admission = next(ev for ev in recorder.events if ev[3] == "admission")
+        assert admission[4] == 0
+        assert result.records[0].assigned_deadline is not None
+        assert (
+            admission[5]["assigned_deadline"]
+            == result.records[0].assigned_deadline
         )
-        assert event.value == result.records[0].assigned_deadline
 
 
 class TestSNSStateConsistency:

@@ -427,7 +427,7 @@ class TestRunningProfitTotal:
         addition before Python 3.12, compensated from 3.12 on -- for
         float and int profits, including the int ``0`` of an empty
         session."""
-        state = _RunState(None)
+        state = _RunState()
         for i, profit in enumerate(profits):
             state.add_finished(
                 CompletionRecord(

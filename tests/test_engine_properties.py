@@ -21,6 +21,7 @@ from repro.baselines import (
     LeastLaxityFirst,
 )
 from repro.core import GeneralProfitScheduler, SNSScheduler
+from repro.observability import TraceRecorder
 from repro.sim import JobSpec, RandomPicker, Simulator
 from repro.workloads import WorkloadConfig, generate_workload
 
@@ -58,17 +59,18 @@ def workload_configs(draw):
 )
 def test_run_invariants_hold(config, sched_idx):
     specs = generate_workload(config)
+    recorder = TraceRecorder()
     sim = Simulator(
         m=config.m,
         scheduler=SCHEDULER_FACTORIES[sched_idx](),
         picker=RandomPicker(config.seed),
-        record_trace=True,
+        recorder=recorder,
         validate=True,
     )
     result = sim.run(specs)
     assert verify_profits(result, specs) == []
     assert verify_work_accounting(result, specs) == []
-    assert verify_trace_consistency(result) == []
+    assert verify_trace_consistency(result, recorder.events) == []
     # every job is accounted for exactly once
     assert set(result.records) == {sp.job_id for sp in specs}
 
@@ -122,9 +124,10 @@ def test_profit_scheduler_invariants(n_jobs, m, seed):
         seed=seed,
     )
     specs = generate_workload(config)
+    recorder = TraceRecorder()
     result = Simulator(
-        m=m, scheduler=GeneralProfitScheduler(epsilon=1.0), record_trace=True
+        m=m, scheduler=GeneralProfitScheduler(epsilon=1.0), recorder=recorder
     ).run(specs)
     assert verify_profits(result, specs) == []
     assert verify_work_accounting(result, specs) == []
-    assert verify_trace_consistency(result) == []
+    assert verify_trace_consistency(result, recorder.events) == []

@@ -5,9 +5,9 @@ import pytest
 from repro.baselines import FIFOScheduler, GlobalEDF
 from repro.dag import block, chain, fork_join
 from repro.errors import AllocationError, SimulationError
+from repro.observability import TraceRecorder, allocation_slices
 from repro.profit import FlatThenLinear, StepProfit
 from repro.sim import (
-    EventKind,
     JobSpec,
     SchedulerBase,
     Simulator,
@@ -184,24 +184,36 @@ class TestValidationErrors:
 class TestTrace:
     def test_trace_events(self):
         spec = JobSpec(0, chain(3), arrival=2, deadline=10, profit=1.0)
-        res = Simulator(m=1, scheduler=FIFOScheduler(), record_trace=True).run(
-            [spec]
-        )
-        kinds = [e.kind for e in res.trace.events]
-        assert EventKind.ARRIVAL in kinds
-        assert EventKind.COMPLETION in kinds
+        recorder = TraceRecorder()
+        Simulator(m=1, scheduler=FIFOScheduler(), recorder=recorder).run([spec])
+        kinds = [ev[3] for ev in recorder.events]
+        assert "arrival" in kinds
+        assert "completion" in kinds
 
     def test_trace_slices_cover_execution(self):
         spec = JobSpec(0, chain(3), arrival=0, deadline=10, profit=1.0)
-        res = Simulator(m=2, scheduler=FIFOScheduler(), record_trace=True).run(
-            [spec]
+        recorder = TraceRecorder()
+        Simulator(m=2, scheduler=FIFOScheduler(), recorder=recorder).run([spec])
+        slices = allocation_slices(recorder.events)
+        processor_steps = sum(
+            alloc * (t1 - t0)
+            for t0, t1, entries in slices
+            for jid, alloc, _ in entries
+            if jid == 0
         )
-        assert res.trace.processor_steps_of(0) >= 3
-        assert res.trace.utilization() > 0
+        busy = sum(
+            execing * (t1 - t0)
+            for t0, t1, entries in slices
+            for _, _, execing in entries
+        )
+        assert processor_steps >= 3
+        assert busy / (2 * (slices[-1][1] - slices[0][0])) > 0
 
     def test_no_trace_by_default(self):
-        _, res = run_one(chain(2))
-        assert res.trace is None
+        sim = Simulator(m=2, scheduler=FIFOScheduler())
+        assert sim.recorder is None
+        res = sim.run([JobSpec(0, chain(2), arrival=0, deadline=10, profit=1.0)])
+        assert not hasattr(res, "trace")
 
 
 class TestCounters:
