@@ -4,24 +4,13 @@
 Measures the four quantities future PRs must defend (see
 docs/PERFORMANCE.md):
 
-* ``engine_scale`` -- the three engine backends (event-driven,
-  numpy-array, frozen legacy stepper) on growing SNS workloads:
-  wall-clock, speedups, jobs/sec and decisions/sec, with a
-  three-way bit-identity check of records/counters/profit on every
-  config.  SNS churn (many tiny picks, allocation changes every
-  decision) is the array backend's *worst* regime; these rows report
-  it honestly rather than gating it.
-* ``engine_stress`` -- the array backend's home regime: wide
-  multi-chain jobs under the reservation-stable
-  :class:`~repro.baselines.federated.FederatedScheduler` on a large
-  machine, where decisions are cheap and chunks drain thousands of
-  nodes at once.  Full mode gates the array backend at >= 5x over the
-  event engine (plus bit-identity).
+* ``engine_scale`` -- the event engine against the frozen legacy
+  stepper on growing SNS workloads: wall-clock, speedups, jobs/sec
+  and decisions/sec, with a bit-identity check of
+  records/counters/profit on every config.
 * ``engine_wave`` -- peak job throughput: a spread-arrival wave of
-  unit-work jobs.  Full mode gates the best backend at >= 100k
-  jobs/sec.  The event engine wins this row (per-job fixed costs
-  dominate; the arena adds constant overhead per churned job) -- the
-  array column is reported, not gated.
+  unit-work jobs on the event engine, bit-identity checked against the
+  legacy stepper.  Full mode gates it at >= 100k jobs/sec.
 * ``sweep`` -- serial vs multi-worker wall-clock of a small E3-style
   grid through :func:`repro.analysis.sweep.run_sweep`, with
   cell-for-cell equality.  The worker count comes from
@@ -91,10 +80,8 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import math
 import os
 import platform
-import random
 import subprocess
 import sys
 import time
@@ -117,7 +104,7 @@ from repro.cluster import (  # noqa: E402
 from repro.core import SNSScheduler  # noqa: E402
 from repro.experiments.e03_thm2 import _thm2_value  # noqa: E402
 from repro.service import SchedulingService  # noqa: E402
-from repro.sim import ArraySimulator, Simulator  # noqa: E402
+from repro.sim import Simulator  # noqa: E402
 from repro.sim._legacy_engine import LegacySimulator  # noqa: E402
 from repro.sim.jobs import JobSpec  # noqa: E402
 from repro.workloads import WorkloadConfig, generate_workload  # noqa: E402
@@ -178,7 +165,7 @@ def _identical(res_a, res_b) -> bool:
 
 
 def bench_engine_scale(quick: bool, repeats: int) -> list[dict]:
-    """Three-backend engine comparison on growing SNS workloads."""
+    """Event engine vs the legacy stepper on growing SNS workloads."""
     rows = []
     for n_jobs, m in QUICK_SCALE_CONFIGS if quick else SCALE_CONFIGS:
         specs = generate_workload(
@@ -195,33 +182,21 @@ def bench_engine_scale(quick: bool, repeats: int) -> list[dict]:
         def run_event():
             return Simulator(m=m, scheduler=SNSScheduler(epsilon=1.0)).run(specs)
 
-        def run_array():
-            return ArraySimulator(m=m, scheduler=SNSScheduler(epsilon=1.0)).run(
-                specs
-            )
-
         def run_legacy():
             return LegacySimulator(m=m, scheduler=SNSScheduler(epsilon=1.0)).run(
                 specs
             )
 
-        res_event, res_array, res_legacy = run_event(), run_array(), run_legacy()
-        best = _interleaved(
-            {"event": run_event, "array": run_array, "legacy": run_legacy},
-            repeats,
-        )
+        res_event, res_legacy = run_event(), run_legacy()
+        best = _interleaved({"event": run_event, "legacy": run_legacy}, repeats)
         rows.append(
             {
                 "n_jobs": n_jobs,
                 "m": m,
-                "identical": _identical(res_event, res_legacy)
-                and _identical(res_event, res_array),
+                "identical": _identical(res_event, res_legacy),
                 "engine_seconds": best["event"],
-                "array_seconds": best["array"],
                 "legacy_seconds": best["legacy"],
                 "speedup": best["legacy"] / best["event"],
-                "array_speedup_vs_event": best["event"] / best["array"],
-                "array_speedup_vs_legacy": best["legacy"] / best["array"],
                 "jobs_per_sec": n_jobs / best["event"],
                 "decisions_per_sec": res_event.counters.decisions / best["event"],
                 "steps_per_sec": res_event.counters.steps / best["event"],
@@ -230,104 +205,19 @@ def bench_engine_scale(quick: bool, repeats: int) -> list[dict]:
         )
         print(
             f"engine n={n_jobs:4d} m={m:3d} "
-            f"event={rows[-1]['speedup']:.2f}x vs legacy, "
-            f"array={rows[-1]['array_speedup_vs_event']:.2f}x vs event "
+            f"event={rows[-1]['speedup']:.2f}x vs legacy "
             f"identical={rows[-1]['identical']}"
         )
     return rows
-
-
-def _multichain_specs(
-    n_jobs: int, width: int, length: int, wlo: int, whi: int, seed: int
-) -> list[JobSpec]:
-    """Wide multi-chain jobs sized so FederatedScheduler reserves
-    exactly ``width`` processors each (deadline = span + W/width)."""
-    rng = random.Random(seed)
-    specs = []
-    for j in range(n_jobs):
-        works = [float(rng.randint(wlo, whi)) for _ in range(width * length)]
-        edges = []
-        spans = []
-        for c in range(width):
-            base = c * length
-            edges += [(base + i, base + i + 1) for i in range(length - 1)]
-            spans.append(sum(works[base : base + length]))
-        total = sum(works)
-        span = max(spans)
-        rel = int(span + math.ceil((total - span) / width)) + 1
-        specs.append(
-            JobSpec(
-                job_id=j,
-                structure=DAGStructure(works, edges, name="multichain"),
-                arrival=0,
-                profit=1.0,
-                deadline=rel,
-            )
-        )
-    return specs
-
-
-def bench_engine_stress(quick: bool, repeats: int) -> dict:
-    """Array-backend home regime: wide jobs, stable reservations.
-
-    :class:`FederatedScheduler` allocates from fixed reservations
-    (cheap, allocation-stable decisions), so wall-clock is dominated by
-    draining node work -- the part the arena vectorizes.  Full mode
-    gates the array backend at >= 5x over the event engine here; the
-    legacy stepper is skipped (it is another ~10x slower on this shape
-    and the scale rows already pin it).
-    """
-    if quick:
-        n_jobs, width, length, wlo, whi, m = 16, 16, 8, 100, 1000, 512
-    else:
-        n_jobs, width, length, wlo, whi, m = 64, 64, 8, 1000, 10000, 8192
-    specs = _multichain_specs(n_jobs, width, length, wlo, whi, seed=7)
-
-    def run_event():
-        return Simulator(m=m, scheduler=FederatedScheduler()).run(specs)
-
-    def run_array():
-        return ArraySimulator(m=m, scheduler=FederatedScheduler()).run(specs)
-
-    res_event, res_array = run_event(), run_array()
-    best = _interleaved({"event": run_event, "array": run_array}, repeats)
-    speedup = best["event"] / best["array"]
-    row = {
-        "n_jobs": n_jobs,
-        "chain_width": width,
-        "chain_length": length,
-        "m": m,
-        "nodes_total": n_jobs * width * length,
-        "identical": _identical(res_event, res_array),
-        "completed": sum(
-            1
-            for rec in res_event.records.values()
-            if rec.completion_time is not None
-        ),
-        "event_seconds": best["event"],
-        "array_seconds": best["array"],
-        "array_speedup_vs_event": speedup,
-        "node_completions_per_sec": n_jobs * width * length / best["array"],
-        # full mode gates >= 5x; quick sizes are too small to amortize
-        # the arena and only check identity
-        "speedup_ok": quick or speedup >= 5.0,
-    }
-    print(
-        f"engine-stress jobs={n_jobs} width={width} m={m}: "
-        f"array {speedup:.2f}x vs event "
-        f"identical={row['identical']}"
-    )
-    return row
 
 
 def bench_engine_wave(quick: bool, repeats: int) -> dict:
     """Peak job throughput: a spread-arrival wave of unit-work jobs.
 
     Every engine cost here is per-job bookkeeping (arrival, one-node
-    execution, completion record); full mode gates the best backend at
-    >= 100k jobs/sec.  This is the array backend's worst regime -- the
-    arena adds constant overhead per churned job and vectorizes
-    nothing -- so its column is reported but never gated.
+    execution, completion record); full mode gates the event engine at
+    >= 100k jobs/sec.  The legacy stepper runs once, untimed, for the
+    bit-identity check.
     """
     n_jobs = 2000 if quick else 20000
     spread = 200 if quick else 2000
@@ -346,33 +236,24 @@ def bench_engine_wave(quick: bool, repeats: int) -> dict:
     def run_event():
         return Simulator(m=m, scheduler=FederatedScheduler()).run(specs)
 
-    def run_array():
-        return ArraySimulator(m=m, scheduler=FederatedScheduler()).run(specs)
-
-    res_event, res_array = run_event(), run_array()
+    res_event = run_event()
+    res_legacy = LegacySimulator(m=m, scheduler=FederatedScheduler()).run(specs)
     # extra rounds: the jobs/sec gate is an absolute number, so this row
     # deserves more samples than the relative-speedup sections
-    best = _interleaved(
-        {"event": run_event, "array": run_array}, max(repeats, 5)
-    )
-    jobs_per_sec = {name: n_jobs / seconds for name, seconds in best.items()}
-    peak = max(jobs_per_sec.values())
+    best = _interleaved({"event": run_event}, max(repeats, 5))
+    jobs_per_sec = n_jobs / best["event"]
     row = {
         "n_jobs": n_jobs,
         "m": m,
         "arrival_spread": spread,
-        "identical": _identical(res_event, res_array),
+        "identical": _identical(res_event, res_legacy),
         "event_seconds": best["event"],
-        "array_seconds": best["array"],
-        "event_jobs_per_sec": jobs_per_sec["event"],
-        "array_jobs_per_sec": jobs_per_sec["array"],
-        "peak_jobs_per_sec": peak,
-        # full mode gates the 100k+ jobs/sec target on the best backend
-        "throughput_ok": quick or peak >= 100_000.0,
+        "event_jobs_per_sec": jobs_per_sec,
+        # full mode gates the 100k+ jobs/sec target
+        "throughput_ok": quick or jobs_per_sec >= 100_000.0,
     }
     print(
-        f"engine-wave n={n_jobs}: event {jobs_per_sec['event'] / 1e3:.0f}k "
-        f"array {jobs_per_sec['array'] / 1e3:.0f}k jobs/sec "
+        f"engine-wave n={n_jobs}: event {jobs_per_sec / 1e3:.0f}k jobs/sec "
         f"identical={row['identical']}"
     )
     return row
@@ -451,13 +332,8 @@ def sweep_gate_ok(section: dict, quick: bool) -> bool:
     return quick or speedup >= 1.0
 
 
-def bench_service(quick: bool, repeats: int, engine: str = "event") -> dict:
-    """Streaming pass-through overhead relative to batch runs.
-
-    ``engine`` selects the service's backend (``--service-engine``);
-    the batch reference always runs the event engine, so on the array
-    backend the equality column doubles as a cross-backend pin.
-    """
+def bench_service(quick: bool, repeats: int) -> dict:
+    """Streaming pass-through overhead relative to batch runs."""
     n_jobs = 100 if quick else 400
     specs = generate_workload(
         WorkloadConfig(n_jobs=n_jobs, m=8, load=2.5, epsilon=1.0, seed=5)
@@ -467,15 +343,12 @@ def bench_service(quick: bool, repeats: int, engine: str = "event") -> dict:
         return Simulator(m=8, scheduler=SNSScheduler(epsilon=1.0)).run(list(specs))
 
     def run_stream():
-        return SchedulingService(
-            8, SNSScheduler(epsilon=1.0), engine=engine
-        ).run_stream(specs)
+        return SchedulingService(8, SNSScheduler(epsilon=1.0)).run_stream(specs)
 
     batch, stream = run_batch(), run_stream()
     best = _interleaved({"batch": run_batch, "stream": run_stream}, repeats)
     return {
         "n_jobs": n_jobs,
-        "engine": engine,
         "identical_profit": batch.total_profit == stream.total_profit,
         "batch_seconds": best["batch"],
         "stream_seconds": best["stream"],
@@ -1268,14 +1141,6 @@ def main(argv=None) -> int:
         help="exit 1 unless every bit-identity/equality assertion holds",
     )
     parser.add_argument(
-        "--service-engine",
-        choices=["event", "array"],
-        default="event",
-        help="engine backend for the service section (the batch"
-        " reference stays on 'event', so 'array' doubles the equality"
-        " column as a cross-backend pin)",
-    )
-    parser.add_argument(
         "--cluster-output",
         default=str(Path(__file__).resolve().parent / "BENCH_cluster.json"),
         help="where to write the cluster JSON snapshot",
@@ -1347,16 +1212,10 @@ def main(argv=None) -> int:
             "quick": args.quick,
             "repeats": args.repeats,
         },
-        # wave (absolute jobs/sec gate) runs before stress: minutes of
-        # saturated numpy right before an absolute-throughput measurement
-        # depress it noticeably on thermally-limited hosts
         "engine_scale": bench_engine_scale(args.quick, args.repeats),
         "engine_wave": bench_engine_wave(args.quick, args.repeats),
-        "engine_stress": bench_engine_stress(args.quick, args.repeats),
         "sweep": bench_sweep(args.quick, args.repeats),
-        "service": bench_service(
-            args.quick, args.repeats, args.service_engine
-        ),
+        "service": bench_service(args.quick, args.repeats),
         "scenario_overhead": bench_scenario_overhead(args.quick, args.repeats),
     }
 
@@ -1366,8 +1225,6 @@ def main(argv=None) -> int:
 
     ok = (
         all(row["identical"] for row in snapshot["engine_scale"])
-        and snapshot["engine_stress"]["identical"]
-        and snapshot["engine_stress"]["speedup_ok"]
         and snapshot["engine_wave"]["identical"]
         and snapshot["engine_wave"]["throughput_ok"]
         and sweep_gate_ok(snapshot["sweep"], args.quick)
@@ -1376,7 +1233,6 @@ def main(argv=None) -> int:
         and snapshot["scenario_overhead"]["overhead_ok"]
     )
     largest = snapshot["engine_scale"][-1]
-    stress = snapshot["engine_stress"]
     wave = snapshot["engine_wave"]
     print(
         f"largest config n={largest['n_jobs']} m={largest['m']}: "
@@ -1384,11 +1240,7 @@ def main(argv=None) -> int:
         f"{largest['jobs_per_sec']:.0f} jobs/sec, "
         f"{largest['decisions_per_sec']:.0f} decisions/sec"
     )
-    print(
-        f"engine stress: array {stress['array_speedup_vs_event']:.2f}x vs "
-        f"event (gate {'5x full-mode' if not args.quick else 'identity only'}); "
-        f"wave peak {wave['peak_jobs_per_sec'] / 1e3:.0f}k jobs/sec"
-    )
+    print(f"engine wave: {wave['event_jobs_per_sec'] / 1e3:.0f}k jobs/sec")
 
     if not args.skip_cluster:
         cluster_snapshot = {

@@ -23,8 +23,7 @@ class AdmissionEDF(ListScheduler):
     """EDF execution + demand-bound admission at arrival."""
 
     # the admission test sums work_completed over admitted jobs inside
-    # on_arrival: the array engine must not serve it from a deferred-
-    # write arena
+    # on_arrival
     reads_progress = True
 
     def __init__(self, utilization_cap: float = 1.0) -> None:

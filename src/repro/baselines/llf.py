@@ -16,8 +16,7 @@ from repro.sim.jobs import JobView
 class LeastLaxityFirst(ListScheduler):
     """Smallest estimated laxity first; deadline-less jobs last."""
 
-    # laxity reads work_completed at every decision: the array engine
-    # must not serve it from a deferred-write arena
+    # laxity reads work_completed at every decision
     reads_progress = True
 
     def priority(self, job: JobView, t: int) -> tuple[float, int]:

@@ -52,8 +52,7 @@ class DoublingNonClairvoyant(SchedulerBase):
         Starting work guess ``W_hat`` for every job.
     """
 
-    # the doubling pass reads work_completed at every decision: the
-    # array engine must not serve it from a deferred-write arena
+    # the doubling pass reads work_completed at every decision
     reads_progress = True
 
     def __init__(

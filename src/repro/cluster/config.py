@@ -19,7 +19,6 @@ from repro.errors import ClusterError, ScenarioError
 from repro.service.queue import SHED_POLICIES, make_shed_policy
 from repro.service.service import SchedulingService
 from repro.service.telemetry import MetricsRegistry
-from repro.sim.backends import SERVICE_BACKENDS
 from repro.sim.scheduler import Scheduler
 
 class _SchedulerRegistryView:
@@ -96,7 +95,6 @@ class ShardConfig:
     horizon: Optional[int] = None
     preemption_overhead: float = 0.0
     sample_every: Optional[int] = None
-    engine: str = "event"
 
     def __post_init__(self) -> None:
         if self.m < 1:
@@ -105,12 +103,6 @@ class ShardConfig:
             raise ClusterError(
                 f"unknown shed policy {self.shed_policy!r}; "
                 f"known: {sorted(SHED_POLICIES)}"
-            )
-        if self.engine not in SERVICE_BACKENDS:
-            valid = ", ".join(SERVICE_BACKENDS)
-            raise ClusterError(
-                f"shard engine must be one of: {valid}"
-                f" (got {self.engine!r})"
             )
 
     def with_machines(self, m: int) -> "ShardConfig":
@@ -140,7 +132,6 @@ class ShardConfig:
             metrics=metrics,
             sample_every=self.sample_every,
             recorder=recorder,
-            engine=self.engine,
         )
 
 

@@ -35,7 +35,6 @@ from repro.gateway.kpi import KpiFeed
 from repro.gateway.load import ARRIVAL_PROCESSES, LoadConfig, LoadGenerator
 from repro.gateway.server import KpiServer
 from repro.service.queue import SHED_POLICIES
-from repro.sim.backends import SERVICE_BACKENDS
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -149,13 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-in-flight", type=int, default=None,
         help="per-shard cap on jobs inside the engine",
     )
-    cl.add_argument(
-        "--engine",
-        choices=sorted(SERVICE_BACKENDS),
-        default="event",
-        help="per-shard engine backend (bit-identical; 'array' is the"
-        " numpy core)",
-    )
 
     sc = parser.add_argument_group("autoscaling")
     sc.add_argument(
@@ -247,7 +239,6 @@ def _spec_from_args(args: argparse.Namespace):
                 "session_alpha": args.session_alpha,
             },
             "scheduler": {"name": args.scheduler},
-            "engine": {"backend": args.engine},
             "service": {
                 "capacity": args.capacity,
                 "shed_policy": args.policy,
@@ -330,7 +321,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             capacity=args.capacity,
             shed_policy=args.policy,
             max_in_flight=args.max_in_flight,
-            engine=args.engine,
         ),
         router=args.router
         or ("band-aware" if args.coordinate else "least-loaded"),

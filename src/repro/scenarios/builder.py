@@ -3,8 +3,8 @@
 :class:`ScenarioBuilder` walks the lifecycle ``setup -> run -> collect
 -> teardown`` and hides which of the four run shapes is underneath:
 
-* ``batch`` -- a bare engine (:class:`~repro.sim.engine.Simulator` or
-  the frozen legacy oracle) over the materialized workload.
+* ``batch`` -- a bare :class:`~repro.sim.engine.Simulator` over the
+  materialized workload.
 * ``service`` -- a :class:`~repro.service.service.SchedulingService`
   with admission control, driven in arrival order.
 * ``cluster`` -- a :class:`~repro.cluster.service.ClusterService` (or
@@ -302,9 +302,10 @@ class ScenarioBuilder:
         return make_picker(spec.engine.picker, rng=self.spec.seed)
 
     def _setup_batch(self) -> None:
+        from repro.sim.engine import Simulator
+
         spec = self.spec
-        engine_cls = REGISTRY.get("engine", spec.engine.backend).factory
-        self.runnable = engine_cls(
+        self.runnable = Simulator(
             m=spec.workload.m,
             scheduler=self.make_scheduler(),
             picker=self._make_picker(),
@@ -319,20 +320,9 @@ class ScenarioBuilder:
         from repro.service.service import SchedulingService
         from repro.service.telemetry import MetricsRegistry
 
-        from repro.sim.backends import SERVICE_BACKENDS
-
         spec = self.spec
-        if spec.engine.backend not in SERVICE_BACKENDS:
-            valid = ", ".join(SERVICE_BACKENDS)
-            raise ScenarioError(
-                f"service mode needs a snapshot-capable engine ({valid});"
-                f" engine.backend = {spec.engine.backend!r} has no"
-                " snapshot/migration surface",
-                location="engine.backend",
-            )
         self.runnable = SchedulingService(
             m=spec.workload.m,
-            engine=spec.engine.backend,
             scheduler=self.make_scheduler(),
             capacity=spec.service.capacity,
             shed_policy=make_shed_policy(spec.service.shed_policy),
@@ -349,17 +339,8 @@ class ScenarioBuilder:
 
     def _shard_config(self) -> Any:
         from repro.cluster import ShardConfig
-        from repro.sim.backends import SERVICE_BACKENDS
 
         spec = self.spec
-        if spec.engine.backend not in SERVICE_BACKENDS:
-            valid = ", ".join(SERVICE_BACKENDS)
-            raise ScenarioError(
-                f"cluster shards need a snapshot-capable engine ({valid});"
-                f" engine.backend = {spec.engine.backend!r} has no"
-                " snapshot/migration surface",
-                location="engine.backend",
-            )
         return ShardConfig(
             m=1,  # overridden per shard by the machine partition
             scheduler=spec.scheduler.name,
@@ -368,8 +349,9 @@ class ScenarioBuilder:
             shed_policy=spec.service.shed_policy,
             max_in_flight=spec.service.max_in_flight or None,
             speed=spec.engine.speed,
+            horizon=spec.engine.horizon or None,
+            preemption_overhead=spec.engine.preemption_overhead,
             sample_every=spec.service.sample_every or None,
-            engine=spec.engine.backend,
         )
 
     def _fault_injector(self) -> Any:

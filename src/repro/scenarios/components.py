@@ -4,7 +4,7 @@ The codebase grew half a dozen hand-rolled name tables before the
 component registry existed -- ``SCHEDULER_REGISTRY``, ``ROUTERS``,
 ``SHED_POLICIES``, ``PICKERS``, ``FAMILIES``, ``PROFIT_SAMPLERS``,
 ``ARRIVAL_PROCESSES``.  :func:`install_default_components` folds all
-of them (plus engine backends, clocks, fault schedules, autoscalers,
+of them (plus clocks, fault schedules, autoscalers,
 workload presets and sinks) into the shared
 :data:`~repro.scenarios.registry.REGISTRY` exactly once, so scenario
 specs, CLIs and docs all draw component names from one place.
@@ -24,7 +24,6 @@ from repro.scenarios.registry import REGISTRY
 #: Component kinds the default install populates, in catalog order.
 KINDS = (
     "scheduler",
-    "engine",
     "picker",
     "router",
     "shed-policy",
@@ -49,7 +48,6 @@ def install_default_components() -> None:
         return
     _installed = True
     _install_schedulers()
-    _install_engines()
     _install_pickers()
     _install_routers()
     _install_shed_policies()
@@ -101,37 +99,6 @@ def _install_schedulers() -> None:
         REGISTRY.register(
             "scheduler", name, factory, accepts_epsilon=takes_eps
         )
-
-
-# ----------------------------------------------------------------------
-# Engine backends.
-# ----------------------------------------------------------------------
-def _install_engines() -> None:
-    from repro.sim._legacy_engine import LegacySimulator
-    from repro.sim.array_engine import ArraySimulator
-    from repro.sim.engine import Simulator
-
-    REGISTRY.register(
-        "engine",
-        "event",
-        Simulator,
-        summary="Event-driven engine (decision-point jumps; the default).",
-    )
-    REGISTRY.register(
-        "engine",
-        "array",
-        ArraySimulator,
-        summary=(
-            "Numpy struct-of-arrays core, bit-identical to 'event';"
-            " delegates to the event loop when a config needs it."
-        ),
-    )
-    REGISTRY.register(
-        "engine",
-        "legacy",
-        LegacySimulator,
-        summary="Pre-rewrite stepper, frozen verbatim (bit-identity oracle).",
-    )
 
 
 def _install_pickers() -> None:

@@ -34,7 +34,6 @@ AXIS_SHORTHANDS: dict[str, str] = {
     "shards": "cluster.shards",
     "router": "cluster.router",
     "picker": "engine.picker",
-    "engine": "engine.backend",
     "family": "workload.family",
     "load": "workload.load",
     "epsilon": "workload.epsilon",

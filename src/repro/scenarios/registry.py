@@ -1,6 +1,6 @@
 """Component registry: every pluggable piece of the stack, by name.
 
-The scenario subsystem treats schedulers, engine backends, routers,
+The scenario subsystem treats schedulers, node pickers, routers,
 shed policies, arrival processes, DAG families, profit samplers, fault
 schedules, autoscalers, clocks and sinks uniformly as *components*: a
 ``(kind, name)`` pair mapping to a factory.  A

@@ -1,7 +1,7 @@
 """Declarative scenario specs: one document describes a full run.
 
 A :class:`ScenarioSpec` names everything the four run shapes need --
-workload, engine backend, scheduler, service limits, cluster topology,
+workload, engine, scheduler, service limits, cluster topology,
 faults, gateway pacing, autoscaling, tracing -- as plain data.  Specs
 load from TOML or JSON (:func:`load_spec`), validate every component
 name against the shared registry (unknown names and unknown keys raise
@@ -68,7 +68,6 @@ class WorkloadSection:
 class EngineSection:
     """The simulation core under the run."""
 
-    backend: str = "event"
     speed: float = 1.0
     picker: str = "fifo"
     #: 0 = no horizon
@@ -328,8 +327,13 @@ class ScenarioSpec:
                 suggestions=_close(self.mode, MODES),
             )
         _check_component("scheduler.name", "scheduler", self.scheduler.name)
-        _check_component("engine.backend", "engine", self.engine.backend)
         _check_component("engine.picker", "picker", self.engine.picker)
+        if self.mode in ("cluster", "gateway") and self.engine.picker != "fifo":
+            raise ScenarioError(
+                f"engine.picker = {self.engine.picker!r} is batch/service"
+                f" only; {self.mode} shards run the default 'fifo' picker",
+                location="engine.picker",
+            )
         _check_component("workload.family", "dag-family", self.workload.family)
         _check_component("workload.profit", "profit", self.workload.profit)
         _check_component(

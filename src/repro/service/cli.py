@@ -36,7 +36,6 @@ from repro.service.replay import SubmissionLog
 from repro.service.service import SchedulingService
 from repro.service.snapshot import load_snapshot, save_snapshot
 from repro.service.telemetry import MetricsRegistry
-from repro.sim.backends import SERVICE_BACKENDS
 from repro.sim.scheduler import Scheduler
 from repro.workloads.suite import WorkloadConfig, generate_workload
 
@@ -97,12 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     srv.add_argument(
         "--speed", type=float, default=1.0, help="processor speed s"
-    )
-    srv.add_argument(
-        "--engine",
-        choices=sorted(SERVICE_BACKENDS),
-        default="event",
-        help="engine backend (bit-identical; 'array' is the numpy core)",
     )
 
     cl = parser.add_argument_group("cluster (active when --shards > 1)")
@@ -278,7 +271,7 @@ def _spec_from_args(args: argparse.Namespace):
             "family": args.family,
             "epsilon": args.epsilon,
         },
-        "engine": {"speed": args.speed, "backend": args.engine},
+        "engine": {"speed": args.speed},
         "scheduler": {"name": args.scheduler},
         "service": {
             "capacity": args.capacity,

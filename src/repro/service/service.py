@@ -32,8 +32,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Optional, Sequence
 
 from repro.core.theory import Constants
-from repro.sim.backends import SERVICE_BACKENDS, make_engine
-from repro.sim.engine import SimulationResult
+from repro.sim.engine import SimulationResult, Simulator
 from repro.sim.jobs import JobSpec
 from repro.sim.picker import NodePicker
 from repro.sim.scheduler import Scheduler
@@ -132,11 +131,6 @@ class SchedulingService:
     profiler:
         Optional :class:`~repro.observability.profiler.Profiler`
         forwarded to the engine's hot-path sections.
-    engine:
-        Engine backend name from
-        :data:`~repro.sim.backends.SERVICE_BACKENDS` (``"event"`` or
-        ``"array"``).  The legacy oracle is rejected: it lacks the
-        snapshot/migration surface the service and cluster layers use.
     """
 
     def __init__(
@@ -157,21 +151,12 @@ class SchedulingService:
         recorder: Optional[Any] = None,
         tracer: Optional[Any] = None,
         profiler: Optional[Any] = None,
-        engine: str = "event",
     ) -> None:
         if max_in_flight is not None and max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
         if sample_every is not None and sample_every < 1:
             raise ValueError("sample_every must be >= 1")
-        if engine not in SERVICE_BACKENDS:
-            valid = ", ".join(SERVICE_BACKENDS)
-            raise ValueError(
-                f"service engine must be one of: {valid} (got {engine!r};"
-                " the legacy oracle has no snapshot/migration surface)"
-            )
-        self.engine = engine
-        self.sim = make_engine(
-            engine,
+        self.sim = Simulator(
             m=m,
             scheduler=scheduler,
             picker=picker,

@@ -41,7 +41,6 @@ def service_to_dict(service: SchedulingService) -> dict[str, Any]:
     return {
         "version": SNAPSHOT_VERSION,
         "service": {
-            "engine": service.engine,
             "capacity": service.queue.capacity,
             "policy": service.queue.policy.name,
             "max_in_flight": service.max_in_flight,
@@ -117,9 +116,6 @@ def service_from_dict(
         metrics=metrics,
         sample_every=svc_cfg["sample_every"],
         recorder=recorder,
-        # engine backends are snapshot-interchangeable (bit-identical),
-        # so older snapshots without the field restore onto "event"
-        engine=svc_cfg.get("engine", "event"),
     )
     views = service.sim.restore_state(data["engine"])
     scheduler.restore_state(data["scheduler"]["state"], views)

@@ -17,20 +17,8 @@ from repro.sim.picker import (
     make_picker,
 )
 from repro.sim.engine import RunCounters, SimulationResult, Simulator
-from repro.sim.array_engine import ArraySimulator
-from repro.sim.backends import (
-    ENGINE_BACKENDS,
-    SERVICE_BACKENDS,
-    make_engine,
-    resolve_backend,
-)
 
 __all__ = [
-    "ArraySimulator",
-    "ENGINE_BACKENDS",
-    "SERVICE_BACKENDS",
-    "make_engine",
-    "resolve_backend",
     "ActiveJob",
     "CompletionRecord",
     "JobSpec",

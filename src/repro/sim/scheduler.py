@@ -62,13 +62,11 @@ class SchedulerBase:
     #: :meth:`assign_deadline`, or a priority/eligibility helper they
     #: call -- reads *execution progress*
     #: (:attr:`~repro.sim.jobs.JobView.work_completed` or anything else
-    #: derived from node ``remaining`` values).  The array engine
-    #: (:class:`~repro.sim.array_engine.ArraySimulator`) defers
-    #: remaining-work write-backs to a numpy arena between decision
-    #: points and must route progress-reading schedulers through the
-    #: reference event loop; schedulers that fail to declare this would
-    #: read stale progress there.  DAG *structure* (``num_ready``,
-    #: ``is_complete``) is never deferred and needs no declaration.
+    #: derived from node ``remaining`` values).  The flag is a
+    #: declaration only: the engine keeps progress current at every
+    #: hook and never branches on it, but tools that wrap or classify
+    #: schedulers may read it.  DAG *structure* (``num_ready``,
+    #: ``is_complete``) is not progress and needs no declaration.
     reads_progress: bool = False
 
     def on_start(self, m: int, speed: float) -> None:

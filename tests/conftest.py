@@ -7,6 +7,8 @@ import pytest
 from hypothesis import strategies as st
 
 from repro.dag import DAGBuilder, DAGStructure
+from repro.sim import Simulator
+from repro.sim._legacy_engine import LegacySimulator
 
 
 @pytest.fixture
@@ -14,23 +16,19 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
 
 
-@pytest.fixture(params=["legacy", "event", "array"])
+#: Engine name -> class: the event engine every layer builds, and the
+#: frozen legacy stepper kept as the differential suites' oracle.
+ENGINES: dict[str, type] = {"legacy": LegacySimulator, "event": Simulator}
+
+
+@pytest.fixture(params=list(ENGINES))
 def engine_backend(request) -> str:
-    """Engine backend name, parametrized over all three cores.
+    """Engine name, parametrized over :data:`ENGINES`.
 
-    Tests taking this fixture run once per backend (the name lands in
-    the test id), so differential suites cover the full
-    :data:`repro.sim.ENGINE_BACKENDS` surface without triplicating
-    test bodies.  Resolve with :func:`repro.sim.make_engine`.
+    Tests taking this fixture run once per engine (the name lands in
+    the test id), so differential suites pin the event engine against
+    the legacy oracle without duplicating test bodies.
     """
-    return request.param
-
-
-@pytest.fixture(params=["event", "array"])
-def service_backend(request) -> str:
-    """Like ``engine_backend`` but only the service-grade backends
-    (:data:`repro.sim.SERVICE_BACKENDS`): the legacy oracle predates
-    the observability/snapshot surface those tests exercise."""
     return request.param
 
 

@@ -1,28 +1,27 @@
-"""The engine-backend selection surface, end to end.
+"""The engine is not selectable: one event engine behind every surface.
 
-One backend name must mean the same engine everywhere it can be
-spelled: the ``engine=`` kwarg on :class:`SchedulingService`, the
-``engine`` field of a cluster :class:`ShardConfig`, the scenario spec's
-``engine.backend``, and the ``--engine`` flags of ``repro-serve`` and
-``repro-gateway``.  These tests pin that plumbing -- selection reaches
-the right class, results stay bit-identical to the event reference, the
-legacy oracle (no snapshot/migration surface) is rejected with a clear
-error at every service-grade entry point, and service snapshots carry
-the backend across a restore.
+The service, cluster, gateway and batch layers all build the event
+:class:`~repro.sim.engine.Simulator`; no spec field, CLI flag or
+constructor kwarg chooses another core.  These tests pin the removed
+selection surface so it cannot creep back half-way:
+
+* a spec document naming ``[engine] backend`` fails with the located
+  unknown-key :class:`~repro.errors.ScenarioError`;
+* ``--engine`` is an argparse error on ``repro-serve`` and
+  ``repro-gateway``;
+* :class:`SchedulingService` takes no ``engine=`` kwarg;
+* snapshots written while the service still recorded its engine name
+  restore onto the event engine and continue bit-identically.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.cluster import ClusterService, ShardConfig
 from repro.core import SNSScheduler
-from repro.errors import ClusterError, ScenarioError
+from repro.errors import ScenarioError
 from repro.service.service import SchedulingService
 from repro.service.snapshot import service_from_dict, service_to_dict
-from repro.sim import SERVICE_BACKENDS
-from repro.sim.array_engine import ArraySimulator
-from repro.sim.engine import Simulator
 from repro.workloads import WorkloadConfig, generate_workload
 
 
@@ -43,166 +42,83 @@ def _service_fingerprint(result):
     )
 
 
-class TestServiceKwarg:
-    def test_backend_reaches_the_engine_class(self):
-        expected = {"event": Simulator, "array": ArraySimulator}
-        for backend in SERVICE_BACKENDS:
-            svc = SchedulingService(
-                4, SNSScheduler(epsilon=1.0), engine=backend
-            )
-            assert svc.engine == backend
-            assert type(svc.sim) is expected[backend]
-
-    def test_backends_bit_identical_through_the_service(self):
-        specs = _workload()
-
-        def run(backend):
-            return SchedulingService(
-                8, SNSScheduler(epsilon=1.0), engine=backend
-            ).run_stream(specs)
-
-        fingerprints = {
-            b: _service_fingerprint(run(b)) for b in SERVICE_BACKENDS
-        }
-        assert fingerprints["array"] == fingerprints["event"]
-
-    def test_legacy_rejected(self):
-        with pytest.raises(ValueError, match="legacy"):
-            SchedulingService(4, SNSScheduler(epsilon=1.0), engine="legacy")
-
-
-class TestShardConfigField:
-    def test_engine_threads_into_the_built_service(self):
-        cfg = ShardConfig(m=2, engine="array")
-        assert type(cfg.build_service().sim) is ArraySimulator
-        assert ShardConfig(m=2).engine == "event"  # default
-
-    def test_invalid_engine_rejected_at_construction(self):
-        with pytest.raises(ClusterError, match="engine"):
-            ShardConfig(m=2, engine="legacy")
-
-    def test_cluster_on_array_shards_matches_event(self):
-        specs = _workload(seed=9)
-
-        def run(backend):
-            return ClusterService(
-                8,
-                2,
-                config=ShardConfig(
-                    m=1,
-                    scheduler="sns",
-                    scheduler_kwargs={"epsilon": 1.0},
-                    engine=backend,
-                ),
-                router="consistent-hash",
-                mode="inprocess",
-            ).run_stream(specs)
-
-        event, array = run("event"), run("array")
-        assert array.total_profit == event.total_profit
-        assert sorted(array.records) == sorted(event.records)
-
-
 class TestScenarioSpecField:
-    def _doc(self, mode, backend):
-        doc = {
-            "scenario": {"mode": mode, "seed": 1},
-            "workload": {"n_jobs": 30, "m": 4, "load": 2.0, "epsilon": 1.0},
-            "scheduler": {"name": "sns"},
-            "engine": {"backend": backend},
-        }
-        if mode == "cluster":
-            doc["cluster"] = {"shards": 2, "mode": "inprocess"}
-        return doc
+    @pytest.mark.parametrize("backend", ["event", "array", "legacy"])
+    def test_backend_key_is_a_located_unknown_key(self, backend):
+        from repro.scenarios import loads_spec
 
-    @pytest.mark.parametrize("mode", ["service", "cluster"])
-    def test_array_backend_runs_and_matches_event(self, mode):
-        from repro.scenarios import ScenarioBuilder, ScenarioSpec
-
-        def run(backend):
-            return ScenarioBuilder(
-                ScenarioSpec.from_dict(self._doc(mode, backend))
-            ).execute()
-
-        event, array = run("event"), run("array")
-        assert array.total_profit == event.total_profit
-        assert sorted(array.records) == sorted(event.records)
-
-    @pytest.mark.parametrize("mode", ["service", "cluster"])
-    def test_legacy_rejected_with_location(self, mode):
-        from repro.scenarios import ScenarioBuilder, ScenarioSpec
-
-        with pytest.raises(ScenarioError, match="legacy"):
-            ScenarioBuilder(
-                ScenarioSpec.from_dict(self._doc(mode, "legacy"))
-            ).execute()
-
-    def test_batch_mode_still_accepts_all_three(self):
-        from repro.scenarios import ScenarioBuilder, ScenarioSpec
-
-        results = {}
-        for backend in ("legacy", "event", "array"):
-            doc = self._doc("batch", backend)
-            results[backend] = ScenarioBuilder(
-                ScenarioSpec.from_dict(doc)
-            ).execute()
-        assert (
-            results["array"].total_profit
-            == results["event"].total_profit
-            == results["legacy"].total_profit
-        )
+        with pytest.raises(ScenarioError) as info:
+            loads_spec(f'[engine]\nbackend = "{backend}"\n', "toml")
+        assert info.value.location.split(".") == ["engine", "backend"]
+        assert "unknown key 'backend'" in str(info.value)
+        assert info.value.suggestions
 
 
 class TestCliFlags:
-    def test_serve_flag_lands_in_the_spec(self):
-        from repro.service.cli import _spec_from_args, build_parser
+    @pytest.mark.parametrize("cli", ["repro.service.cli", "repro.gateway.cli"])
+    def test_engine_flag_is_a_parse_error(self, cli, capsys):
+        import importlib
 
-        args = build_parser().parse_args(
-            ["--n-jobs", "10", "--engine", "array"]
-        )
-        assert _spec_from_args(args).engine.backend == "array"
+        parser = importlib.import_module(cli).build_parser()
+        with pytest.raises(SystemExit) as info:
+            parser.parse_args(["--n-jobs", "10", "--engine", "event"])
+        assert info.value.code == 2
+        assert "--engine" in capsys.readouterr().err
 
-    def test_gateway_flag_lands_in_the_spec(self):
-        from repro.gateway.cli import _spec_from_args, build_parser
 
-        args = build_parser().parse_args(
-            ["--n-jobs", "10", "--engine", "array"]
-        )
-        assert _spec_from_args(args).engine.backend == "array"
-
-    def test_unknown_backend_is_a_parse_error(self):
-        from repro.service.cli import build_parser
-
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["--engine", "legacy"])
+class TestServiceKwarg:
+    def test_engine_kwarg_is_gone(self):
+        with pytest.raises(TypeError, match="engine"):
+            SchedulingService(4, SNSScheduler(epsilon=1.0), engine="event")
 
 
 class TestSnapshotCarriesBackend:
-    def test_round_trip_restores_onto_the_same_backend(self):
+    """Snapshots once recorded the service's engine name; they no
+    longer do, and both older shapes restore onto the event engine."""
+
+    def _split(self):
         specs = sorted(
             _workload(seed=6, m=4), key=lambda sp: (sp.arrival, sp.job_id)
         )
-        svc = SchedulingService(4, SNSScheduler(epsilon=1.0), engine="array")
+        return specs[: len(specs) // 2], specs[len(specs) // 2 :]
+
+    def test_snapshots_no_longer_name_the_engine(self):
+        svc = SchedulingService(2, SNSScheduler(epsilon=1.0))
         svc.start()
-        mid = len(specs) // 2
-        for sp in specs[:mid]:
-            svc.submit(sp, t=sp.arrival)
-        data = service_to_dict(svc)
-        assert data["service"]["engine"] == "array"
-        restored = service_from_dict(data, SNSScheduler(epsilon=1.0))
-        assert restored.engine == "array"
-        assert type(restored.sim) is ArraySimulator
-        for sp in specs[mid:]:
-            svc.submit(sp, t=sp.arrival)
-            restored.submit(sp, t=sp.arrival)
-        assert _service_fingerprint(svc.finish()) == _service_fingerprint(
-            restored.finish()
-        )
+        assert "engine" not in service_to_dict(svc)["service"]
 
     def test_pre_field_snapshots_restore_onto_event(self):
-        svc = SchedulingService(2, SNSScheduler(epsilon=1.0), engine="array")
+        early, late = self._split()
+        svc = SchedulingService(4, SNSScheduler(epsilon=1.0))
         svc.start()
+        for sp in early:
+            svc.submit(sp, t=sp.arrival)
         data = service_to_dict(svc)
-        del data["service"]["engine"]  # snapshot from before the field
+        assert "engine" not in data["service"]  # as before the field
         restored = service_from_dict(data, SNSScheduler(epsilon=1.0))
-        assert restored.engine == "event"
+        for sp in late:
+            svc.submit(sp, t=sp.arrival)
+            restored.submit(sp, t=sp.arrival)
+        assert _service_fingerprint(restored.finish()) == _service_fingerprint(
+            svc.finish()
+        )
+
+    def test_array_era_snapshots_restore_bit_identically(self):
+        early, late = self._split()
+        uninterrupted = SchedulingService(4, SNSScheduler(epsilon=1.0))
+        uninterrupted.start()
+        for sp in early + late:
+            uninterrupted.submit(sp, t=sp.arrival)
+        expected = _service_fingerprint(uninterrupted.finish())
+
+        svc = SchedulingService(4, SNSScheduler(epsilon=1.0))
+        svc.start()
+        for sp in early:
+            svc.submit(sp, t=sp.arrival)
+        data = service_to_dict(svc)
+        # how a snapshot taken on the former array engine looks
+        data["service"]["engine"] = "array"
+        restored = service_from_dict(data, SNSScheduler(epsilon=1.0))
+        for sp in late:
+            restored.submit(sp, t=sp.arrival)
+        assert _service_fingerprint(restored.finish()) == expected

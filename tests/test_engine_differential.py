@@ -1,12 +1,13 @@
-"""Three-backend differential harness: the array engine's pin.
+"""Differential harness: the event engine pinned to the legacy oracle.
 
-:class:`~repro.sim.array_engine.ArraySimulator` (struct-of-arrays hot
-path) claims *bit-identity* with the event engine and the frozen legacy
-stepper -- every completion-record field, every counter, the end time
-and the float profit sum.  This suite is the enforcement: hypothesis
-drives workload family x seed x machine shape x speed x preemption
-overhead x batch/stream through all three backends and compares the
-full observable surface.
+:class:`~repro.sim.engine.Simulator` (the event-driven engine every
+layer builds) claims *bit-identity* with the frozen legacy stepper
+(:class:`~repro.sim._legacy_engine.LegacySimulator`) -- every
+completion-record field, every counter, the end time and the float
+profit sum.  This suite is the enforcement: hypothesis drives workload
+family x seed x machine shape x speed x preemption overhead x
+batch/stream through both engines and compares the full observable
+surface.
 
 On a mismatch the plain ``assert a == b`` failure is useless for
 debugging (two walls of records), so the harness re-runs the diverging
@@ -18,14 +19,14 @@ that names the earliest observable decision divergence of a minimal
 failing instance.
 
 A separate arm pins mid-run ``snapshot_state``/``restore_state``
-round-trips: a snapshot taken from one backend must restore into any
-*service* backend (event or array -- the legacy oracle predates the
-snapshot API) and finish bit-identically.
+round-trips on the event engine (the legacy oracle predates the
+snapshot API): a snapshot restored into a fresh engine must finish
+exactly like the session it was taken from.
 
-A third arm pins the service backends' running profit total:
-``profit_so_far()`` must equal ``sum()`` over the finished records, by
-``repr``, after every advance, across restores, in-transit expiries
-and ``finish()``'s abandon records.
+A third arm pins the running profit total: ``profit_so_far()`` must
+equal ``sum()`` over the finished records, by ``repr``, after every
+advance, across restores, in-transit expiries and ``finish()``'s
+abandon records.
 """
 
 from __future__ import annotations
@@ -39,12 +40,10 @@ from hypothesis import strategies as st
 from repro.baselines import FIFOScheduler, GlobalEDF, GreedyDensity
 from repro.core import SNSScheduler
 from repro.dag import chain
-from repro.sim import ENGINE_BACKENDS, SERVICE_BACKENDS, make_engine
 from repro.sim.engine import _RunState
 from repro.sim.jobs import CompletionRecord, JobSpec
 from repro.workloads import WorkloadConfig, generate_workload
-
-BACKENDS = tuple(sorted(ENGINE_BACKENDS))  # ("array", "event", "legacy")
+from tests.conftest import ENGINES
 
 FACTORIES = {
     "sns": lambda: SNSScheduler(epsilon=1.0),
@@ -79,7 +78,7 @@ def observables(result):
 
 
 def _probe(sim):
-    """Live mid-stream fingerprint (cheap, available on all backends)."""
+    """Live mid-stream fingerprint (cheap, available on both engines)."""
     state = sim._require_session()
     return (
         state.t,
@@ -98,7 +97,7 @@ def _workload(family, seed, n_jobs=15, m=4, load=2.0):
 
 
 def _build(backend, m, scheduler_name, **kw):
-    return make_engine(backend, m=m, scheduler=FACTORIES[scheduler_name](), **kw)
+    return ENGINES[backend](m=m, scheduler=FACTORIES[scheduler_name](), **kw)
 
 
 def _run(backend, specs, m, scheduler_name, stream, **kw):
@@ -113,7 +112,7 @@ def _run(backend, specs, m, scheduler_name, stream, **kw):
 
 def _first_divergence(backend_a, backend_b, specs, m, scheduler_name, **kw):
     """Lockstep streaming: the first submission after which the two
-    backends' live states differ, or None.  This is the shrink-friendly
+    engines' live states differ, or None.  This is the shrink-friendly
     locator behind the assertion messages."""
     sim_a = _build(backend_a, m, scheduler_name, **kw)
     sim_b = _build(backend_b, m, scheduler_name, **kw)
@@ -153,19 +152,18 @@ def _assert_identical(backend_a, backend_b, specs, m, scheduler_name, stream, **
     )
 
 
-class TestThreeBackendMatrix:
-    """The headline matrix: every backend pair, every scheduler family."""
+class TestEventVsLegacyMatrix:
+    """The headline matrix: event against legacy, every scheduler family."""
 
     @pytest.mark.parametrize("scheduler_name", sorted(FACTORIES))
-    @pytest.mark.parametrize("backend", ["array", "legacy"])
-    def test_backend_vs_event_batch(self, backend, scheduler_name):
+    def test_legacy_vs_event_batch(self, scheduler_name):
         specs = _workload("mixed", seed=7, n_jobs=40, m=8)
-        _assert_identical("event", backend, specs, 8, scheduler_name, False)
+        _assert_identical("event", "legacy", specs, 8, scheduler_name, False)
 
     @pytest.mark.parametrize("family", FAMILIES)
-    def test_array_vs_event_families(self, family):
+    def test_legacy_vs_event_families(self, family):
         specs = _workload(family, seed=3, n_jobs=25, m=8)
-        _assert_identical("event", "array", specs, 8, "sns", False)
+        _assert_identical("event", "legacy", specs, 8, "sns", False)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -177,7 +175,7 @@ class TestThreeBackendMatrix:
         overhead=st.sampled_from([0.0, 1.0]),
         stream=st.booleans(),
     )
-    def test_property_all_backends(
+    def test_property_event_vs_legacy(
         self, seed, family, scheduler_name, load, speed, overhead, stream
     ):
         specs = _workload(family, seed, load=load)
@@ -193,29 +191,28 @@ class TestThreeBackendMatrix:
                     preemption_overhead=overhead,
                 )
             )
-            for backend in BACKENDS
+            for backend in ENGINES
         }
-        for backend in ("array", "legacy"):
-            if results[backend] != results["event"]:
-                where = _first_divergence(
-                    "event",
-                    backend,
-                    specs,
-                    4,
-                    scheduler_name,
-                    speed=speed,
-                    preemption_overhead=overhead,
-                )
-                pytest.fail(
-                    f"event vs {backend} diverged (family={family}, "
-                    f"seed={seed}, scheduler={scheduler_name}, "
-                    f"load={load}, speed={speed}, overhead={overhead}, "
-                    f"stream={stream}): {where}"
-                )
+        if results["legacy"] != results["event"]:
+            where = _first_divergence(
+                "event",
+                "legacy",
+                specs,
+                4,
+                scheduler_name,
+                speed=speed,
+                preemption_overhead=overhead,
+            )
+            pytest.fail(
+                f"event vs legacy diverged (family={family}, "
+                f"seed={seed}, scheduler={scheduler_name}, "
+                f"load={load}, speed={speed}, overhead={overhead}, "
+                f"stream={stream}): {where}"
+            )
 
-    def test_batch_equals_stream_per_backend(self):
+    def test_batch_equals_stream_per_engine(self):
         specs = _workload("mixed", seed=11, n_jobs=30, m=8, load=2.5)
-        for backend in BACKENDS:
+        for backend in ENGINES:
             batch = _run(backend, specs, 8, "sns", False)
             stream = _run(backend, specs, 8, "sns", True)
             # the streaming driver takes one extra decision round per
@@ -226,34 +223,33 @@ class TestThreeBackendMatrix:
 
 
 class TestSnapshotRestoreArm:
-    """Mid-run snapshot/restore across the service backends."""
+    """Mid-run snapshot/restore on the event engine."""
 
     @settings(max_examples=10, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=10**6),
         family=st.sampled_from(["mixed", "fork_join", "layered"]),
-        source=st.sampled_from(SERVICE_BACKENDS),
-        target=st.sampled_from(SERVICE_BACKENDS),
         scheduler_name=st.sampled_from(["sns", "edf"]),
     )
-    def test_snapshot_roundtrip_property(
-        self, seed, family, source, target, scheduler_name
-    ):
-        """Running to a midpoint, snapshotting from ``source`` and
-        restoring into ``target`` must finish exactly like the same
-        split protocol run event-to-event.
+    def test_snapshot_roundtrip_property(self, seed, family, scheduler_name):
+        """Running to a midpoint, snapshotting engine and scheduler and
+        restoring both into a fresh engine must finish exactly like the
+        same session carried on past the midpoint without the
+        round-trip.
 
-        (The reference is the *split* event run, not an uninterrupted
-        one: stopping an advance at the midpoint legitimately splits
-        one execution chunk into two, which changes decision counts --
-        the pin is that backends agree, not that splitting is free.)
+        (The reference is the *split* run, not an uninterrupted one:
+        stopping an advance at the midpoint legitimately splits one
+        execution chunk into two, which changes decision counts -- the
+        pin is that the round-trip is invisible, not that splitting is
+        free.  Records and profit must still match the uninterrupted
+        stream.)
         """
         specs = _workload(family, seed, n_jobs=20, m=4)
         ordered = sorted(specs, key=lambda sp: (sp.arrival, sp.job_id))
         mid = ordered[len(ordered) // 2].arrival + 1
 
-        def split_run(src, dst):
-            first = _build(src, 4, scheduler_name)
+        def split_run(restore):
+            first = _build("event", 4, scheduler_name)
             first.start()
             late = []
             for spec in ordered:
@@ -262,25 +258,29 @@ class TestSnapshotRestoreArm:
                 else:
                     late.append(spec)
             first.advance_to(mid)
-            snap = first.snapshot_state()
-            second = _build(dst, 4, scheduler_name)
-            second.restore_state(snap)
+            second = first
+            if restore:
+                second = _build("event", 4, scheduler_name)
+                views = second.restore_state(first.snapshot_state())
+                second.scheduler.restore_state(
+                    first.scheduler.snapshot_state(), views
+                )
             for spec in late:
                 second.submit(spec, t=spec.arrival)
             return second.finish()
 
-        reference = split_run("event", "event")
-        resumed = split_run(source, target)
-        assert observables(resumed) == observables(reference), (
-            f"{source}->{target} snapshot at t={mid} diverged from the "
-            f"event->event split run (family={family}, seed={seed}, "
-            f"scheduler={scheduler_name})"
-        )
+        reference = split_run(restore=False)
+        resumed = split_run(restore=True)
+        context = f"t={mid}, family={family}, seed={seed}, scheduler={scheduler_name}"
+        assert observables(resumed) == observables(reference), context
+        whole = _run("event", specs, 4, scheduler_name, True)
+        assert observables(resumed)[0] == observables(whole)[0], context
+        assert repr(resumed.total_profit) == repr(whole.total_profit), context
 
     def test_legacy_has_no_snapshot_surface(self):
-        """The legacy oracle predates the snapshot API -- selecting it
-        for service work must fail loudly, not silently degrade."""
-        sim = make_engine("legacy", m=4, scheduler=SNSScheduler(epsilon=1.0))
+        """The legacy oracle predates the snapshot API: it stays a
+        batch reference and never grows a service surface."""
+        sim = _build("legacy", 4, "sns")
         assert not hasattr(sim, "snapshot_state")
 
 
@@ -308,7 +308,6 @@ class TestRunningProfitTotal:
     """``profit_so_far()`` is O(1): the session keeps a running total
     that must stay bit-equal to ``sum(r.profit for r in records)``."""
 
-    @pytest.mark.parametrize("backend", SERVICE_BACKENDS)
     @settings(max_examples=12, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=10**6),
@@ -318,10 +317,10 @@ class TestRunningProfitTotal:
         step=st.integers(min_value=1, max_value=9),
     )
     def test_total_equals_sum_after_every_advance(
-        self, backend, seed, family, scheduler_name, horizon, step
+        self, seed, family, scheduler_name, horizon, step
     ):
         specs = _workload(family, seed, n_jobs=25, m=4, load=3.0)
-        sim = _build(backend, 4, scheduler_name, horizon=horizon)
+        sim = _build("event", 4, scheduler_name, horizon=horizon)
         sim.start()
         state = sim._require_session()
         _drive_checked(sim, specs, step)
@@ -330,19 +329,17 @@ class TestRunningProfitTotal:
         assert len(result.records) == len(specs)
         assert repr(state.profit_total()) == repr(result.total_profit)
 
-    @pytest.mark.parametrize("backend", SERVICE_BACKENDS)
-    @pytest.mark.parametrize("target", SERVICE_BACKENDS)
-    def test_total_rebuilt_on_restore(self, backend, target):
+    def test_total_rebuilt_on_restore(self):
         specs = _workload("mixed", 5, n_jobs=40, m=4, load=3.0)
         ordered = sorted(specs, key=lambda sp: (sp.arrival, sp.job_id))
         mid = ordered[len(ordered) // 2].arrival + 1
-        first = _build(backend, 4, "sns")
+        first = _build("event", 4, "sns")
         first.start()
         _drive_checked(first, [sp for sp in ordered if sp.arrival <= mid], 3)
         first.advance_to(mid)
         assert first.finished_count > 0
         before = repr(first.profit_so_far())
-        second = _build(target, 4, "sns")
+        second = _build("event", 4, "sns")
         second.restore_state(first.snapshot_state())
         assert repr(second.profit_so_far()) == before == _sum_repr(second)
         state = second._require_session()
@@ -350,11 +347,10 @@ class TestRunningProfitTotal:
         result = second.finish()
         assert repr(state.profit_total()) == repr(result.total_profit)
 
-    @pytest.mark.parametrize("backend", SERVICE_BACKENDS)
-    def test_total_after_in_transit_expiry(self, backend):
+    def test_total_after_in_transit_expiry(self):
         specs = _workload("chain", 9, n_jobs=12, m=4, load=3.0)
-        source = _build(backend, 4, "sns")
-        dest = _build(backend, 4, "sns")
+        source = _build("event", 4, "sns")
+        dest = _build("event", 4, "sns")
         source.start()
         dest.start()
         ordered = sorted(specs, key=lambda sp: (sp.arrival, sp.job_id))
@@ -386,9 +382,8 @@ class TestRunningProfitTotal:
         assert result.total_profit > 0
         assert repr(state.profit_total()) == repr(result.total_profit)
 
-    @pytest.mark.parametrize("backend", SERVICE_BACKENDS)
     @pytest.mark.parametrize("first_arrival", [0, 5])
-    def test_abandon_only_session_total(self, backend, first_arrival):
+    def test_abandon_only_session_total(self, first_arrival):
         """A horizon before any completion leaves only abandon records:
         for jobs still active at the horizon (arrivals 0..) or never
         released (arrivals 5..).  Their 0.0 profits still turn
@@ -398,7 +393,7 @@ class TestRunningProfitTotal:
                     deadline=first_arrival + 40, profit=1.5)
             for i in range(3)
         ]
-        sim = _build(backend, 4, "sns", horizon=2)
+        sim = _build("event", 4, "sns", horizon=2)
         sim.start()
         state = sim._require_session()
         for spec in specs:

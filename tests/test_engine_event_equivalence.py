@@ -1,22 +1,21 @@
-"""Every engine backend vs the event-driven reference.
+"""The event engine vs the frozen legacy stepper.
 
-``repro.sim.backends`` exposes three interchangeable cores: the event
-engine (reference semantics), the frozen legacy stepper (pre-rewrite
-oracle) and the numpy array engine (struct-of-arrays hot path).  Each
-must be *bit-identical* to the others -- every record field, every
-counter, the end time and the float profit sum -- across DAG families,
-seeds, schedulers, speeds, preemption overheads, and both the batch
-and streaming drivers.  The ``engine_backend`` conftest fixture runs
-every test here once per backend (the ``event`` leg doubles as a
-determinism check of the reference itself).
+The event engine (:mod:`repro.sim.engine`, the one every layer builds)
+and the legacy stepper (:mod:`repro.sim._legacy_engine`, the
+pre-rewrite oracle) must be *bit-identical* -- every record field,
+every counter, the end time and the float profit sum -- across DAG
+families, seeds, schedulers, speeds, preemption overheads, and both
+the batch and streaming drivers.  The ``engine_backend`` conftest
+fixture runs every test here once per engine (the ``event`` leg
+doubles as a determinism check of the reference itself).
 
 Also here: the parallel-sweep regression tests -- a 2-worker
 process-pool sweep must equal the serial sweep cell for cell, and the
 adaptive worker probe must never fan out on hardware that cannot
 profit from it.
 
-The deeper hypothesis matrix (all-pairs, lockstep divergence location,
-snapshot round-trips) lives in ``tests/test_engine_differential.py``.
+The deeper hypothesis matrix (lockstep divergence location, snapshot
+round-trips) lives in ``tests/test_engine_differential.py``.
 """
 
 from dataclasses import asdict
@@ -29,8 +28,8 @@ from repro.analysis.sweep import run_sweep, sweep_values
 from repro.baselines import FIFOScheduler, GlobalEDF, GreedyDensity
 from repro.core import SNSScheduler
 from repro.experiments.e03_thm2 import _thm2_value
-from repro.sim import make_engine
 from repro.workloads import WorkloadConfig, generate_workload
+from tests.conftest import ENGINES
 
 FACTORIES = {
     "edf": GlobalEDF,
@@ -64,13 +63,13 @@ def _observables(result):
 
 def _run_batch(backend, specs, m, scheduler=None, **kw):
     scheduler = scheduler if scheduler is not None else SNSScheduler(epsilon=1.0)
-    return make_engine(backend, m=m, scheduler=scheduler, **kw).run(specs)
+    return ENGINES[backend](m=m, scheduler=scheduler, **kw).run(specs)
 
 
 def _run_stream(backend, specs, m, scheduler=None, **kw):
     """Drive the streaming API: submit in arrival order, advance between."""
     scheduler = scheduler if scheduler is not None else SNSScheduler(epsilon=1.0)
-    sim = make_engine(backend, m=m, scheduler=scheduler, **kw)
+    sim = ENGINES[backend](m=m, scheduler=scheduler, **kw)
     sim.start()
     for spec in sorted(specs, key=lambda sp: sp.arrival):
         sim.submit(spec, t=spec.arrival)

@@ -7,10 +7,8 @@ the same workload with no recorder, with the disabled
 :class:`~repro.observability.TraceRecorder` (plus profiler), and demand
 bit-identical observables everywhere:
 
-* engine batch and streaming sessions, across DAG families, seeds and
-  both service engine backends -- ``event`` and ``array``, via the
-  ``service_backend`` conftest fixture -- (per-job completion records,
-  counters, end time, total profit);
+* engine batch and streaming sessions, across DAG families and seeds
+  (per-job completion records, counters, end time, total profit);
 * the scheduling service under backpressure and shedding;
 * an in-process sharded cluster;
 * a 4-shard process-mode cluster (parent-side tracing only -- worker
@@ -26,7 +24,7 @@ from repro.cluster import ClusterService, ShardConfig
 from repro.core import SNSScheduler
 from repro.observability import NULL_RECORDER, Profiler, TraceRecorder
 from repro.service import SchedulingService, make_shed_policy
-from repro.sim import make_engine
+from repro.sim import Simulator
 from repro.workloads import WorkloadConfig, generate_workload
 
 SNS_CFG = ShardConfig(m=1, scheduler="sns", scheduler_kwargs={"epsilon": 1.0})
@@ -66,20 +64,16 @@ def workload(n_jobs, m, family, seed, load=2.5):
 
 
 class TestEngineEquivalence:
-    """Per service backend (``event`` and ``array``): a live recorder
-    must not change a single observable bit.  On the array backend an
-    enabled recorder also routes execution through the reference event
-    loop (delegation), so these tests double as a pin that delegation
-    and the arena hot path agree."""
+    """A live recorder must not change a single observable bit of an
+    engine run."""
 
     @pytest.mark.parametrize("family", ["chain", "fork_join", "mixed"])
     @pytest.mark.parametrize("seed", [0, 7])
-    def test_batch_run_identical(self, service_backend, family, seed):
+    def test_batch_run_identical(self, family, seed):
         specs = workload(60, 8, family, seed)
 
         def run(recorder=None, profiler=None):
-            return make_engine(
-                service_backend,
+            return Simulator(
                 m=8,
                 scheduler=SNSScheduler(epsilon=1.0),
                 recorder=recorder,
@@ -91,15 +85,14 @@ class TestEngineEquivalence:
         assert result_fingerprint(run(TraceRecorder(), Profiler())) == baseline
 
     @pytest.mark.parametrize("seed", [1, 5])
-    def test_streaming_session_identical(self, service_backend, seed):
+    def test_streaming_session_identical(self, seed):
         specs = sorted(
             workload(50, 4, "mixed", seed),
             key=lambda sp: (sp.arrival, sp.job_id),
         )
 
         def run_stream(recorder=None):
-            sim = make_engine(
-                service_backend,
+            sim = Simulator(
                 m=4,
                 scheduler=SNSScheduler(epsilon=1.0),
                 recorder=recorder,
@@ -113,13 +106,12 @@ class TestEngineEquivalence:
         assert result_fingerprint(run_stream(NULL_RECORDER)) == baseline
         assert result_fingerprint(run_stream(TraceRecorder())) == baseline
 
-    def test_batch_equals_stream_traced(self, service_backend):
+    def test_batch_equals_stream_traced(self):
         """Tracing must not break the engine's batch/stream equivalence."""
         specs = workload(40, 4, "mixed", 3)
 
         def build():
-            return make_engine(
-                service_backend,
+            return Simulator(
                 m=4,
                 scheduler=SNSScheduler(epsilon=1.0),
                 recorder=TraceRecorder(),

@@ -86,7 +86,8 @@ class TestComponentRegistry:
         assert keys == sorted(keys)
         assert ("scheduler", "sns") in keys
         assert ("router", "band-aware") in keys
-        assert ("engine", "legacy") in keys
+        assert ("picker", "lifo") in keys
+        assert "engine" not in {kind for kind, _ in keys}
 
 
 # ----------------------------------------------------------------------
@@ -391,6 +392,52 @@ class TestScenarioBuilder:
         )
         r1, r2 = run_scenario(spec), run_scenario(spec)
         assert r1.fingerprint() == r2.fingerprint()
+
+    @pytest.mark.parametrize(
+        "engine", [{"horizon": 40}, {"preemption_overhead": 2.0}]
+    )
+    def test_cluster_spec_threads_engine_settings(self, engine):
+        from repro.cluster import ClusterService, ShardConfig
+        from repro.scenarios.builder import build_workload, result_fingerprint
+
+        doc = {
+            "scenario": {"mode": "cluster", "seed": 3},
+            "workload": {"n_jobs": 80, "m": 8, "load": 3.0},
+            "scheduler": {"name": "edf"},
+            "cluster": {"shards": 2, "mode": "inprocess"},
+        }
+        spec = ScenarioSpec.from_dict({**doc, "engine": engine})
+        hand_wired = ClusterService(
+            8,
+            2,
+            config=ShardConfig(
+                m=1,
+                scheduler="edf",
+                capacity=spec.service.capacity,
+                shed_policy=spec.service.shed_policy,
+                horizon=engine.get("horizon"),
+                preemption_overhead=engine.get("preemption_overhead", 0.0),
+            ),
+            router=spec.router_name(),
+            mode="inprocess",
+        ).run_stream(build_workload(spec))
+        fingerprint = run_scenario(spec).fingerprint()
+        assert fingerprint == result_fingerprint("cluster", hand_wired)
+        # the setting is live: it moves the run off the default one
+        assert fingerprint != run_scenario(ScenarioSpec.from_dict(doc)).fingerprint()
+
+    @pytest.mark.parametrize("mode", ["cluster", "gateway"])
+    def test_sharded_modes_reject_non_fifo_picker(self, mode):
+        doc = {
+            "scenario": {"mode": mode},
+            "workload": {"kind": "open-loop" if mode == "gateway" else ""},
+            "engine": {"picker": "lifo"},
+        }
+        with pytest.raises(ScenarioError) as info:
+            ScenarioSpec.from_dict(doc)
+        assert info.value.location == "engine.picker"
+        doc["engine"]["picker"] = "fifo"
+        ScenarioSpec.from_dict(doc)
 
     def test_tracing_collects_events(self):
         spec = ScenarioSpec.from_dict(
