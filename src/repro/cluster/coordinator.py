@@ -58,6 +58,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 
 from repro.cluster.router import BandAwareRouter, ShardStats
 from repro.cluster.service import ClusterResult, ClusterService
+from repro.cluster.shard import fan_out
 from repro.core.bands import DensityBands
 from repro.core.theory import Constants
 from repro.errors import ClusterError, ShardFailedError
@@ -591,17 +592,20 @@ class Coordinator:
         # uses more, and encoding the whole parked set every refresh is
         # what made coordination cost scale with overload depth
         limit = self.planner.batch
+        shards = self._active_shards()
         views: dict[int, Optional[dict]] = {}
         failed = False
-        for shard in self._active_shards():
-            try:
-                views[shard.index] = shard.coordination_view(limit)
-            except ShardFailedError as exc:
+        for shard, view in zip(
+            shards, fan_out(shards, "coordination_view", limit)
+        ):
+            if isinstance(view, ShardFailedError):
                 # shard died mid-refresh: supervise it if the cluster
                 # can, drop its view, and keep the ledger degraded --
                 # a partial rebuild must not be mistaken for a fresh one
                 failed = True
-                self._shard_failure(shard.index, t, exc)
+                self._shard_failure(shard.index, t, view)
+            else:
+                views[shard.index] = view
         self._views = views
         self.ledger.refresh(self._views)
         self._since_refresh = 0

@@ -47,6 +47,7 @@ from typing import Optional, Union
 from repro.cluster.config import ShardConfig
 from repro.cluster.router import Router, ShardStats
 from repro.cluster.service import ClusterResult, ClusterService
+from repro.cluster.shard import gather_stats
 from repro.errors import ClusterError, ShardFailedError
 from repro.service.telemetry import MetricsRegistry, merge_registries
 from repro.sim.jobs import JobSpec
@@ -288,24 +289,13 @@ class ElasticScalingMixin:
     # Stats and live telemetry
     # ------------------------------------------------------------------
     def _prefix_stats(self, k: int) -> list[ShardStats]:
-        """Stats for the first ``k`` units, fault-tolerant: a dead,
-        degraded, or mid-failure shard reports as a dead placeholder
-        rather than raising into a routing decision."""
+        """Stats for the first ``k`` units in one fan-out fence, fault-
+        tolerant: a dead, degraded, or mid-failure shard reports as a
+        dead placeholder rather than raising into a routing decision."""
         degraded = getattr(
             getattr(self, "supervisor", None), "degraded", ()
         )
-        stats: list[ShardStats] = []
-        for shard in self.shards[:k]:
-            if shard.alive and shard.index not in degraded:
-                try:
-                    stats.append(shard.stats())
-                    continue
-                except ShardFailedError:
-                    pass
-            stats.append(
-                ShardStats(index=shard.index, m=shard.config.m, alive=False)
-            )
-        return stats
+        return gather_stats(self.shards[:k], skip=degraded)
 
     def active_stats(self) -> list[ShardStats]:
         """Live stats for the active prefix (the autoscaler's input)."""

@@ -41,8 +41,8 @@ from repro.cluster.config import ShardConfig, partition_machines
 from repro.cluster.faults import FaultInjector, RecoveryEvent
 from repro.cluster.migration import MigrationPolicy
 from repro.cluster.router import Router, ShardStats, make_router
-from repro.cluster.shard import ShardHandle, make_shard
-from repro.errors import ClusterError
+from repro.cluster.shard import ShardHandle, fan_out, gather_stats, make_shard
+from repro.errors import ClusterError, ShardFailedError
 from repro.service.replay import SubmissionLog
 from repro.service.service import ServiceResult, ShedRecord
 from repro.service.telemetry import MetricsRegistry, merge_registries
@@ -315,11 +315,9 @@ class ClusterService:
         drain itself.
         """
         self.start()
-        results = [
-            self._finish_shard(shard)
-            for shard in self.shards
-            if self._drainable(shard)
-        ]
+        results = self._drain(
+            [shard for shard in self.shards if self._drainable(shard)]
+        )
         self._started = False
         self._close_logs()
         result = ClusterResult(
@@ -334,9 +332,15 @@ class ClusterService:
         """Whether ``shard`` contributes a result at finish."""
         return True
 
-    def _finish_shard(self, shard):
-        """Drain one shard (overridden for supervised drains)."""
-        return shard.finish()
+    def _drain(self, shards: list[ShardHandle]) -> list[ServiceResult]:
+        """Drain ``shards`` in one :func:`~repro.cluster.shard.fan_out`
+        fence; the first failure, in shard order, is raised after the
+        gather (overridden for supervised drains)."""
+        results = fan_out(shards, "finish")
+        for result in results:
+            if isinstance(result, ShardFailedError):
+                raise result
+        return results
 
     def _close_logs(self) -> None:
         """Release submission-log resources (durable WALs override)."""
@@ -382,15 +386,16 @@ class ClusterService:
     # Fault handling (called by the FaultInjector)
     # ------------------------------------------------------------------
     def checkpoint_all(self) -> None:
-        """Snapshot every live shard, anchored to its submission-log
-        position (async submissions are fenced by the snapshot call)."""
-        for shard in self.shards:
-            if shard.alive:
-                self._save_checkpoint(
-                    shard.index,
-                    len(self.logs[shard.index]),
-                    shard.snapshot(),
-                )
+        """Snapshot every live shard in one fan-out fence, anchored to
+        its submission-log position (async submissions are fenced by
+        the snapshot call)."""
+        live = [shard for shard in self.shards if shard.alive]
+        for shard, snapshot in zip(live, fan_out(live, "snapshot")):
+            if isinstance(snapshot, ShardFailedError):
+                raise snapshot
+            self._save_checkpoint(
+                shard.index, len(self.logs[shard.index]), snapshot
+            )
         self._last_checkpoint_t = self._now
         self.cluster_metrics.counter("checkpoints_total").inc()
 
@@ -519,12 +524,7 @@ class ClusterService:
 
     def _rebalance(self, t: int) -> None:
         """Apply one migration tick at cluster time ``t``."""
-        stats = [
-            shard.stats()
-            if shard.alive
-            else ShardStats(index=shard.index, m=shard.config.m, alive=False)
-            for shard in self.shards
-        ]
+        stats = self._live_stats()
         moved = 0
         tracer = self.tracer
         emit = tracer is not None and tracer.enabled
@@ -569,12 +569,7 @@ class ClusterService:
         return self._stats_cache
 
     def _live_stats(self) -> list[ShardStats]:
-        return [
-            shard.stats()
-            if shard.alive
-            else ShardStats(index=shard.index, m=shard.config.m, alive=False)
-            for shard in self.shards
-        ]
+        return gather_stats(self.shards, strict=True)
 
     def _static_stats(self) -> list[ShardStats]:
         return [

@@ -17,6 +17,17 @@ deployment mode:
   reply is a deterministic function of the commands sent so far, so
   process-mode runs are as reproducible as in-process ones.
 
+Every synchronous call to a worker has a *send* half
+(:meth:`ProcessShard.send`: flush the buffer, send the call) and a
+*receive* half (:meth:`ProcessShard.receive`: wait for the reply); the
+blocking methods are send-then-receive.  A cluster-wide fence goes through
+:func:`fan_out`, which sends to every shard before it reads any reply.
+Each worker then drains its backlog at the same time as the others,
+and the caller waits for the slowest shard rather than the sum of all
+of them.  Replies are still read in shard order and each one is still a
+function of that shard's own command stream, so the outputs do not
+change.
+
 Worker processes set the ``REPRO_CLUSTER_SHARD`` environment variable
 so nested machinery (e.g. :func:`repro.analysis.sweep.resolve_workers`)
 knows not to oversubscribe the host by spawning its own pools.
@@ -42,6 +53,12 @@ on top of the same protocol:
   heartbeat under a deadline, distinguishing *crash* (process dead,
   pipe broken -- :class:`~repro.errors.ShardFailedError`) from *hang*
   (no reply in time -- :class:`~repro.errors.ShardTimeoutError`).
+
+A call's deadline runs from its own send, not from the moment the
+caller starts reading its reply, so a fan-out that waits on shard 0
+first does not give shard 1 extra time -- nor take any away: a reply
+that is already in the pipe is read even when the deadline has passed
+during the wait for another shard.
 """
 
 from __future__ import annotations
@@ -49,7 +66,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from typing import Any, Optional, Sequence
+from typing import Any, Collection, Optional, Sequence
 
 from repro.cluster.config import ShardConfig
 from repro.cluster.router import ShardStats
@@ -294,14 +311,16 @@ class InProcessShard(ShardHandle):
         """Exact live stats."""
         self._require_alive()
         service = self.service
+        sim = service.sim
+        # positional: this runs for every shard on every in-process
+        # routing decision (the gateway's hottest fence)
         return ShardStats(
-            index=self.index,
-            m=service.sim.m,
-            now=service.now,
-            queue_depth=service.queue.depth,
-            in_flight=service.in_flight,
-            completed=service.sim.counters.completions,
-            alive=True,
+            self.index,
+            sim.m,
+            service.now,
+            service.queue.depth,
+            service.in_flight,
+            sim.counters.completions,
         )
 
     def take_queued(self, n: int) -> list[JobSpec]:
@@ -455,19 +474,18 @@ def _shard_worker(conn, config: ShardConfig) -> None:
                 "in_flight": service.in_flight,
                 "completed": service.sim.counters.completions,
             }
-        if op == "take":
+        if op == "take_queued":
             taken = service.queue.take_newest(command[1])
             return [entry.spec for entry in taken]
-        if op == "coord":
-            limit = command[1] if len(command) > 1 else None
-            return service.coordination_view(limit)
-        if op == "extract":
+        if op == "coordination_view":
+            return service.coordination_view(command[1])
+        if op == "extract_running":
             return service.extract_running(command[1])
-        if op == "forget":
+        if op == "forget_pending":
             return service.forget_pending(command[1])
         if op == "extract_many":
             return [service.extract_running(j) for j in command[1]]
-        if op == "inject":
+        if op == "inject_running":
             service.inject_running(
                 command[1], t=max(command[2], service.now)
             )
@@ -539,6 +557,39 @@ def _mp_context():
     )
 
 
+class PendingCall:
+    """A synchronous call sent to a worker shard, its reply not yet read.
+
+    Returned by :meth:`ProcessShard.send`; :meth:`ProcessShard.receive`
+    (or :func:`fan_out`) waits for the reply.  The deadline runs from
+    :attr:`sent`, the moment the call went down the pipe.
+    """
+
+    __slots__ = ("shard", "op", "seq", "command", "timeout", "retries", "sent")
+
+    def __init__(
+        self,
+        shard: "ProcessShard",
+        op: str,
+        seq: int,
+        command: tuple,
+        timeout: Optional[float],
+        retries: int,
+    ) -> None:
+        self.shard = shard
+        #: the shard method this call stands for (selects the decoding)
+        self.op = op
+        self.seq = seq
+        #: the wire message, ``("call", seq, inner)``; a retry re-sends it
+        self.command = command
+        #: seconds allowed from each send to its reply (``None``: forever)
+        self.timeout = timeout
+        #: re-sends allowed after a timeout
+        self.retries = retries
+        #: ``time.monotonic()`` of the latest send
+        self.sent = 0.0
+
+
 class ProcessShard(ShardHandle):
     """Shard whose service runs in a dedicated worker process.
 
@@ -598,64 +649,154 @@ class ProcessShard(ShardHandle):
         if len(self._buffer) >= BATCH_SIZE:
             self._flush()
 
-    def _recv_reply(self, seq: int, timeout: Optional[float]) -> Any:
-        """Wait for the reply tagged ``seq``, skipping stale replies.
+    def send(self, op: str, *args: Any) -> PendingCall:
+        """Send half of the synchronous method ``op``: flush the buffered
+        async commands, then send the sequence-tagged call.
 
-        A reply with a lower sequence number is a late answer to a call
-        that already timed out (and whose retry was answered from the
-        worker's cache) -- discarding it keeps the pipe synchronized.
-        """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or not self._conn.poll(remaining):
-                    raise ShardTimeoutError(
-                        f"shard {self.index} did not reply within "
-                        f"{timeout}s",
-                        shard=self.index,
-                    )
-            status, rseq, payload = self._conn.recv()
-            if rseq is not None and rseq < seq:
-                continue  # stale reply from a timed-out attempt
-            if status != "ok":
-                self.alive = False
-                raise ShardFailedError(
-                    f"shard {self.index} failed: {payload}", shard=self.index
-                )
-            return payload
-
-    def _call(self, command: tuple, *, timeout: Optional[float] = None) -> Any:
-        """Flush, send a synchronous command, and return its payload.
-
-        ``timeout`` overrides the policy's ``call_timeout`` (the finish
-        drain passes ``finish_timeout``).  Without a policy the call
-        blocks until the worker answers.
+        The call's deadline starts at this send.  ``ping`` is a single-
+        shot probe under the deadline it is given (no retries, so
+        detection latency is bounded by the deadline itself); ``finish``
+        waits up to the policy's ``finish_timeout``; every other call
+        gets ``call_timeout`` and ``retries``.  Without a policy the
+        call waits forever.  A dead worker raises
+        :class:`~repro.errors.ShardFailedError` here, before anything
+        is sent.
         """
         self._require_alive()
+        rpc = self.rpc
+        timeout = rpc.call_timeout if rpc is not None else None
+        retries = rpc.retries if rpc is not None else 0
+        command = (op,) + args
+        if op == "ping":
+            if not self._process.is_alive():
+                self.alive = False
+                raise ShardFailedError(
+                    f"shard {self.index} worker process is dead",
+                    shard=self.index,
+                )
+            timeout, retries, command = args[0], 0, ("ping",)
+        elif op == "finish" and rpc is not None:
+            timeout = rpc.finish_timeout
         self._flush()
         self._seq += 1
-        seq = self._seq
-        wrapped = ("call", seq, command)
-        if timeout is None and self.rpc is not None:
-            timeout = self.rpc.call_timeout
-        attempts = 1 + (self.rpc.retries if self.rpc is not None else 0)
-        last_timeout: Optional[ShardTimeoutError] = None
-        for attempt in range(attempts):
-            if attempt > 0:
-                time.sleep(self.rpc.backoff(attempt - 1))
+        call = PendingCall(
+            self, op, self._seq, ("call", self._seq, command), timeout, retries
+        )
+        self._transmit(call)
+        return call
+
+    def _transmit(self, call: PendingCall) -> None:
+        """(Re-)send ``call`` and restart its deadline."""
+        try:
+            self._conn.send(call.command)
+        except (BrokenPipeError, OSError) as exc:
+            self.alive = False
+            raise ShardFailedError(
+                f"shard {self.index} worker died mid-command",
+                shard=self.index,
+            ) from exc
+        call.sent = time.monotonic()
+
+    def receive(self, call: PendingCall) -> Any:
+        """Receive half: wait for ``call``'s reply and decode it.
+
+        A timed-out call is re-sent under the same sequence number after
+        a backoff, while retries remain; a worker that already executed
+        it answers from its reply cache, so the call still runs at most
+        once.
+        """
+        attempt = 0
+        while True:
             try:
-                self._conn.send(wrapped)
-                return self._recv_reply(seq, timeout)
-            except ShardTimeoutError as exc:
-                last_timeout = exc
+                payload = self._recv_reply(call)
+                break
+            except ShardTimeoutError:
+                if attempt >= call.retries:
+                    raise
+                time.sleep(self.rpc.backoff(attempt))
+                attempt += 1
+                self._transmit(call)
             except (EOFError, BrokenPipeError, OSError) as exc:
                 self.alive = False
                 raise ShardFailedError(
                     f"shard {self.index} worker died mid-command",
                     shard=self.index,
+                    waited=time.monotonic() - call.sent,
                 ) from exc
-        raise last_timeout
+        op = call.op
+        if op == "stats":
+            return ShardStats(
+                index=self.index,
+                m=self.config.m,
+                now=int(payload["now"]),
+                queue_depth=int(payload["queue_depth"]),
+                in_flight=int(payload["in_flight"]),
+                completed=int(payload["completed"]),
+                alive=True,
+            )
+        if op == "ping":
+            return time.monotonic() - call.sent
+        if op == "finish":
+            self._reap()
+            return _result_from_payload(payload)
+        return payload
+
+    def _recv_reply(self, call: PendingCall) -> Any:
+        """Wait for the reply tagged ``call.seq``, skipping stale replies.
+
+        A reply with a lower sequence number is a late answer to a call
+        that already timed out (and whose retry was answered from the
+        worker's cache) -- discarding it keeps the pipe synchronized.
+        A reply already waiting in the pipe is read even after the
+        deadline: a fan-out may reach this shard only after waiting on
+        another one.
+        """
+        while True:
+            if call.timeout is not None:
+                waited = time.monotonic() - call.sent
+                if not self._conn.poll(max(0.0, call.timeout - waited)):
+                    raise ShardTimeoutError(
+                        f"shard {self.index} did not reply within "
+                        f"{call.timeout}s",
+                        shard=self.index,
+                        waited=time.monotonic() - call.sent,
+                    )
+            status, rseq, payload = self._conn.recv()
+            if rseq is not None and rseq < call.seq:
+                continue  # stale reply from a timed-out attempt
+            if status != "ok":
+                self.alive = False
+                raise ShardFailedError(
+                    f"shard {self.index} failed: {payload}",
+                    shard=self.index,
+                    waited=time.monotonic() - call.sent,
+                )
+            return payload
+
+    def _call(self, op: str, *args: Any) -> Any:
+        """Blocking synchronous call: send, then receive."""
+        return self.receive(self.send(op, *args))
+
+    def _reap(self) -> None:
+        """Close the pipe and join the worker after its ``finish`` reply.
+
+        A worker still running after the join timeout is terminated and
+        reported as :class:`~repro.errors.ShardFailedError`, never left
+        behind.
+        """
+        process = self._process
+        process.join(timeout=10)
+        self._conn.close()
+        self._process = None
+        self._conn = None
+        self.alive = False
+        if process.is_alive():
+            process.terminate()
+            process.join(timeout=5)
+            raise ShardFailedError(
+                f"shard {self.index} worker did not exit after finish",
+                shard=self.index,
+            )
 
     # -- lifecycle ------------------------------------------------------
     def start(self) -> None:
@@ -709,27 +850,7 @@ class ProcessShard(ShardHandle):
         single-shot -- no retries -- so detection latency is bounded by
         the deadline itself.
         """
-        self._require_alive()
-        if self._process is not None and not self._process.is_alive():
-            self.alive = False
-            raise ShardFailedError(
-                f"shard {self.index} worker process is dead",
-                shard=self.index,
-            )
-        started = time.monotonic()
-        self._flush()
-        self._seq += 1
-        seq = self._seq
-        try:
-            self._conn.send(("call", seq, ("ping",)))
-            self._recv_reply(seq, timeout)
-        except (EOFError, BrokenPipeError, OSError) as exc:
-            self.alive = False
-            raise ShardFailedError(
-                f"shard {self.index} worker died mid-heartbeat",
-                shard=self.index,
-            ) from exc
-        return time.monotonic() - started
+        return self._call("ping", timeout)
 
     def hang(self, seconds: float) -> None:
         """Chaos: make the worker sleep, stalling its command stream."""
@@ -752,66 +873,108 @@ class ProcessShard(ShardHandle):
     # -- synchronous fences ---------------------------------------------
     def stats(self) -> ShardStats:
         """Round-trip stats; deterministic (worker drains its queue first)."""
-        data = self._call(("stats",))
-        return ShardStats(
-            index=self.index,
-            m=self.config.m,
-            now=int(data["now"]),
-            queue_depth=int(data["queue_depth"]),
-            in_flight=int(data["in_flight"]),
-            completed=int(data["completed"]),
-            alive=True,
-        )
+        return self._call("stats")
 
     def take_queued(self, n: int) -> list[JobSpec]:
         """Round-trip migration pop."""
-        return list(self._call(("take", n)))
+        return list(self._call("take_queued", n))
 
     def coordination_view(
         self, limit: Optional[int] = None
     ) -> Optional[dict[str, Any]]:
         """Round-trip band/queue state (a deterministic sync fence)."""
-        return self._call(("coord", limit))
+        return self._call("coordination_view", limit)
 
     def extract_running(self, job_id: int) -> Optional[dict[str, Any]]:
         """Round-trip steal extraction."""
-        return self._call(("extract", job_id))
+        return self._call("extract_running", job_id)
 
     def forget_pending(self, job_id: int) -> Optional[JobSpec]:
         """Round-trip pending-job withdrawal."""
-        return self._call(("forget", job_id))
+        return self._call("forget_pending", job_id)
 
     def inject_running(self, payload: dict[str, Any], t: int) -> None:
         """Round-trip steal injection."""
-        self._call(("inject", payload, t))
+        self._call("inject_running", payload, t)
 
     def extract_many(
         self, job_ids: Sequence[int]
     ) -> list[Optional[dict[str, Any]]]:
         """Batch steal extraction: one round trip for all ids."""
-        return self._call(("extract_many", list(job_ids)))
+        return self._call("extract_many", list(job_ids))
 
     def inject_many(
         self, payloads: Sequence[dict[str, Any]], t: int
     ) -> None:
         """Batch steal injection: one round trip for all payloads."""
-        self._call(("inject_many", list(payloads), t))
+        self._call("inject_many", list(payloads), t)
 
     def snapshot(self) -> dict[str, Any]:
         """Round-trip service checkpoint."""
-        return self._call(("snapshot",))
+        return self._call("snapshot")
 
     def finish(self) -> ServiceResult:
         """Drain the worker's service and reap the process."""
-        timeout = self.rpc.finish_timeout if self.rpc is not None else None
-        payload = self._call(("finish",), timeout=timeout)
-        result = _result_from_payload(payload)
-        self._process.join(timeout=10)
-        self._conn.close()
-        self._process = None
-        self._conn = None
-        self.alive = False
-        return result
+        return self._call("finish")
+
+
+def fan_out(shards: Sequence[ShardHandle], op: str, *args: Any) -> list:
+    """Scatter-gather the synchronous method ``op`` over ``shards``.
+
+    Sends the call to every shard first, then reads the replies in
+    order: worker shards drain their backlogs at the same time and the
+    caller waits for the slowest one, not the sum.  Returns one entry
+    per shard, aligned with ``shards``: the reply, or the
+    :class:`~repro.errors.ShardFailedError` (or
+    :class:`~repro.errors.ShardTimeoutError`) its call raised at send
+    or receive.  A failing shard neither blocks nor aborts the others;
+    callers handle the failures after the gather, in shard order.
+    """
+    replies: list = []
+    pending = False
+    for shard in shards:
+        try:
+            if isinstance(shard, ProcessShard):
+                replies.append(shard.send(op, *args))
+                pending = True
+            else:  # an in-process call completes as it is made
+                replies.append(getattr(shard, op)(*args))
+        except ShardFailedError as exc:
+            replies.append(exc)
+    if pending:
+        for i, reply in enumerate(replies):
+            if type(reply) is PendingCall:
+                try:
+                    replies[i] = reply.shard.receive(reply)
+                except ShardFailedError as exc:
+                    replies[i] = exc
+    return replies
+
+
+def gather_stats(
+    shards: Sequence[ShardHandle],
+    skip: Collection[int] = (),
+    strict: bool = False,
+) -> list[ShardStats]:
+    """Stats for ``shards`` in one :func:`fan_out` over the live ones.
+
+    A dead shard, or one whose index is in ``skip``, reports as a dead
+    placeholder without being called.  A shard that fails the fence
+    reports as dead too, unless ``strict``: then the first failure, in
+    shard order, is raised after the gather.
+    """
+    live = [s for s in shards if s.alive and s.index not in skip]
+    stats = fan_out(live, "stats")
+    if len(live) < len(shards):
+        by_index = dict(zip([s.index for s in live], stats))
+        stats = [by_index.get(s.index) for s in shards]
+    for i, reply in enumerate(stats):
+        if not isinstance(reply, ShardStats):
+            if strict and reply is not None:
+                raise reply
+            shard = shards[i]
+            stats[i] = ShardStats(index=shard.index, m=shard.config.m, alive=False)
+    return stats
 
 
 def make_shard(index: int, config: ShardConfig, mode: str) -> ShardHandle:

@@ -38,19 +38,29 @@ class ShardFailedError(ClusterError):
         Failure class the supervisor keys its handling on:
         ``"crash"`` (process dead / pipe broken) or ``"hang"``
         (no reply within the deadline; see :class:`ShardTimeoutError`).
+    waited:
+        Seconds from the failing call's latest send until the failure
+        surfaced; ``0.0`` when it failed before anything was sent.
     """
 
-    def __init__(self, message: str, shard: int = None, reason: str = "crash") -> None:
+    def __init__(
+        self,
+        message: str,
+        shard: int = None,
+        reason: str = "crash",
+        waited: float = 0.0,
+    ) -> None:
         super().__init__(message)
         self.shard = shard
         self.reason = reason
+        self.waited = waited
 
 
 class ShardTimeoutError(ShardFailedError):
     """A shard RPC exceeded its deadline (liveness, not fail-stop)."""
 
-    def __init__(self, message: str, shard: int = None) -> None:
-        super().__init__(message, shard=shard, reason="hang")
+    def __init__(self, message: str, shard: int = None, waited: float = 0.0) -> None:
+        super().__init__(message, shard=shard, reason="hang", waited=waited)
 
 
 class NoHealthyShardError(ClusterError):

@@ -45,7 +45,13 @@ from repro.cluster.faults import FaultInjector
 from repro.cluster.migration import MigrationPolicy
 from repro.cluster.router import Router, ShardStats
 from repro.cluster.service import ClusterResult, ClusterService
-from repro.cluster.shard import InProcessShard, ProcessShard
+from repro.cluster.shard import (
+    InProcessShard,
+    ProcessShard,
+    ShardHandle,
+    fan_out,
+    gather_stats,
+)
 from repro.core.theory import Constants
 from repro.errors import NoHealthyShardError, ShardFailedError
 from repro.resilience.breaker import BreakerConfig, CircuitBreakerRouter
@@ -243,22 +249,32 @@ class ResilientClusterService(ClusterService):
         self._stats_cache = None
         return self._now
 
-    def _finish_shard(self, shard) -> ServiceResult:
-        """Drain one shard; a degraded shard yields an empty result.
+    def _drain(self, shards: list[ShardHandle]) -> list[ServiceResult]:
+        """Drain the shards in one fence; a degraded shard is not
+        called and yields an empty result.
 
-        A shard that fails during its drain gets one supervised
-        recovery and a second drain attempt; if the budget is already
-        spent, the degrade policy decides (empty result or raise).
+        A shard that fails its drain gets, after the gather, one
+        supervised recovery and a second drain attempt; if the budget
+        is already spent, the degrade policy decides (empty result or
+        raise).
         """
-        if shard.index in self.supervisor.degraded:
-            return self._empty_result(shard)
-        try:
-            return shard.finish()
-        except ShardFailedError as exc:
-            self._supervise_failure(shard.index, self._now, exc)
-            if shard.index in self.supervisor.degraded:
-                return self._empty_result(shard)
-            return shard.finish()
+        degraded = self.supervisor.degraded
+        fenced = [shard for shard in shards if shard.index not in degraded]
+        replies = dict(
+            zip([shard.index for shard in fenced], fan_out(fenced, "finish"))
+        )
+        results = []
+        for shard in shards:
+            result = replies.get(shard.index)
+            if isinstance(result, ShardFailedError):
+                self._supervise_failure(shard.index, self._now, result)
+                result = (
+                    None if shard.index in degraded else shard.finish()
+                )
+            results.append(
+                self._empty_result(shard) if result is None else result
+            )
+        return results
 
     def _close_logs(self) -> None:
         for log in self.logs:
@@ -370,19 +386,29 @@ class ResilientClusterService(ClusterService):
             self._supervise_failure(index, t, exc)
 
     def checkpoint_all(self) -> None:
-        """Checkpoint live shards; a shard that fails its snapshot is
-        recovered (and checkpointed on the next round)."""
-        for shard in self.shards:
-            if not shard.alive or shard.index in self.supervisor.degraded:
-                continue
-            try:
+        """Checkpoint live shards in one fan-out fence.
+
+        Every snapshot that came back is saved first, so each one is
+        stored with the journal position it reflects; then each shard
+        that failed its snapshot is recovered, in shard order (and
+        checkpointed on the next round).
+        """
+        degraded = self.supervisor.degraded
+        live = [
+            shard
+            for shard in self.shards
+            if shard.alive and shard.index not in degraded
+        ]
+        failures = []
+        for shard, snapshot in zip(live, fan_out(live, "snapshot")):
+            if isinstance(snapshot, ShardFailedError):
+                failures.append((shard.index, snapshot))
+            else:
                 self._save_checkpoint(
-                    shard.index,
-                    len(self.logs[shard.index]),
-                    shard.snapshot(),
+                    shard.index, len(self.logs[shard.index]), snapshot
                 )
-            except ShardFailedError as exc:
-                self._supervise_failure(shard.index, self._now, exc)
+        for index, exc in failures:
+            self._supervise_failure(index, self._now, exc)
         self._last_checkpoint_t = self._now
         self.cluster_metrics.counter("checkpoints_total").inc()
 
@@ -498,20 +524,7 @@ class ResilientClusterService(ClusterService):
     def _live_stats(self) -> list[ShardStats]:
         """Per-shard stats that tolerate a failing shard (reported as
         dead; the supervisor deals with it on its own cadence)."""
-        stats = []
-        for shard in self.shards:
-            if not shard.alive or shard.index in self.supervisor.degraded:
-                stats.append(
-                    ShardStats(index=shard.index, m=shard.config.m, alive=False)
-                )
-                continue
-            try:
-                stats.append(shard.stats())
-            except ShardFailedError:
-                stats.append(
-                    ShardStats(index=shard.index, m=shard.config.m, alive=False)
-                )
-        return stats
+        return gather_stats(self.shards, skip=self.supervisor.degraded)
 
     # ------------------------------------------------------------------
     # Chaos injection surface (see repro.resilience.chaos)

@@ -4,10 +4,14 @@ PR 3's :class:`~repro.cluster.shard.ProcessShard` blocks forever on a
 synchronous reply -- a hung worker hangs the whole cluster.  The
 resilient stack bounds every wait:
 
-* **per-call deadlines** -- each synchronous command polls the pipe up
-  to ``call_timeout`` seconds (``finish_timeout`` for the drain, which
-  legitimately takes long) and raises
-  :class:`~repro.errors.ShardTimeoutError` on expiry;
+* **per-call deadlines** -- each synchronous command must be answered
+  within ``call_timeout`` seconds of its own send (``finish_timeout``
+  for the drain, which legitimately takes long), or it raises
+  :class:`~repro.errors.ShardTimeoutError`.  A cluster-wide fence
+  (:func:`~repro.cluster.shard.fan_out`) sends to every shard before
+  it reads any reply, so each shard's deadline runs while the caller
+  is still waiting on the shards before it; a reply that arrived
+  meanwhile is read even if its deadline has since passed;
 * **bounded retries with backoff** -- a timed-out call is re-sent up to
   ``retries`` times.  Sync commands are sequence-tagged and the worker
   caches its last reply, so a retry of a call the worker *did* execute

@@ -7,7 +7,9 @@ synchronous fence blocks on it.  :class:`ShardSupervisor` closes that
 gap:
 
 * **heartbeats** -- every ``heartbeat_every`` decision points the
-  supervisor pings each shard under a ``heartbeat_timeout`` deadline.
+  supervisor pings every shard in one fan-out round
+  (:func:`~repro.cluster.shard.fan_out`), each probe under a
+  ``heartbeat_timeout`` deadline from its own send.
   :class:`~repro.errors.ShardFailedError` means *crash* (process dead,
   pipe broken); :class:`~repro.errors.ShardTimeoutError` means *hang*
   (alive but unresponsive) -- the deadline bounds detection latency for
@@ -36,12 +38,8 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.errors import (
-    ClusterError,
-    RestartBudgetExhausted,
-    ShardFailedError,
-    ShardTimeoutError,
-)
+from repro.cluster.shard import fan_out
+from repro.errors import ClusterError, RestartBudgetExhausted, ShardFailedError
 
 
 @dataclass(frozen=True)
@@ -92,7 +90,7 @@ class SupervisionEvent:
     action: str
     #: restarts this shard has consumed *including* this one
     restarts: int
-    #: wall seconds from probe start to failure classification
+    #: wall seconds from the probe's own send to failure classification
     detection_seconds: float
     #: wall seconds the recovery (restore + replay) took
     restart_seconds: float
@@ -136,26 +134,26 @@ class ShardSupervisor:
         # every ping by design and must not be "restarted"
         ids = getattr(cluster, "supervised_shard_ids", None)
         watched = None if ids is None else set(ids())
-        handled = []
-        for shard in cluster.shards:
-            if shard.index in self.degraded:
-                continue
-            if watched is not None and shard.index not in watched:
-                continue
-            probe_started = time.perf_counter()
-            try:
-                shard.ping(self.config.heartbeat_timeout)
-            except (ShardTimeoutError, ShardFailedError) as exc:
-                handled.append(
-                    self.handle_failure(
-                        cluster,
-                        shard.index,
-                        t,
-                        reason=exc.reason,
-                        detection=time.perf_counter() - probe_started,
-                    )
-                )
-        return handled
+        probed = [
+            shard
+            for shard in cluster.shards
+            if shard.index not in self.degraded
+            and (watched is None or shard.index in watched)
+        ]
+        # one fan-out round: every probe is in flight before any reply
+        # is read, each under its own deadline from its own send
+        replies = fan_out(probed, "ping", self.config.heartbeat_timeout)
+        return [
+            self.handle_failure(
+                cluster,
+                shard.index,
+                t,
+                reason=reply.reason,
+                detection=reply.waited,
+            )
+            for shard, reply in zip(probed, replies)
+            if isinstance(reply, ShardFailedError)
+        ]
 
     def handle_failure(
         self,

@@ -361,3 +361,52 @@ class TestShardEnvFlag:
         child.close()
         assert parent.recv() == "1"
         proc.join()
+
+
+class TestProcessShardFinish:
+    def test_worker_that_does_not_exit_is_terminated(self):
+        """finish() must not leave a worker running: one still alive
+        after the join timeout is terminated and reported failed."""
+        from repro.cluster.shard import ProcessShard
+        from repro.errors import ShardFailedError
+
+        class SlowExit:
+            """The real worker, but one whose join never sees it exit."""
+
+            def __init__(self, real):
+                self.real = real
+                self.terminated = False
+
+            def join(self, timeout=None):
+                if self.terminated:
+                    self.real.join(timeout)
+
+            def is_alive(self):
+                return not self.terminated
+
+            def terminate(self):
+                self.terminated = True
+                self.real.terminate()
+
+        shard = ProcessShard(0, SNS_CFG.with_machines(2))
+        shard.start()
+        for spec in sorted(workload(n_jobs=10), key=lambda s: s.arrival):
+            shard.submit(spec, spec.arrival)
+        stub = SlowExit(shard._process)
+        shard._process = stub
+        with pytest.raises(ShardFailedError):
+            shard.finish()
+        assert stub.terminated
+        assert not stub.real.is_alive()
+        assert not shard.alive and shard._process is None
+
+    def test_clean_finish_reaps_the_worker(self):
+        from repro.cluster.shard import ProcessShard
+
+        shard = ProcessShard(0, SNS_CFG.with_machines(2))
+        shard.start()
+        process = shard._process
+        result = shard.finish()
+        assert result.result.records == {}
+        assert not process.is_alive()
+        assert not shard.alive
