@@ -664,11 +664,8 @@ def bench_cluster_recovery(quick: bool) -> dict:
 
 def bench_resilience_detection(quick: bool) -> dict:
     """Hang detection + restart latency under heartbeat supervision."""
-    from repro.resilience import (
-        ResilientClusterService,
-        RpcPolicy,
-        SupervisorConfig,
-    )
+    from repro.cluster import ClusterService
+    from repro.resilience import RpcPolicy, SupervisorConfig
 
     n_jobs = 150 if quick else 600
     m = 8
@@ -682,7 +679,7 @@ def bench_resilience_detection(quick: bool) -> dict:
     fault_at = specs[len(specs) // 2].arrival
     config = ShardConfig(m=1, scheduler="sns", scheduler_kwargs={"epsilon": 1.0})
 
-    cluster = ResilientClusterService(
+    cluster = ClusterService(
         m,
         2,
         config=config,
@@ -744,7 +741,8 @@ def bench_resilience_chaos(quick: bool) -> dict:
 
 def bench_resilience_degraded(quick: bool) -> dict:
     """Throughput retained when 1 of 4 shards degrades out early."""
-    from repro.resilience import ResilientClusterService, SupervisorConfig
+    from repro.cluster import ClusterService
+    from repro.resilience import SupervisorConfig
 
     n_jobs = 300 if quick else 2000
     m = 16
@@ -760,7 +758,7 @@ def bench_resilience_degraded(quick: bool) -> dict:
     config = ShardConfig(m=1, scheduler="sns", scheduler_kwargs={"epsilon": 1.0})
 
     def run(inject: bool):
-        cluster = ResilientClusterService(
+        cluster = ClusterService(
             m,
             4,
             config=config,
@@ -811,7 +809,7 @@ def bench_resilience_coordinated(quick: bool) -> dict:
     """
     import tempfile
 
-    from repro.cluster import ElasticCluster
+    from repro.cluster import ClusterService
     from repro.gateway import (
         Autoscaler,
         Gateway,
@@ -821,8 +819,9 @@ def bench_resilience_coordinated(quick: bool) -> dict:
         VirtualClock,
     )
     from repro.resilience import (
+        DEFAULT_RPC_POLICY,
         ChaosSchedule,
-        SupervisedElasticCluster,
+        SupervisorConfig,
         run_gateway_chaos,
     )
 
@@ -843,12 +842,15 @@ def bench_resilience_coordinated(quick: bool) -> dict:
     config = ShardConfig(m=1, scheduler="sns", scheduler_kwargs={"epsilon": 1.0})
 
     def clean_fingerprint(supervised: bool) -> str:
-        if supervised:
-            cluster = SupervisedElasticCluster(
-                8, 4, config=config, router="least-loaded"
-            )
-        else:
-            cluster = ElasticCluster(8, 4, config=config, router="least-loaded")
+        supervision = (
+            dict(supervisor=SupervisorConfig(), rpc=DEFAULT_RPC_POLICY)
+            if supervised
+            else {}
+        )
+        cluster = ClusterService(
+            8, 4, k_initial=4, config=config, router="least-loaded",
+            **supervision,
+        )
         gateway = Gateway(
             cluster,
             LoadGenerator(LoadConfig(n_jobs=n_jobs, m=8, seed=42, load=1.5)),
@@ -888,7 +890,7 @@ def _gateway_run(
 ):
     """One virtual-clock gateway run on the bench's canonical cluster:
     m=8 split into 4 shard units, SNS per shard, least-loaded routing."""
-    from repro.cluster import ElasticCluster
+    from repro.cluster import ClusterService
     from repro.gateway import (
         Autoscaler,
         Gateway,
@@ -900,9 +902,9 @@ def _gateway_run(
     generator = LoadGenerator(
         LoadConfig(n_jobs=n_jobs, m=8, load=load, seed=seed, process=process)
     )
-    cluster = ElasticCluster(
-        m=8,
-        k_max=4,
+    cluster = ClusterService(
+        8,
+        4,
         k_initial=k_initial,
         config=ShardConfig(
             m=1,

@@ -23,7 +23,7 @@ import json
 import http.client
 
 from repro.analysis import format_table
-from repro.cluster import ElasticCluster, ShardConfig
+from repro.cluster import ClusterService, ShardConfig
 from repro.gateway import (
     Autoscaler,
     Gateway,
@@ -52,9 +52,9 @@ def build(feed=None):
             spike_fraction=0.25,
         )
     )
-    cluster = ElasticCluster(
-        m=8,
-        k_max=4,
+    cluster = ClusterService(
+        8,
+        4,
         k_initial=1,
         config=ShardConfig(
             m=1, scheduler="sns", capacity=64, max_in_flight=8

@@ -14,12 +14,12 @@ Package map
 * :mod:`repro.cluster.shard` -- in-process and worker-process shard
   handles over one command protocol.
 * :mod:`repro.cluster.migration` -- queued-job rebalancing policies.
-* :mod:`repro.cluster.service` -- the :class:`ClusterService` facade and
+* :mod:`repro.cluster.service` -- the one :class:`ClusterService`
+  (fixed or elastic shard count, unsupervised or supervised) and the
   merged :class:`ClusterResult`.
 * :mod:`repro.cluster.faults` -- kill/recover fault-injection harness.
-* :mod:`repro.cluster.elastic` -- :class:`ElasticCluster`, a cluster
-  whose active shard count grows and shrinks live (the gateway's
-  autoscaling substrate).
+* :mod:`repro.cluster.elastic` -- the :func:`ElasticCluster` constructor
+  shim (an elastic ``ClusterService`` with a least-loaded router).
 * :mod:`repro.cluster.coordinator` -- cluster-wide band-aware
   scheduling: the :class:`BandLedger` merged admission view, density-
   aware work-stealing of parked/starved *running* jobs
@@ -42,7 +42,7 @@ from repro.cluster.coordinator import (
     StealPlanner,
     coordinate,
 )
-from repro.cluster.elastic import ElasticCluster, ScaleEvent
+from repro.cluster.elastic import ElasticCluster
 from repro.cluster.faults import FaultInjector, FaultPlan, RecoveryEvent
 from repro.cluster.migration import MigrationMove, MigrationPolicy, QueueBalancer
 from repro.cluster.router import (
@@ -56,7 +56,7 @@ from repro.cluster.router import (
     ShardStats,
     make_router,
 )
-from repro.cluster.service import ClusterResult, ClusterService
+from repro.cluster.service import ClusterResult, ClusterService, ScaleEvent
 from repro.cluster.shard import (
     InProcessShard,
     ProcessShard,

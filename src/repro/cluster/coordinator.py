@@ -441,12 +441,12 @@ class Coordinator:
     :class:`~repro.cluster.router.BandAwareRouter`, the ledger is bound
     to it so routing itself becomes shard-spanning admission.
 
-    Works with :class:`~repro.cluster.service.ClusterService`,
-    :class:`~repro.cluster.elastic.ElasticCluster` (only the active
-    prefix is read, routed to, or stolen between; resizes invalidate
-    the ledger) and the resilient subclass (steals re-checkpoint when
-    fault injection is on, so log replay never resurrects a stolen-away
-    job).
+    Works with every :class:`~repro.cluster.service.ClusterService`
+    configuration: on an elastic cluster only the active prefix is
+    read, routed to, or stolen between (resizes invalidate the ledger);
+    on a supervised one steals are journaled and a shard failure
+    mid-tick is supervised.  Steals re-checkpoint when fault injection
+    is on, so log replay never resurrects a stolen-away job.
 
     Parameters
     ----------
@@ -490,14 +490,10 @@ class Coordinator:
         if max_moves_per_job < 1:
             raise ClusterError("max_moves_per_job must be >= 1")
         self.cluster = cluster
-        template = cluster.shards[0].config
         if constants is None:
-            scheduler = template.build_scheduler()
-            constants = getattr(scheduler, "constants", None)
-            if constants is None:
-                constants = Constants.from_epsilon(1.0)
+            constants = cluster.constants
         self.constants = constants
-        self.speed = float(template.speed)
+        self.speed = float(cluster.shards[0].config.speed)
         self.ledger = BandLedger(constants, self.speed)
         self.planner = StealPlanner(
             constants,
@@ -584,8 +580,8 @@ class Coordinator:
 
     # -- internals ------------------------------------------------------
     def _active_shards(self) -> list:
-        k = getattr(self.cluster, "k_active", self.cluster.k)
-        return [s for s in self.cluster.shards[:k] if s.alive]
+        cluster = self.cluster
+        return [s for s in cluster.shards[: cluster.k_active] if s.alive]
 
     def _refresh(self, t: int = 0) -> None:
         # victim lists are capped at the steal batch: the planner never
@@ -603,7 +599,7 @@ class Coordinator:
                 # can, drop its view, and keep the ledger degraded --
                 # a partial rebuild must not be mistaken for a fresh one
                 failed = True
-                self._shard_failure(shard.index, t, view)
+                self.cluster.supervise_failure(shard.index, t, view)
             else:
                 views[shard.index] = view
         self._views = views
@@ -613,17 +609,6 @@ class Coordinator:
             self.ledger.stale = True
             self._since_refresh = None
 
-    def _shard_failure(self, index: int, t: int, exc: ShardFailedError) -> None:
-        """Route a mid-coordination shard failure into supervision.
-
-        Clusters without supervision (plain :class:`ClusterService`) get
-        the old behavior -- the failure propagates; resilient clusters
-        restart or degrade the shard and coordination continues."""
-        handler = getattr(self.cluster, "_supervise_failure", None)
-        if handler is None:
-            raise exc
-        handler(index, t, exc)
-
     def _steal_tick(self, t: int) -> None:
         moves = self.planner.plan(
             self._views, t, self._move_counts, self.max_moves_per_job
@@ -631,7 +616,7 @@ class Coordinator:
         if not moves:
             return
         cluster = self.cluster
-        journal = getattr(cluster, "steal_journal", None)
+        journal = cluster.steal_journal
         if journal is None:
             self._execute_steals(t, moves)
             return
@@ -644,15 +629,13 @@ class Coordinator:
             self._execute_steals(t, moves)
         finally:
             journal.in_tick = False
-            resolver = getattr(cluster, "resolve_steal_txns", None)
-            if resolver is not None:
-                resolver(t)
+            cluster.resolve_steal_txns(t)
             journal.sync()
 
     def _execute_steals(self, t: int, moves: list[StealMove]) -> None:
         cluster = self.cluster
         shards = cluster.shards
-        journal = getattr(cluster, "steal_journal", None)
+        journal = cluster.steal_journal
         tracer = cluster.tracer
         emit = tracer is not None and tracer.enabled
         live = [
@@ -691,7 +674,7 @@ class Coordinator:
                 results = shards[index].extract_many(ids)
             except ShardFailedError as exc:
                 results = [None] * len(ids)
-                self._shard_failure(index, t, exc)
+                self.cluster.supervise_failure(index, t, exc)
             for job_id, payload in zip(ids, results):
                 payloads[job_id] = payload
                 if journal is not None and payload is not None:
@@ -701,11 +684,9 @@ class Coordinator:
         # chaos hook: a steal-interrupt fault fires in the window
         # between extraction and injection -- the exact crash site the
         # transaction journal exists to survive
-        interrupt = getattr(cluster, "consume_steal_interrupt", None)
-        if interrupt is not None:
-            target = interrupt()
-            if target is not None and shards[target].alive:
-                cluster.kill_shard(target)
+        target = cluster.consume_steal_interrupt()
+        if target is not None and shards[target].alive:
+            cluster.kill_shard(target)
         # Phase 2 -- batched injection, one exchange per receiver.  Per
         # move: the victim lands first (its arrival admission sees the
         # band room its displaced jobs just freed), then the displaced
@@ -777,7 +758,7 @@ class Coordinator:
                         t, "steal-failed", None,
                         {"dst": index, "jobs": [jid for jid, _p in entries]},
                     )
-                self._shard_failure(index, t, exc)
+                self.cluster.supervise_failure(index, t, exc)
                 continue
             if journal is not None:
                 for jid, _payload in entries:

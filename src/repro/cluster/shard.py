@@ -593,8 +593,8 @@ class PendingCall:
 class ProcessShard(ShardHandle):
     """Shard whose service runs in a dedicated worker process.
 
-    With ``rpc`` left at ``None`` (the default) synchronous calls block
-    forever -- PR 3's deterministic behaviour.  The resilient cluster
+    With ``rpc`` left at ``None`` (the default) synchronous calls wait
+    until the worker replies, with no deadline.  A supervised cluster
     attaches an :class:`~repro.resilience.rpc.RpcPolicy`, which bounds
     every call with a deadline and retries timed-out calls; sequence
     tags plus the worker's reply cache keep retried calls at-most-once.

@@ -129,7 +129,7 @@ class Autoscaler:
         """Return the committed shard-count target for this tick.
 
         ``stats`` is the active prefix's live stats (see
-        :meth:`~repro.cluster.elastic.ElasticCluster.active_stats`).
+        :meth:`~repro.cluster.service.ClusterService.active_stats`).
         The return value equals ``k_active`` unless a resize commits.
         """
         pressure = self._pressure(stats)

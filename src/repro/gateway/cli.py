@@ -2,8 +2,8 @@
 
 Generates a seeded open-loop traffic stream (Poisson, diurnal,
 flash-crowd, or heavy-tailed sessions), paces it through the
-fixed-timestep :class:`~repro.gateway.gateway.Gateway` into an
-:class:`~repro.cluster.elastic.ElasticCluster`, optionally autoscales
+fixed-timestep :class:`~repro.gateway.gateway.Gateway` into an elastic
+:class:`~repro.cluster.service.ClusterService`, optionally autoscales
 the active shard count, and prints per-tick progress plus a final
 summary.  ``--serve PORT`` exposes the live KPI feed over HTTP
 (``/kpi`` SSE, ``/kpi.jsonl``, ``/healthz``) while the run is going.
@@ -26,7 +26,7 @@ import sys
 from typing import Optional, Sequence
 
 from repro.cluster.config import ShardConfig
-from repro.cluster.elastic import ElasticCluster
+from repro.cluster.service import ClusterService
 from repro.errors import ScenarioError
 from repro.gateway.autoscale import Autoscaler
 from repro.gateway.clock import VirtualClock, WallClock
@@ -246,7 +246,7 @@ def _spec_from_args(args: argparse.Namespace):
             },
             "cluster": {
                 "router": args.router or "",
-                "mode": "inprocess",  # ElasticCluster's default; no flag
+                "mode": "inprocess",  # the cluster's default; no flag
                 "coordinate": args.coordinate,
             },
             "gateway": {
@@ -310,10 +310,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if component.meta.get("accepts_epsilon")
         else {}
     )
-    cluster = ElasticCluster(
-        m=args.m,
-        k_max=args.shards_max,
-        k_initial=args.shards_initial,
+    cluster = ClusterService(
+        args.m,
+        args.shards_max,
+        k_initial=(
+            args.shards_max
+            if args.shards_initial is None
+            else args.shards_initial
+        ),
         config=ShardConfig(
             m=1,  # overridden per shard by the machine partition
             scheduler=args.scheduler,

@@ -34,16 +34,13 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.cluster.elastic import ElasticCluster, ScaleEvent
-from repro.cluster.service import ClusterResult
-from repro.core.theory import Constants
+from repro.cluster.service import ClusterResult, ClusterService, ScaleEvent
 from repro.errors import GatewayError, ShardFailedError, ShardTimeoutError
 from repro.gateway.autoscale import Autoscaler
 from repro.gateway.clock import Clock, WallClock
 from repro.gateway.ingest import DroppedSubmission, IngestBuffer, RetryQueue
 from repro.gateway.kpi import KpiAggregator, KpiFeed
 from repro.gateway.load import LoadGenerator
-from repro.service.queue import sns_density
 from repro.sim.jobs import JobSpec
 
 
@@ -238,12 +235,14 @@ class DegradationLadder:
 
 
 class Gateway:
-    """Paced open-loop traffic front for an :class:`ElasticCluster`.
+    """Paced open-loop traffic front for a
+    :class:`~repro.cluster.service.ClusterService`.
 
     Parameters
     ----------
     cluster:
-        The elastic cluster to serve into (not yet started is fine).
+        The cluster to serve into (not yet started is fine); it must be
+        elastic for an ``autoscaler`` to resize it.
     load:
         The seeded open-loop traffic source.
     clock:
@@ -282,7 +281,7 @@ class Gateway:
 
     def __init__(
         self,
-        cluster: ElasticCluster,
+        cluster: ClusterService,
         load: LoadGenerator,
         *,
         clock: Optional[Clock] = None,
@@ -347,8 +346,6 @@ class Gateway:
         tick = 0
         start_wall = self.clock.now()
 
-        stalled = getattr(cluster, "consume_tick_stall", None)
-
         while True:
             if max_ticks is not None and tick >= max_ticks:
                 break
@@ -394,7 +391,7 @@ class Gateway:
             # an injected tick stall freezes dispatch and scheduling for
             # this tick while arrivals keep buffering -- the loop itself
             # is the component under test here
-            if stalled is not None and stalled():
+            if cluster.consume_tick_stall():
                 continue
 
             # dispatch a batch; each job keeps its intended arrival time
@@ -461,7 +458,7 @@ class Gateway:
         if self.retry is None:
             return self.cluster.submit(spec, t=spec.arrival)
         if not self._cluster_available():
-            # park *before* submit: the resilient cluster's own
+            # park *before* submit: a supervised cluster's own
             # no-healthy-shard path sheds with prejudice, and a shed
             # plus a retry would double-account the job
             drop = self.retry.push(spec, tick, boundary)
@@ -498,7 +495,7 @@ class Gateway:
                 reason="degradation-reject",
             )
         if level >= 2:
-            evicted = self.buffer.offer_displacing(spec, self._density)
+            evicted = self.buffer.offer_displacing(spec, self.cluster.density)
             if evicted is None:
                 return None
             return DroppedSubmission(
@@ -517,24 +514,15 @@ class Gateway:
             profit=spec.profit,
         )
 
-    def _density(self, spec: JobSpec) -> float:
-        """The paper's shed key v_i, under the shards' machine count."""
-        template = self.cluster.shards[0].config
-        return sns_density(
-            spec, template.m, Constants.from_epsilon(1.0), template.speed
-        )
-
     def _apply_degradation(
         self, change: tuple[int, int], tick: int, boundary: int
     ) -> None:
-        """Enact one ladder transition: count it, trace it, and pause or
-        resume live tracing as the rung demands."""
+        """Enact one ladder transition: trace it, and pause or resume
+        live tracing as the rung demands (the ladder itself records
+        the transition)."""
         old, new = change
-        metrics = getattr(self.cluster, "metrics", None)
-        if metrics is not None:
-            metrics.inc("degradation_transitions_total")
-        tracer = getattr(self.cluster, "tracer", None)
-        if tracer is not None and hasattr(tracer, "enabled"):
+        tracer = self.cluster.tracer
+        if tracer is not None:
             if self._trace_baseline is None:
                 self._trace_baseline = bool(tracer.enabled)
             # re-enable just long enough that the transition itself is
@@ -567,8 +555,6 @@ class Gateway:
     ) -> dict[str, Any]:
         cluster = self.cluster
         stats = cluster.active_stats()
-        supervisor = getattr(cluster, "supervisor", None)
-        degraded = len(supervisor.degraded) if supervisor is not None else 0
         level = (
             self.degradation.name if self.degradation is not None else "normal"
         )
@@ -583,6 +569,6 @@ class Gateway:
             generated=generated,
             gateway_shed=gateway_shed,
             buffer_depth=len(self.buffer),
-            degraded_shards=degraded,
+            degraded_shards=len(cluster.degraded),
             degradation=level,
         )

@@ -1,7 +1,7 @@
 """Live KPI aggregation and the feed the gateway publishes it on.
 
 :class:`KpiAggregator` turns one tick's cluster state -- the merged
-:meth:`~repro.cluster.elastic.ElasticCluster.live_metrics` roll-up plus
+:meth:`~repro.cluster.service.ClusterService.live_metrics` roll-up plus
 gateway-side counters -- into a flat JSON-serializable snapshot:
 rolling profit rate, shed fraction (gateway drops *and* scheduler
 sheds), queue depth, and p50/p99 admission latency straight from the

@@ -34,11 +34,11 @@ Modules
     Transactional cross-shard steals: intent/transfer/commit journal
     with torn-tail recovery and exactly-one-placement replay.
 :mod:`~repro.resilience.cluster`
-    :class:`ResilientClusterService` -- the whole stack wired together,
-    plus the chaos-injection surface.
-:mod:`~repro.resilience.elastic`
-    :class:`SupervisedElasticCluster` -- live resizing composed over
-    the resilience stack (durable scale moves, healthy-prefix drain).
+    :func:`ResilientClusterService` -- constructor shim for a
+    :class:`~repro.cluster.service.ClusterService` with the whole stack
+    switched on (``supervisor=``); the cluster itself wires the
+    building blocks above together and hosts the chaos-injection
+    surface.
 :mod:`~repro.resilience.audit`
     Post-run invariant auditing for chaos and gateway runs.
 :mod:`~repro.resilience.chaos`
@@ -46,6 +46,9 @@ Modules
     the audited end-to-end gateway chaos gate.
 """
 
+# repro.cluster.service builds on the modules below: load the cluster
+# package first, so either package can be imported first
+import repro.cluster  # noqa: F401
 from repro.resilience.audit import (
     INVARIANTS,
     AuditReport,
@@ -72,7 +75,6 @@ from repro.resilience.chaos import (
 )
 from repro.resilience.checkpoints import CheckpointStore
 from repro.resilience.cluster import ResilientClusterService
-from repro.resilience.elastic import SupervisedElasticCluster
 from repro.resilience.rpc import DEFAULT_RPC_POLICY, RpcPolicy
 from repro.resilience.supervisor import (
     ShardSupervisor,
@@ -109,7 +111,6 @@ __all__ = [
     "run_gateway_chaos",
     "CheckpointStore",
     "ResilientClusterService",
-    "SupervisedElasticCluster",
     "DEFAULT_RPC_POLICY",
     "RpcPolicy",
     "ShardSupervisor",

@@ -40,11 +40,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 from glob import glob
 from os.path import join
-from typing import Any, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Optional, Sequence, Union
 
-from repro.cluster.service import ClusterResult
 from repro.resilience.wal import WriteAheadLog
 from repro.sim.jobs import JobSpec
+
+if TYPE_CHECKING:  # repro.cluster.service imports this package
+    from repro.cluster.service import ClusterResult
 
 #: Every invariant :func:`audit_run` checks, in reporting order.
 INVARIANTS = (

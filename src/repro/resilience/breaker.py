@@ -152,7 +152,7 @@ class CircuitBreakerRouter(Router):
     The cluster sets :attr:`now` from its clock each decision point so
     cooldowns run on simulated time.  When every breaker is open the
     router raises :class:`~repro.errors.NoHealthyShardError` -- the
-    resilient cluster turns that into a cluster-level shed rather than
+    supervised cluster turns that into a cluster-level shed rather than
     an admission.
     """
 

@@ -1,4 +1,4 @@
-"""Deterministic chaos injection for the resilient cluster.
+"""Deterministic chaos injection for the supervised cluster.
 
 The resilience stack's correctness claim is sharp: under any schedule
 of injected faults, a supervised cluster's **completed records and
@@ -14,8 +14,8 @@ jobs lost or double-counted.  This module makes that claim executable:
   (``maybe_fire``), firing each scheduled fault through the cluster's
   ``inject_*`` surface at its simulated time;
 * :func:`run_chaos` -- drives the same workload through a fault-free
-  and a fault-injected :class:`~repro.resilience.cluster.
-  ResilientClusterService` and diffs them into a :class:`ChaosReport`.
+  and a fault-injected supervised :class:`~repro.cluster.service.
+  ClusterService` and diffs them into a :class:`ChaosReport`.
 
 Fault kinds (:data:`FAULT_KINDS`):
 
@@ -70,11 +70,10 @@ import random
 import sys
 import tempfile
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from repro.cluster.config import ShardConfig
 from repro.errors import ClusterError
-from repro.resilience.cluster import ResilientClusterService
 from repro.resilience.rpc import RpcPolicy
 from repro.resilience.supervisor import SupervisorConfig
 from repro.sim.jobs import JobSpec
@@ -163,7 +162,7 @@ class ChaosSchedule:
 
 
 class ChaosInjector:
-    """Fires a :class:`ChaosSchedule` through a resilient cluster.
+    """Fires a :class:`ChaosSchedule` through a supervised cluster.
 
     Duck-types the :class:`~repro.cluster.faults.FaultInjector`
     interface the cluster's decision-point hooks call, so it plugs into
@@ -284,10 +283,13 @@ def _build(
     workdir: Optional[str],
     heartbeat_timeout: float,
     call_timeout: float,
-) -> ResilientClusterService:
+) -> Any:
+    # repro.cluster.service imports this package's building blocks
+    from repro.cluster.service import ClusterService
+
     wal_dir = f"{workdir}/wal" if workdir else None
     checkpoint_dir = f"{workdir}/ckpt" if workdir else None
-    return ResilientClusterService(
+    return ClusterService(
         m,
         k,
         config=config,
@@ -444,20 +446,20 @@ def run_gateway_chaos(
 
     Runs the same seeded open-loop traffic twice through a virtual-
     clock :class:`~repro.gateway.gateway.Gateway` over a coordinated
-    :class:`~repro.resilience.elastic.SupervisedElasticCluster` --
+    supervised elastic :class:`~repro.cluster.service.ClusterService` --
     once fault-free, once under ``schedule`` -- then audits the chaos
     run with :func:`~repro.resilience.audit.audit_run` against the
     fault-free profit.  Both runs are deterministic: repeating the
     call reproduces both fingerprints bit for bit.
     """
     from repro.cluster.coordinator import coordinate
+    from repro.cluster.service import ClusterService
     from repro.gateway.autoscale import Autoscaler
     from repro.gateway.clock import VirtualClock
     from repro.gateway.gateway import Gateway
     from repro.gateway.ingest import RetryQueue
     from repro.gateway.load import LoadConfig, LoadGenerator
     from repro.resilience.audit import audit_run
-    from repro.resilience.elastic import SupervisedElasticCluster
 
     load_config = LoadConfig(
         n_jobs=n_jobs, m=m, load=load, epsilon=1.0, seed=seed
@@ -470,10 +472,10 @@ def run_gateway_chaos(
         )
 
     def one_run(injector, run_dir):
-        cluster = SupervisedElasticCluster(
+        cluster = ClusterService(
             m,
             k_max,
-            k_initial=k_initial,
+            k_initial=k_max if k_initial is None else k_initial,
             config=ShardConfig(
                 m=1, scheduler="sns", scheduler_kwargs={"epsilon": 1.0}
             ),
@@ -539,7 +541,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CI smoke entry point: one seeded schedule, exit 0 iff ``ok``."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.resilience.chaos",
-        description="Chaos-inject a resilient cluster and verify "
+        description="Chaos-inject a supervised cluster and verify "
         "bit-identity with the fault-free run.",
     )
     parser.add_argument("--seed", type=int, default=1, help="schedule seed")

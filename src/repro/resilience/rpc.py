@@ -58,5 +58,5 @@ class RpcPolicy:
         return min(self.backoff_max, self.backoff_base * (2**attempt))
 
 
-#: Policy the resilient cluster applies to worker shards by default.
+#: Policy a supervised cluster applies to worker shards by default.
 DEFAULT_RPC_POLICY = RpcPolicy()

@@ -102,7 +102,7 @@ class ShardSupervisor:
     """Watches a cluster's shards and restarts the ones that fail.
 
     The supervisor is driven from the cluster's decision-point hooks
-    (:meth:`tick`) and from delivery failures the resilient cluster
+    (:meth:`tick`) and from delivery failures the supervised cluster
     catches in-line (:meth:`handle_failure`); it owns the restart
     budget and the backoff/jitter policy, while the *mechanics* of
     recovery stay in :meth:`ClusterService.recover_shard`.
@@ -129,16 +129,14 @@ class ShardSupervisor:
         self._ticks += 1
         if self._ticks % self.config.heartbeat_every != 0:
             return []
-        # elastic clusters expose which units to watch (activated ones,
-        # lame ducks included); a dormant never-started unit would fail
-        # every ping by design and must not be "restarted"
-        ids = getattr(cluster, "supervised_shard_ids", None)
-        watched = None if ids is None else set(ids())
+        # watch the activated units (lame ducks included); a dormant
+        # never-started elastic unit would fail every ping by design
+        # and must not be "restarted"
+        watched = cluster.supervised_shard_ids()
         probed = [
             shard
             for shard in cluster.shards
-            if shard.index not in self.degraded
-            and (watched is None or shard.index in watched)
+            if shard.index not in self.degraded and shard.index in watched
         ]
         # one fan-out round: every probe is in flight before any reply
         # is read, each under its own deadline from its own send
@@ -194,7 +192,7 @@ class ShardSupervisor:
             backoff_seconds=backoff,
         )
         self.events.append(event)
-        self._notify(cluster, event)
+        cluster.note_supervision(event)
         return event
 
     def _exhaust(
@@ -229,16 +227,8 @@ class ShardSupervisor:
             backoff_seconds=0.0,
         )
         self.events.append(event)
-        self._notify(cluster, event)
+        cluster.note_supervision(event)
         return event
-
-    @staticmethod
-    def _notify(cluster, event: SupervisionEvent) -> None:
-        """Report one handled failure back to the cluster, when it
-        exposes ``note_supervision`` (telemetry + trace hooks)."""
-        notify = getattr(cluster, "note_supervision", None)
-        if notify is not None:
-            notify(event)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -7,12 +7,11 @@
   materialized workload.
 * ``service`` -- a :class:`~repro.service.service.SchedulingService`
   with admission control, driven in arrival order.
-* ``cluster`` -- a :class:`~repro.cluster.service.ClusterService` (or
-  the resilient variant when supervision/chaos is on), in-process or
-  worker-process shards, optionally coordinated.
+* ``cluster`` -- a fixed-size :class:`~repro.cluster.service.
+  ClusterService` (supervised when supervision/chaos is on),
+  in-process or worker-process shards, optionally coordinated.
 * ``gateway`` -- a paced :class:`~repro.gateway.gateway.Gateway` over
-  an :class:`~repro.cluster.elastic.ElasticCluster` under a wall or
-  virtual clock.
+  an elastic ``ClusterService`` under a wall or virtual clock.
 
 Construction mirrors the flag-driven CLIs *exactly* -- same component
 factories, same defaulting, same submission order -- which is what
@@ -387,46 +386,45 @@ class ScenarioBuilder:
             schedule = ChaosSchedule.parse(spec.faults.chaos)
         return ChaosInjector(schedule)
 
+    def _supervision(self, supervised: bool) -> dict:
+        """Supervisor and RPC keywords for a supervised cluster (none
+        for an unsupervised one), from the spec's ``[cluster]`` knobs."""
+        if not supervised:
+            return {}
+        from repro.resilience import DEFAULT_RPC_POLICY, SupervisorConfig
+
+        c = self.spec.cluster
+        return dict(
+            supervisor=SupervisorConfig(
+                heartbeat_timeout=c.heartbeat_timeout,
+                heartbeat_every=c.heartbeat_every,
+                max_restarts=c.max_restarts,
+                on_exhausted=c.on_exhausted,
+            ),
+            rpc=DEFAULT_RPC_POLICY,
+        )
+
     def _setup_cluster(self) -> None:
         from repro.cluster import ClusterService, QueueBalancer, coordinate
 
         spec = self.spec
-        injector = self._fault_injector()
-        resilient = spec.cluster.supervise or spec.faults.kind not in (
-            "none",
-            "kill",
-        )
-        config = self._shard_config()
-        common = dict(
-            m=spec.workload.m,
-            k=spec.cluster.shards,
-            config=config,
-            router=self.spec.router_name(),
+        self.runnable = ClusterService(
+            spec.workload.m,
+            spec.cluster.shards,
+            config=self._shard_config(),
+            router=spec.router_name(),
             mode=spec.cluster.mode,
             migration=QueueBalancer() if spec.cluster.migrate_every else None,
             migrate_every=spec.cluster.migrate_every,
-            fault_injector=injector,
+            fault_injector=self._fault_injector(),
+            checkpoint_every=spec.cluster.checkpoint_every,
             stats_refresh=spec.cluster.stats_refresh,
             tracer=self.tracer,
+            **self._supervision(
+                spec.cluster.supervise
+                or spec.faults.kind not in ("none", "kill")
+            ),
         )
-        if resilient:
-            from repro.resilience import (
-                ResilientClusterService,
-                SupervisorConfig,
-            )
-
-            self.runnable = ResilientClusterService(
-                checkpoint_every=spec.cluster.checkpoint_every,
-                supervisor=SupervisorConfig(),
-                **common,
-            )
-        else:
-            self.runnable = ClusterService(
-                checkpoint_every=(
-                    spec.cluster.checkpoint_every if injector else None
-                ),
-                **common,
-            )
         if spec.cluster.coordinate:
             coordinate(
                 self.runnable,
@@ -438,39 +436,24 @@ class ScenarioBuilder:
             )
 
     def _setup_gateway(self) -> None:
-        from repro.cluster import coordinate
-        from repro.cluster.elastic import ElasticCluster
+        from repro.cluster import ClusterService, coordinate
         from repro.gateway.gateway import Gateway
         from repro.gateway.kpi import KpiFeed
 
         spec = self.spec
         injector = self._fault_injector()
-        if spec.cluster.supervise or injector is not None:
-            from repro.resilience import SupervisorConfig
-            from repro.resilience.elastic import SupervisedElasticCluster
-
-            cluster = SupervisedElasticCluster(
-                spec.workload.m,
-                spec.gateway.shards_max,
-                k_initial=spec.gateway.shards_initial or None,
-                config=self._shard_config(),
-                router=self.spec.router_name(),
-                mode=spec.cluster.mode,
-                checkpoint_every=spec.cluster.checkpoint_every,
-                fault_injector=injector,
-                supervisor=SupervisorConfig(),
-                tracer=self.tracer,
-            )
-        else:
-            cluster = ElasticCluster(
-                m=spec.workload.m,
-                k_max=spec.gateway.shards_max,
-                k_initial=spec.gateway.shards_initial or None,
-                config=self._shard_config(),
-                router=self.spec.router_name(),
-                mode=spec.cluster.mode,
-                tracer=self.tracer,
-            )
+        cluster = ClusterService(
+            spec.workload.m,
+            spec.gateway.shards_max,
+            k_initial=spec.gateway.shards_initial or spec.gateway.shards_max,
+            config=self._shard_config(),
+            router=spec.router_name(),
+            mode=spec.cluster.mode,
+            fault_injector=injector,
+            checkpoint_every=spec.cluster.checkpoint_every,
+            tracer=self.tracer,
+            **self._supervision(spec.cluster.supervise or injector is not None),
+        )
         if spec.cluster.coordinate:
             coordinate(cluster)
         autoscaler = None

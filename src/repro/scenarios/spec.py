@@ -114,6 +114,12 @@ class ClusterSection:
     checkpoint_every: int = 64
     supervise: bool = False
     stats_refresh: int = 32
+    #: supervisor knobs (used when the cluster is supervised)
+    max_restarts: int = 5
+    heartbeat_timeout: float = 0.5
+    heartbeat_every: int = 16
+    #: "raise" or "degrade" once a shard's restart budget is spent
+    on_exhausted: str = "raise"
 
 
 @dataclass(frozen=True)
@@ -375,6 +381,20 @@ class ScenarioSpec:
                 "['inprocess', 'process']",
                 location="cluster.mode",
             )
+        if self.cluster.on_exhausted not in ("raise", "degrade"):
+            raise ScenarioError(
+                f"unknown on_exhausted policy {self.cluster.on_exhausted!r}; "
+                "valid: ['raise', 'degrade']",
+                location="cluster.on_exhausted",
+                suggestions=_close(
+                    self.cluster.on_exhausted, ("raise", "degrade")
+                ),
+            )
+        if self.cluster.heartbeat_timeout <= 0:
+            raise ScenarioError(
+                "cluster.heartbeat_timeout must be positive",
+                location="cluster.heartbeat_timeout",
+            )
         if self.faults.kind == "chaos" and not self.faults.chaos:
             raise ScenarioError(
                 "faults.kind = 'chaos' needs faults.chaos "
@@ -385,6 +405,8 @@ class ScenarioSpec:
             ("workload.n_jobs", self.workload.n_jobs, 1),
             ("workload.m", self.workload.m, 1),
             ("cluster.shards", self.cluster.shards, 1),
+            ("cluster.max_restarts", self.cluster.max_restarts, 0),
+            ("cluster.heartbeat_every", self.cluster.heartbeat_every, 1),
             ("gateway.shards_max", self.gateway.shards_max, 1),
             ("gateway.steps_per_tick", self.gateway.steps_per_tick, 1),
             ("gateway.kpi_every", self.gateway.kpi_every, 1),

@@ -165,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     res.add_argument(
         "--supervise", action="store_true",
-        help="serve through the resilient cluster: heartbeat "
+        help="supervise the cluster's shards: heartbeat "
         "supervision, RPC deadlines, circuit breakers",
     )
     res.add_argument(
@@ -298,6 +298,10 @@ def _spec_from_args(args: argparse.Namespace):
             "max_moves_per_job": args.max_moves_per_job,
             "checkpoint_every": args.checkpoint_every,
             "supervise": args.supervise,
+            "max_restarts": args.max_restarts,
+            "heartbeat_timeout": args.heartbeat_timeout,
+            "heartbeat_every": args.heartbeat_every,
+            "on_exhausted": args.on_exhausted,
         }
         if args.chaos is not None:
             doc["faults"] = {"kind": "chaos", "chaos": args.chaos}
@@ -440,8 +444,8 @@ def _main_cluster(
 ) -> int:
     """Serve the stream through a sharded cluster (``--shards > 1``).
 
-    With ``--supervise`` or ``--chaos`` the resilient cluster serves
-    the stream instead; a shard whose restart budget is exhausted under
+    With ``--supervise`` or ``--chaos`` the cluster is supervised; a
+    shard whose restart budget is exhausted under
     ``--on-exhausted raise`` aborts the run with a structured JSON
     error summary on stderr and exit code 2.
     """
@@ -489,45 +493,34 @@ def _main_cluster(
         speed=args.speed,
         sample_every=args.sample_every,
     )
+    supervision: dict = {}
     if resilient:
-        from repro.resilience import (
-            ResilientClusterService,
-            SupervisorConfig,
-        )
+        from repro.resilience import DEFAULT_RPC_POLICY, SupervisorConfig
 
-        cluster = ResilientClusterService(
-            m=args.m,
-            k=args.shards,
-            config=config,
-            router=router,
-            mode=args.cluster_mode,
-            migration=QueueBalancer() if args.migrate_every else None,
-            migrate_every=args.migrate_every,
-            fault_injector=injector,
-            checkpoint_every=args.checkpoint_every,
+        supervision = dict(
             supervisor=SupervisorConfig(
                 heartbeat_timeout=args.heartbeat_timeout,
                 heartbeat_every=args.heartbeat_every,
                 max_restarts=args.max_restarts,
                 on_exhausted=args.on_exhausted,
             ),
+            rpc=DEFAULT_RPC_POLICY,
             wal_dir=args.wal_dir,
             checkpoint_dir=args.checkpoint_dir,
-            tracer=tracer,
         )
-    else:
-        cluster = ClusterService(
-            m=args.m,
-            k=args.shards,
-            config=config,
-            router=router,
-            mode=args.cluster_mode,
-            migration=QueueBalancer() if args.migrate_every else None,
-            migrate_every=args.migrate_every,
-            fault_injector=injector,
-            checkpoint_every=args.checkpoint_every if injector else None,
-            tracer=tracer,
-        )
+    cluster = ClusterService(
+        args.m,
+        args.shards,
+        config=config,
+        router=router,
+        mode=args.cluster_mode,
+        migration=QueueBalancer() if args.migrate_every else None,
+        migrate_every=args.migrate_every,
+        fault_injector=injector,
+        checkpoint_every=args.checkpoint_every,
+        tracer=tracer,
+        **supervision,
+    )
     if args.coordinate:
         from repro.cluster import coordinate
 

@@ -17,7 +17,7 @@ The heavyweight invariants pinned here:
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterService, ElasticCluster, ShardConfig
+from repro.cluster import ClusterService, ShardConfig
 from repro.errors import ClusterError, GatewayError
 from repro.gateway import (
     ARRIVAL_PROCESSES,
@@ -54,10 +54,10 @@ def _shard_config(**kw):
 
 
 def _cluster(m=8, k_max=4, k_initial=None, **kw):
-    return ElasticCluster(
-        m=m,
-        k_max=k_max,
-        k_initial=k_initial,
+    return ClusterService(
+        m,
+        k_max,
+        k_initial=k_max if k_initial is None else k_initial,
         config=_shard_config(**kw),
         router="least-loaded",
     )
@@ -163,9 +163,9 @@ class TestIngestBuffer:
 class TestElasticCluster:
     def test_requires_even_partition(self):
         with pytest.raises(ClusterError):
-            ElasticCluster(m=10, k_max=4, config=_shard_config())
+            ClusterService(10, 4, k_initial=4, config=_shard_config())
         with pytest.raises(ClusterError):
-            ElasticCluster(m=8, k_max=4, k_initial=0, config=_shard_config())
+            ClusterService(8, 4, k_initial=0, config=_shard_config())
 
     def test_starts_only_active_prefix(self):
         cluster = _cluster(k_initial=2)
@@ -358,7 +358,7 @@ class TestGatewayLoop:
         load = LoadGenerator(LoadConfig(n_jobs=150, m=8, load=1.2, seed=4))
         config = _shard_config(max_in_flight=None)
         paced = Gateway(
-            ElasticCluster(m=8, k_max=4, config=config,
+            ClusterService(8, 4, k_initial=4, config=config,
                            router="round-robin"),
             load,
             clock=VirtualClock(),

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.cluster import ShardConfig
-from repro.cluster.elastic import ElasticCluster
+from repro.cluster.service import ClusterService
 from repro.gateway.autoscale import Autoscaler
 from repro.gateway.clock import VirtualClock
 from repro.gateway.gateway import Gateway, RetryQueue
@@ -29,7 +29,8 @@ from repro.resilience.chaos import (
     ChaosSchedule,
     run_gateway_chaos,
 )
-from repro.resilience.elastic import SupervisedElasticCluster
+from repro.resilience.rpc import DEFAULT_RPC_POLICY
+from repro.resilience.supervisor import SupervisorConfig
 
 
 def run_chaos(seed, schedule=None, tmp_path=None, **kwargs):
@@ -144,16 +145,20 @@ class TestFaultFreeIdentity:
             return gw.run().fingerprint()
 
         plain = run(
-            lambda cfg: ElasticCluster(8, 4, config=cfg, router="least-loaded")
+            lambda cfg: ClusterService(
+                8, 4, k_initial=4, config=cfg, router="least-loaded"
+            )
         )
         supervised = run(
-            lambda cfg: SupervisedElasticCluster(
-                8, 4, config=cfg, router="least-loaded"
+            lambda cfg: ClusterService(
+                8, 4, k_initial=4, config=cfg, router="least-loaded",
+                supervisor=SupervisorConfig(), rpc=DEFAULT_RPC_POLICY,
             )
         )
         with_retry = run(
-            lambda cfg: SupervisedElasticCluster(
-                8, 4, config=cfg, router="least-loaded"
+            lambda cfg: ClusterService(
+                8, 4, k_initial=4, config=cfg, router="least-loaded",
+                supervisor=SupervisorConfig(), rpc=DEFAULT_RPC_POLICY,
             ),
             retry=True,
         )

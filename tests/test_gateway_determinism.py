@@ -19,7 +19,7 @@ import sys
 
 import pytest
 
-from repro.cluster import ElasticCluster, ShardConfig
+from repro.cluster import ClusterService, ShardConfig
 from repro.gateway import (
     Autoscaler,
     Gateway,
@@ -38,9 +38,9 @@ def _run(seed=11, *, autoscale=True, process="sessions", n_jobs=350,
             profit=profit,
         )
     )
-    cluster = ElasticCluster(
-        m=8,
-        k_max=4,
+    cluster = ClusterService(
+        8,
+        4,
         k_initial=1,
         config=ShardConfig(
             m=1, scheduler="sns", capacity=48, max_in_flight=8

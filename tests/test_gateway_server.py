@@ -12,7 +12,7 @@ import threading
 
 import pytest
 
-from repro.cluster import ElasticCluster, ShardConfig
+from repro.cluster import ClusterService, ShardConfig
 from repro.gateway import (
     Gateway,
     KpiFeed,
@@ -112,8 +112,8 @@ class TestKpiServer:
         the client sees every snapshot the loop published, in order,
         and the stream terminates when the feed closes."""
         load = LoadGenerator(LoadConfig(n_jobs=120, m=8, load=1.0, seed=6))
-        cluster = ElasticCluster(
-            m=8, k_max=2,
+        cluster = ClusterService(
+            8, 2, k_initial=2,
             config=ShardConfig(m=1, scheduler="sns", capacity=64,
                                max_in_flight=8),
             router="least-loaded",

@@ -9,9 +9,9 @@ results bit-identical to replaying it once, in both cluster modes.
 
 import pytest
 
-from repro.cluster import ShardConfig
+from repro.cluster import ClusterService, ShardConfig
 from repro.cluster.shard import make_shard
-from repro.resilience import ResilientClusterService, SupervisorConfig
+from repro.resilience import DEFAULT_RPC_POLICY, SupervisorConfig
 from repro.workloads import WorkloadConfig, generate_workload
 
 CFG = ShardConfig(m=4, scheduler="sns", scheduler_kwargs={"epsilon": 1.0})
@@ -102,7 +102,7 @@ class TestDoubleReplayPin:
         fault_t = mid_time(specs)
 
         def run(extra_replays):
-            cluster = ResilientClusterService(
+            cluster = ClusterService(
                 8,
                 2,
                 config=ShardConfig(
@@ -116,6 +116,7 @@ class TestDoubleReplayPin:
                     backoff_base=0.001,
                     backoff_max=0.01,
                 ),
+                rpc=DEFAULT_RPC_POLICY,
             )
             cluster.start()
             injected = False

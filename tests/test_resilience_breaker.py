@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import ShardConfig
+from repro.cluster import ClusterService, ShardConfig
 from repro.cluster.router import ShardStats, make_router
 from repro.errors import ClusterError, NoHealthyShardError
 from repro.resilience import (
@@ -10,7 +10,6 @@ from repro.resilience import (
     BreakerState,
     CircuitBreaker,
     CircuitBreakerRouter,
-    ResilientClusterService,
     SupervisorConfig,
 )
 from repro.workloads import WorkloadConfig, generate_workload
@@ -128,7 +127,7 @@ class TestRouterFilter:
 
 class TestClusterShedding:
     def test_no_healthy_shard_sheds_at_cluster_level(self):
-        cluster = ResilientClusterService(
+        cluster = ClusterService(
             4,
             2,
             config=CFG,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import ShardConfig
+from repro.cluster import ClusterService, ShardConfig
 from repro.errors import ClusterError
 from repro.observability import (
     TraceRecorder,
@@ -16,7 +16,6 @@ from repro.observability import (
 from repro.resilience import (
     ChaosEvent,
     ChaosSchedule,
-    ResilientClusterService,
     SupervisorConfig,
     run_chaos,
 )
@@ -143,7 +142,7 @@ class TestChaosUnderTracing:
     CFG = ShardConfig(m=1, scheduler="sns", scheduler_kwargs={"epsilon": 1.0})
 
     def _run_with_crash(self, specs, fault_t, tracer=None):
-        cluster = ResilientClusterService(
+        cluster = ClusterService(
             8, 2, config=self.CFG, mode="inprocess",
             supervisor=SupervisorConfig(
                 heartbeat_every=4, backoff_base=0.0, backoff_max=0.0,

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from repro.cluster import ShardConfig, ShardStats, coordinate
+from repro.cluster import ClusterService, ShardConfig, ShardStats, coordinate
 from repro.cluster import shard as shard_module
 from repro.cluster.shard import fan_out
 from repro.errors import (
@@ -18,7 +18,7 @@ from repro.errors import (
 )
 from repro.gateway.load import LoadConfig, LoadGenerator
 from repro.resilience import (
-    ResilientClusterService,
+    DEFAULT_RPC_POLICY,
     RpcPolicy,
     ShardSupervisor,
     SupervisorConfig,
@@ -46,7 +46,7 @@ def build(mode, *, k=2, m=8, supervisor=None, heartbeat_every=1,
             backoff_max=0.01,
             on_exhausted=on_exhausted,
         )
-    return ResilientClusterService(
+    return ClusterService(
         m, k, config=CFG, mode=mode, supervisor=supervisor, rpc=FAST_RPC
     )
 
@@ -191,7 +191,7 @@ class TestDegrade:
 class TestSupervisorObject:
     def test_existing_supervisor_instance_is_used(self):
         supervisor = ShardSupervisor(SupervisorConfig(max_restarts=1))
-        cluster = ResilientClusterService(
+        cluster = ClusterService(
             4, 2, config=CFG, mode="inprocess", supervisor=supervisor
         )
         assert cluster.supervisor is supervisor
@@ -222,7 +222,7 @@ def durable_digest(mode, tmp_path):
     specs = LoadGenerator(
         LoadConfig(n_jobs=300, m=16, load=2.0, seed=5, process="flash-crowd")
     ).specs()
-    cluster = ResilientClusterService(
+    cluster = ClusterService(
         16,
         2,
         config=ShardConfig(
@@ -235,6 +235,8 @@ def durable_digest(mode, tmp_path):
         ),
         router="band-aware",
         mode=mode,
+        supervisor=SupervisorConfig(),
+        rpc=DEFAULT_RPC_POLICY,
         wal_dir=str(tmp_path / "wal"),
         wal_fsync_every=8,
         checkpoint_every=16,
@@ -280,7 +282,7 @@ def test_fan_out_keeps_durable_run_pinned(mode, tmp_path):
 def started(mode, *, rpc=FAST_RPC, n_jobs=40, heartbeat_timeout=0.25):
     """A 2-shard cluster with some work on both shards; heartbeats only
     run when a test ticks the supervisor itself."""
-    cluster = ResilientClusterService(
+    cluster = ClusterService(
         8,
         2,
         config=CFG,

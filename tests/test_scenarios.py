@@ -308,6 +308,31 @@ class TestSpecVsFlagsIdentity:
         assert r1.fingerprint() == r2.fingerprint()
         assert r1.fingerprint() == fp_flags
 
+    def test_supervisor_flags_survive_the_dump(self):
+        """The restart budget and exhaustion policy reach the spec: an
+        exhausted shard degrades in the spec run exactly as in the
+        flags run, instead of restarting under the default budget."""
+        from repro.service.cli import main as serve_main
+
+        flags = [
+            "--n-jobs", "300", "--m", "8", "--shards", "2",
+            "--cluster-mode", "inprocess", "--chaos", "crash:1:40",
+            "--max-restarts", "0", "--on-exhausted", "degrade",
+            "--heartbeat-timeout", "0.75", "--heartbeat-every", "8",
+            "--report-every", "0",
+        ]
+        out = _run_cli(serve_main, flags)
+        assert "degraded" in out
+        dump = _run_cli(serve_main, flags + ["--dump-scenario"])
+        spec = loads_spec(dump, "toml")
+        assert (
+            spec.cluster.max_restarts,
+            spec.cluster.on_exhausted,
+            spec.cluster.heartbeat_timeout,
+            spec.cluster.heartbeat_every,
+        ) == (0, "degrade", 0.75, 8)
+        assert run_scenario(spec).fingerprint() == _flag_fingerprint(out)
+
     def test_gateway_virtual_clock_spec_matches_flags(self, tmp_path):
         from repro.gateway.cli import main as gateway_main
 
