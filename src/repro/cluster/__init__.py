@@ -4,7 +4,7 @@ Scales the single-process :mod:`repro.service` layer out: ``m``
 machines split into ``k`` independent machine-pool shards, each running
 its own scheduler-S service, with jobs placed by a pluggable router at
 submit time, queued work rebalanced by a migration policy, and killed
-shards restored from JSON checkpoints plus submission-log replay.
+shards restored from checkpoints plus submission-log replay.
 
 Package map
 -----------
@@ -12,7 +12,8 @@ Package map
 * :mod:`repro.cluster.router` -- placement policies (round-robin,
   least-loaded, density-aware, consistent-hash).
 * :mod:`repro.cluster.shard` -- in-process and worker-process shard
-  handles over one command protocol.
+  handles over one command protocol, and the encoded
+  :class:`ShardCheckpoint` a shard snapshot travels as.
 * :mod:`repro.cluster.migration` -- queued-job rebalancing policies.
 * :mod:`repro.cluster.service` -- the one :class:`ClusterService`
   (fixed or elastic shard count, unsupervised or supervised) and the
@@ -61,6 +62,7 @@ from repro.cluster.shard import (
     InProcessShard,
     ProcessShard,
     SHARD_ENV_FLAG,
+    ShardCheckpoint,
     ShardHandle,
     make_shard,
 )
@@ -91,6 +93,7 @@ __all__ = [
     "ScaleEvent",
     "SCHEDULER_REGISTRY",
     "SHARD_ENV_FLAG",
+    "ShardCheckpoint",
     "ShardConfig",
     "ShardHandle",
     "ShardStats",

@@ -76,6 +76,7 @@ from repro.cluster.router import Router, ShardStats, make_router
 from repro.cluster.shard import (
     InProcessShard,
     ProcessShard,
+    ShardCheckpoint,
     ShardHandle,
     fan_out,
     gather_stats,
@@ -317,8 +318,9 @@ class ClusterService:
             ]
         else:
             self.logs = [SubmissionLog() for _ in sizes]
-        #: per-shard latest in-memory checkpoint: (log index, snapshot)
-        self.checkpoints: dict[int, tuple[int, dict[str, Any]]] = {}
+        #: per-shard latest in-memory checkpoint: (log index, record);
+        #: the record stays encoded until a recovery restores from it
+        self.checkpoints: dict[int, tuple[int, ShardCheckpoint]] = {}
         self.store: Optional[CheckpointStore] = (
             CheckpointStore(checkpoint_dir, keep=checkpoint_keep)
             if checkpoint_dir
@@ -689,12 +691,12 @@ class ClusterService:
             if shard.alive and shard.index not in degraded
         ]
         failures = []
-        for shard, snapshot in zip(live, fan_out(live, "snapshot")):
-            if isinstance(snapshot, ShardFailedError):
-                failures.append((shard.index, snapshot))
+        for shard, checkpoint in zip(live, fan_out(live, "snapshot")):
+            if isinstance(checkpoint, ShardFailedError):
+                failures.append((shard.index, checkpoint))
             else:
                 self._save_checkpoint(
-                    shard.index, len(self.logs[shard.index]), snapshot
+                    shard.index, len(self.logs[shard.index]), checkpoint
                 )
         for index, exc in failures:
             self.supervise_failure(index, self._now, exc)
@@ -702,21 +704,23 @@ class ClusterService:
         self.cluster_metrics.counter("checkpoints_total").inc()
 
     def _save_checkpoint(
-        self, index: int, log_index: int, snapshot: dict[str, Any]
+        self, index: int, log_index: int, checkpoint: ShardCheckpoint
     ) -> None:
-        """Store one shard checkpoint (through the digest-verified store
-        when one is configured) and remember, under the checkpoint's
-        key, the journal position and trace-event count it reflects --
-        :meth:`recover_shard` truncates the shard's trace to that count
-        before replaying, keeping spans exactly-once."""
-        checkpoint_time = int(snapshot["engine"]["t"])
+        """Store one shard checkpoint and remember, under the
+        checkpoint's key, the journal position and trace-event count it
+        reflects -- :meth:`recover_shard` truncates the shard's trace to
+        that count before replaying, keeping spans exactly-once.
+
+        In memory the encoded record is kept as is; the digest-verified
+        store, when one is configured, gets the decoded snapshot."""
+        checkpoint_time = checkpoint.t
         mark = (index, log_index, checkpoint_time)
         if self.steal_journal is not None:
             self._txn_marks[mark] = self.steal_journal.seq
         if self.store is not None:
-            self.store.save(index, log_index, snapshot)
+            self.store.save(index, log_index, checkpoint.decode())
         else:
-            self.checkpoints[index] = (log_index, snapshot)
+            self.checkpoints[index] = (log_index, checkpoint)
         tracer = self.tracer
         if tracer is None or not tracer.enabled:
             return
@@ -728,11 +732,16 @@ class ClusterService:
             {"shard": index, "log_index": log_index, "t": checkpoint_time},
         )
 
-    def _load_checkpoint(self, index: int) -> tuple[int, Optional[dict[str, Any]]]:
+    def _load_checkpoint(
+        self, index: int
+    ) -> tuple[int, Optional[ShardCheckpoint]]:
         """Latest usable checkpoint for one shard; ``(0, None)`` means
         restart empty and replay the whole log."""
         if self.store is not None:
-            return self.store.load(index)
+            log_index, snapshot = self.store.load(index)
+            if snapshot is None:
+                return 0, None
+            return log_index, ShardCheckpoint.encode(snapshot)
         return self.checkpoints.get(index, (0, None))
 
     def kill_shard(self, index: int) -> None:
@@ -747,22 +756,22 @@ class ClusterService:
         """Restore a killed shard from its latest checkpoint and replay
         the submission-log tail; returns the recovery report."""
         started = time.perf_counter()
-        log_index, snapshot = self._load_checkpoint(index)
-        checkpoint_time = 0 if snapshot is None else int(snapshot["engine"]["t"])
+        log_index, checkpoint = self._load_checkpoint(index)
+        checkpoint_time = 0 if checkpoint is None else checkpoint.t
         tracer = self.tracer
         if tracer is not None and tracer.enabled:
             # drop the crashed shard's post-checkpoint events; the keyed
             # replay below deterministically regenerates them exactly once
             keep = (
                 0
-                if snapshot is None
+                if checkpoint is None
                 else self._trace_marks.get(
                     (index, log_index, checkpoint_time), 0
                 )
             )
             tracer.truncate_shard(index, keep)
         shard = self.shards[index]
-        shard.restore(snapshot)
+        shard.restore(checkpoint)
         tail = self.logs[index].entries[log_index:]
         for offset, (entry_t, spec) in enumerate(tail, start=log_index):
             shard.submit(spec, entry_t, key=self._submit_key(index, offset))

@@ -34,8 +34,14 @@ knows not to oversubscribe the host by spawning its own pools.
 
 Both handles share the kill/restore contract the fault harness uses:
 :meth:`kill` abandons the shard's state outright (simulating a crash),
-and :meth:`restore` rebuilds it from a service snapshot (or from
-scratch), after which the cluster replays the submission-log tail.
+and :meth:`restore` rebuilds it from a :class:`ShardCheckpoint` (or
+from scratch), after which the cluster replays the submission-log tail.
+
+A checkpoint stays encoded from the moment a shard produces it until a
+recovery consumes it: :meth:`snapshot` returns the pickled service
+snapshot (built in the worker for a process shard) plus its engine
+clock, so the parent neither rebuilds nor walks the snapshot's object
+graph.  Only :meth:`restore` decodes it, in the worker that needs it.
 
 The resilience layer (:mod:`repro.resilience`) adds three disciplines
 on top of the same protocol:
@@ -65,7 +71,9 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import time
+from dataclasses import dataclass, field
 from typing import Any, Collection, Optional, Sequence
 
 from repro.cluster.config import ShardConfig
@@ -89,6 +97,36 @@ SHARD_ENV_FLAG = "REPRO_CLUSTER_SHARD"
 #: amortizes the pickle-frame and syscall cost of the command pipe;
 #: order within and across batches is FIFO, so results are unchanged.
 BATCH_SIZE = 64
+
+
+@dataclass(frozen=True)
+class ShardCheckpoint:
+    """One shard's service snapshot, kept encoded.
+
+    ``blob`` is the :func:`~repro.service.snapshot.service_to_dict`
+    graph pickled once where the service lives; ``t`` is its engine
+    clock, which is all the cluster reads until a recovery hands the
+    record back to :meth:`ShardHandle.restore`.  The bytes only travel
+    between a cluster and its own shard workers; the on-disk checkpoint
+    store keeps writing the decoded snapshot as JSON.
+    """
+
+    #: engine clock of the snapshot (``snapshot["engine"]["t"]``)
+    t: int
+    #: ``pickle.dumps(snapshot, pickle.HIGHEST_PROTOCOL)``
+    blob: bytes = field(repr=False)
+
+    @classmethod
+    def encode(cls, snapshot: dict[str, Any]) -> "ShardCheckpoint":
+        """Wrap a service snapshot dict."""
+        return cls(
+            int(snapshot["engine"]["t"]),
+            pickle.dumps(snapshot, pickle.HIGHEST_PROTOCOL),
+        )
+
+    def decode(self) -> dict[str, Any]:
+        """The service snapshot dict this record encodes."""
+        return pickle.loads(self.blob)
 
 
 class ShardHandle:
@@ -122,9 +160,10 @@ class ShardHandle:
         """Crash the shard: its live state is lost, not drained."""
         raise NotImplementedError
 
-    def restore(self, snapshot: Optional[dict[str, Any]]) -> None:
-        """Bring the shard back up from a service snapshot (``None``
-        restarts it empty); the caller replays the submission-log tail."""
+    def restore(self, checkpoint: Optional[ShardCheckpoint]) -> None:
+        """Bring the shard back up from a :meth:`snapshot` record
+        (``None`` restarts it empty); the caller replays the
+        submission-log tail."""
         raise NotImplementedError
 
     # -- streaming ------------------------------------------------------
@@ -207,8 +246,8 @@ class ShardHandle:
         """Install several extracted jobs in order, in one exchange."""
         raise NotImplementedError
 
-    def snapshot(self) -> dict[str, Any]:
-        """JSON-compatible checkpoint of the shard's whole service."""
+    def snapshot(self) -> ShardCheckpoint:
+        """Encoded checkpoint of the shard's whole service."""
         raise NotImplementedError
 
     def finish(self) -> ServiceResult:
@@ -253,13 +292,13 @@ class InProcessShard(ShardHandle):
         self.chaos_hung = False
         self.chaos_latency = 0.0
 
-    def restore(self, snapshot: Optional[dict[str, Any]]) -> None:
-        """Rebuild from a snapshot, or start empty when ``None``."""
-        if snapshot is None:
+    def restore(self, checkpoint: Optional[ShardCheckpoint]) -> None:
+        """Rebuild from a checkpoint, or start empty when ``None``."""
+        if checkpoint is None:
             self.start()
             return
         self.service = service_from_dict(
-            snapshot, self.config.build_scheduler()
+            checkpoint.decode(), self.config.build_scheduler()
         )
         if self.tracer is not None:
             self.service.attach_tracer(self.tracer)
@@ -366,10 +405,10 @@ class InProcessShard(ShardHandle):
         for payload in payloads:
             self.service.inject_running(payload, t=t)
 
-    def snapshot(self) -> dict[str, Any]:
-        """Serialize the whole service."""
+    def snapshot(self) -> ShardCheckpoint:
+        """Serialize and encode the whole service."""
         self._require_alive()
-        return service_to_dict(self.service)
+        return ShardCheckpoint.encode(service_to_dict(self.service))
 
     def finish(self) -> ServiceResult:
         """Drain and close; the shard is no longer alive afterwards."""
@@ -433,7 +472,8 @@ def _result_from_payload(data: dict[str, Any]) -> ServiceResult:
 def _shard_worker(conn, config: ShardConfig) -> None:
     """Worker-process main loop: apply piped commands to one service.
 
-    The first command must be ``("start",)`` or ``("restore", data)``.
+    The first command must be ``("start",)`` or ``("restore",
+    checkpoint)``; the worker decodes the checkpoint itself.
     Submissions, advances and chaos sleeps are applied without
     replying; synchronous commands arrive wrapped as
     ``("call", seq, inner)`` and reply ``("ok", seq, payload)`` /
@@ -496,7 +536,7 @@ def _shard_worker(conn, config: ShardConfig) -> None:
                 service.inject_running(payload, t=t)
             return True
         if op == "snapshot":
-            return service_to_dict(service)
+            return ShardCheckpoint.encode(service_to_dict(service))
         if op == "ping":
             return {"now": service.now if service is not None else -1}
         if op == "finish":
@@ -515,7 +555,7 @@ def _shard_worker(conn, config: ShardConfig) -> None:
                 seen_keys = set()
             elif op == "restore":
                 service = service_from_dict(
-                    command[1], config.build_scheduler()
+                    command[1].decode(), config.build_scheduler()
                 )
                 seen_keys = set()
             elif op in ("submit", "advance", "sleep"):
@@ -823,12 +863,13 @@ class ProcessShard(ShardHandle):
         self._conn = None
         self.alive = False
 
-    def restore(self, snapshot: Optional[dict[str, Any]]) -> None:
-        """Spawn a fresh worker from a snapshot (or empty)."""
-        if snapshot is None:
+    def restore(self, checkpoint: Optional[ShardCheckpoint]) -> None:
+        """Spawn a fresh worker from a checkpoint (or empty); the blob
+        crosses the pipe as is and the worker decodes it."""
+        if checkpoint is None:
             self.start()
         else:
-            self._spawn(("restore", snapshot))
+            self._spawn(("restore", checkpoint))
 
     # -- streaming (fire and forget, batched) ----------------------------
     def submit(self, spec: JobSpec, t: int, key: Optional[str] = None) -> None:
@@ -909,8 +950,8 @@ class ProcessShard(ShardHandle):
         """Batch steal injection: one round trip for all payloads."""
         self._call("inject_many", list(payloads), t)
 
-    def snapshot(self) -> dict[str, Any]:
-        """Round-trip service checkpoint."""
+    def snapshot(self) -> ShardCheckpoint:
+        """Round-trip service checkpoint, encoded in the worker."""
         return self._call("snapshot")
 
     def finish(self) -> ServiceResult:

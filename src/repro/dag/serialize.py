@@ -21,12 +21,21 @@ FORMAT_VERSION = 1
 
 
 def structure_to_dict(structure: DAGStructure) -> dict[str, Any]:
-    """Serialize a structure to a plain JSON-compatible dict."""
+    """Serialize a structure to a plain JSON-compatible dict.
+
+    Converts the work array in one ``tolist`` call and reads the
+    successor tuples directly, with no per-element numpy scalar or
+    generator step: this runs on every durable log append and for every
+    active job in every shard snapshot.  ``tolist`` rather than the
+    cached :attr:`~DAGStructure.work_list`, so that logging a spec does
+    not pin a Python copy of its work on the structure."""
     return {
         "version": FORMAT_VERSION,
         "name": structure.name,
-        "work": [float(w) for w in structure.work],
-        "edges": [[u, v] for u, v in structure.edges()],
+        "work": structure.work.tolist(),
+        "edges": [
+            [u, v] for u, succs in enumerate(structure._succ) for v in succs
+        ],
     }
 
 

@@ -11,15 +11,21 @@ both failure modes:
   atomically (temp file + fsync + ``os.replace`` + directory fsync);
 * the store keeps the last ``keep`` generations per shard, and
   :meth:`load` walks them newest-first, *skipping* any generation whose
-  digest does not match -- recovery falls back to the previous good
-  checkpoint (and ultimately to an empty service plus a full WAL
-  replay) instead of raising mid-recovery.
+  digest does not match, or whose verified body is not a checkpoint
+  document -- recovery falls back to the previous good checkpoint (and
+  ultimately to an empty service plus a full WAL replay) instead of
+  raising mid-recovery.
 
 File layout: ``shard-NNN.genGGGGGG.ckpt`` containing one header line
 ``sha256:<hex>\\n`` followed by the body -- a JSON document
 ``{"log_index": int, "snapshot": {...}}``.  The digest covers the raw
 body bytes exactly as written, so verification needs no JSON
 canonicalization.
+
+The store holds decoded snapshot dicts.  In memory a cluster keeps each
+checkpoint encoded (:class:`~repro.cluster.shard.ShardCheckpoint`); it
+decodes a record only to hand it to :meth:`CheckpointStore.save`, so
+the file format does not depend on where the snapshot was taken.
 """
 
 from __future__ import annotations
@@ -29,6 +35,8 @@ import json
 import os
 import re
 from typing import Any, Optional
+
+from repro.resilience.wal import MALFORMED
 
 _NAME = re.compile(r"^shard-(\d+)\.gen(\d+)\.ckpt$")
 
@@ -65,7 +73,8 @@ class CheckpointStore:
             raise ValueError("keep must be >= 1")
         self.root = str(root)
         self.keep = int(keep)
-        #: digest mismatches (or unreadable files) skipped by :meth:`load`
+        #: generations skipped by :meth:`load`: digest mismatches,
+        #: unreadable files and bodies of the wrong shape
         self.corrupt_detected = 0
         os.makedirs(self.root, exist_ok=True)
 
@@ -120,9 +129,11 @@ class CheckpointStore:
         """Newest checkpoint whose digest verifies, as
         ``(log_index, snapshot)``.
 
-        Falls back generation by generation on digest mismatch or an
-        unreadable file; returns ``(0, None)`` -- restart empty and
-        replay the whole WAL -- when no generation survives.
+        Falls back generation by generation on digest mismatch, an
+        unreadable file, or a body that is not
+        ``{"log_index": int, "snapshot": {...}}``; returns ``(0, None)``
+        -- restart empty and replay the whole WAL -- when no generation
+        survives.
         """
         for _, path in reversed(self._generations(shard)):
             entry = self._read(path)
@@ -144,9 +155,12 @@ class CheckpointStore:
             if hashlib.sha256(body).hexdigest() != digest:
                 return None
             doc = json.loads(body.decode("utf-8"))
-            return int(doc["log_index"]), doc["snapshot"]
-        except (OSError, ValueError, KeyError, UnicodeDecodeError):
+            log_index, snapshot = int(doc["log_index"]), doc["snapshot"]
+        except (OSError, *MALFORMED):
             return None
+        if not isinstance(snapshot, dict) or log_index < 0:
+            return None
+        return log_index, snapshot
 
     # ------------------------------------------------------------------
     def corrupt_latest(self, shard: int, *, nbytes: int = 16) -> Optional[str]:

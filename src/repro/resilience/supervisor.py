@@ -200,10 +200,8 @@ class ShardSupervisor:
     ) -> SupervisionEvent:
         spent = self.restarts.get(index, 0)
         if self.config.on_exhausted == "raise":
-            log_index, snapshot = cluster._load_checkpoint(index)
-            checkpoint_time = (
-                0 if snapshot is None else int(snapshot["engine"]["t"])
-            )
+            log_index, checkpoint = cluster._load_checkpoint(index)
+            checkpoint_time = 0 if checkpoint is None else checkpoint.t
             raise RestartBudgetExhausted(
                 f"shard {index} failed ({reason}) after {spent} restarts; "
                 f"budget {self.config.max_restarts} exhausted",

@@ -40,7 +40,12 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.errors import ShardFailedError, WALError
-from repro.resilience.wal import pack_frame, scan_frames
+from repro.resilience.wal import (
+    MALFORMED,
+    malformed_record,
+    pack_frame,
+    scan_frames,
+)
 
 #: File magic for steal-transaction journals (framing shared with WAL).
 TXN_MAGIC = b"RTXJ0001"
@@ -240,40 +245,46 @@ class StealJournal:
         with open(self.path, "rb") as fh:
             data = fh.read()
         payloads, good = scan_frames(data, TXN_MAGIC, self.path)
-        for raw in payloads:
-            self.seq += 1
-            record = json.loads(raw.decode("utf-8"))
-            kind = record["k"]
-            if kind == "intent":
-                txn_id = int(record["txn"])
-                self.txns[txn_id] = StealTxn(
-                    txn_id=txn_id, t=int(record["t"]),
-                    job_id=int(record["job"]), src=int(record["src"]),
-                    dst=int(record["dst"]), kind=str(record["kind"]),
-                )
-            else:
-                txn = self.txns.get(int(record["txn"]))
-                if txn is None:
-                    continue  # intent lost to an earlier torn tail
-                if kind == "transfer":
-                    txn.payload = record["payload"]
-                    txn.state = "transfer"
-                elif kind == "commit":
-                    txn.state = "committed"
-                    txn.settled_seq = self.seq
-                elif kind == "abort":
-                    txn.state = "aborted"
-                    txn.reason = record.get("reason")
-                    txn.settled_seq = self.seq
-                elif kind == "expire":
-                    txn.state = "expired"
-                    txn.settled_seq = self.seq
+        for index, raw in enumerate(payloads):
+            try:
+                self._replay(json.loads(raw.decode("utf-8")))
+            except MALFORMED as exc:
+                raise malformed_record(self.path, index, exc) from exc
         if good < len(data):
             self.truncated_bytes = len(data) - good
             with open(self.path, "r+b") as fh:
                 fh.truncate(good)
                 fh.flush()
                 os.fsync(fh.fileno())
+
+    def _replay(self, record: dict[str, Any]) -> None:
+        """Apply one recovered journal record to :attr:`txns`."""
+        self.seq += 1
+        kind = record["k"]
+        if kind == "intent":
+            txn_id = int(record["txn"])
+            self.txns[txn_id] = StealTxn(
+                txn_id=txn_id, t=int(record["t"]),
+                job_id=int(record["job"]), src=int(record["src"]),
+                dst=int(record["dst"]), kind=str(record["kind"]),
+            )
+        else:
+            txn = self.txns.get(int(record["txn"]))
+            if txn is None:
+                return  # intent lost to an earlier torn tail
+            if kind == "transfer":
+                txn.payload = record["payload"]
+                txn.state = "transfer"
+            elif kind == "commit":
+                txn.state = "committed"
+                txn.settled_seq = self.seq
+            elif kind == "abort":
+                txn.state = "aborted"
+                txn.reason = record.get("reason")
+                txn.settled_seq = self.seq
+            elif kind == "expire":
+                txn.state = "expired"
+                txn.settled_seq = self.seq
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

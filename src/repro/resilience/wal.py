@@ -22,7 +22,10 @@ Byte layout (see docs/RESILIENCE.md for the full table)::
 A record is *valid* iff its full frame is present and the CRC matches.
 On open, the log scans forward from the magic and keeps the longest
 valid prefix; anything after the first invalid frame is a torn tail --
-the bytes a crash cut short -- and is truncated away.  Replay of the
+the bytes a crash cut short -- and is truncated away.  A frame whose
+CRC matches but whose payload is not a record (bad JSON, wrong shape)
+was written that way, not torn: opening the log raises
+:class:`~repro.errors.WALError` naming the file and the record index.  Replay of the
 surviving prefix plus idempotent re-submission (keys are assigned per
 log position, see :meth:`key_for`) makes recovery exactly-once.
 
@@ -39,7 +42,7 @@ import struct
 import zlib
 from typing import Iterator, Union
 
-from repro.errors import WALError
+from repro.errors import ReproError, WALError
 from repro.sim.jobs import JobSpec
 from repro.workloads.serialize import spec_from_dict, spec_to_dict
 
@@ -48,6 +51,26 @@ WAL_MAGIC = b"RWAL0001"
 
 #: ``<length:uint32><crc32:uint32>`` little-endian frame header.
 _FRAME = struct.Struct("<II")
+
+#: What decoding a checksummed payload raises when it is not valid
+#: JSON or not a record of the expected shape.
+MALFORMED = (
+    ReproError,
+    ArithmeticError,
+    AttributeError,
+    LookupError,
+    RecursionError,
+    TypeError,
+    ValueError,
+)
+
+
+def malformed_record(path: str, index: int, exc: Exception) -> WALError:
+    """The :class:`WALError` for a checksummed record that does not decode."""
+    return WALError(
+        f"{path}: record {index} passes its CRC but is malformed "
+        f"({type(exc).__name__}: {exc})"
+    )
 
 
 def pack_frame(payload: bytes) -> bytes:
@@ -172,9 +195,14 @@ class WriteAheadLog:
         with open(self.path, "rb") as fh:
             data = fh.read()
         payloads, good = scan_frames(data, WAL_MAGIC, self.path)
-        for payload in payloads:
-            entry = json.loads(payload.decode("utf-8"))
-            self.entries.append((int(entry["t"]), spec_from_dict(entry["spec"])))
+        for index, payload in enumerate(payloads):
+            try:
+                entry = json.loads(payload.decode("utf-8"))
+                self.entries.append(
+                    (int(entry["t"]), spec_from_dict(entry["spec"]))
+                )
+            except MALFORMED as exc:
+                raise malformed_record(self.path, index, exc) from exc
         if good < len(data):
             self.truncated_bytes = len(data) - good
             with open(self.path, "r+b") as fh:

@@ -11,6 +11,7 @@ from repro.dag import (
     structure_to_dot,
     structure_to_json,
 )
+from repro.workloads import WorkloadConfig, generate_workload
 
 
 class TestDictRoundTrip:
@@ -36,6 +37,26 @@ class TestDictRoundTrip:
     def test_missing_edges_defaults_empty(self):
         back = structure_from_dict({"version": 1, "work": [1.0, 2.0]})
         assert back.num_edges == 0
+
+
+class TestDictEncodingPinned:
+    def test_bytes_match_the_numpy_walk(self):
+        """The dict built from the cached Python data dumps to the same
+        JSON bytes as one built by walking the numpy work array and the
+        edge generator, over a seeded mixed workload."""
+        specs = generate_workload(
+            WorkloadConfig(n_jobs=300, m=16, load=2.0, family="mixed", seed=7)
+        )
+        assert len({spec.structure.name for spec in specs}) > 3
+        for spec in specs:
+            structure = spec.structure
+            walked = {
+                "version": 1,
+                "name": structure.name,
+                "work": [float(w) for w in structure.work],
+                "edges": [[u, v] for u, v in structure.edges()],
+            }
+            assert json.dumps(structure_to_dict(structure)) == json.dumps(walked)
 
 
 class TestJsonRoundTrip:

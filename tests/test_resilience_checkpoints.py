@@ -1,5 +1,7 @@
 """Checkpoint store tests: digests, rotation, corruption fallback."""
 
+import hashlib
+
 import pytest
 
 from repro.core import SNSScheduler
@@ -76,6 +78,28 @@ class TestCorruptionFallback:
         with open(path, "wb") as fh:
             fh.write(b"garbage with no header\n{}")
         assert store.load(0) == (5, snapshot_doc(5))
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"[1,2]",
+            b"{}",
+            b'{"log_index":3}',
+            b'{"log_index":"x","snapshot":{}}',
+            b'{"log_index":1e999,"snapshot":{}}',
+            b'{"log_index":-1,"snapshot":{}}',
+            b'{"log_index":3,"snapshot":[1]}',
+        ],
+    )
+    def test_digest_valid_body_of_wrong_shape_falls_back(self, tmp_path, body):
+        store = CheckpointStore(tmp_path, keep=2)
+        store.save(0, 5, snapshot_doc(5))
+        path = store.save(0, 6, snapshot_doc(6))
+        digest = hashlib.sha256(body).hexdigest().encode("ascii")
+        with open(path, "wb") as fh:
+            fh.write(b"sha256:" + digest + b"\n" + body)
+        assert store.load(0) == (5, snapshot_doc(5))
+        assert store.corrupt_detected == 1
 
 
 class TestSnapshotSidecar:

@@ -15,11 +15,14 @@ import pytest
 
 from repro.cluster import ShardConfig
 from repro.cluster.shard import InProcessShard
+from repro.errors import WALError
 from repro.resilience.transactions import (
+    TXN_MAGIC,
     StealJournal,
     reconcile_shard,
     resolve_pending,
 )
+from repro.resilience.wal import pack_frame
 from repro.workloads import WorkloadConfig, generate_workload
 
 
@@ -175,6 +178,34 @@ class TestTornTail:
         assert 1 not in reopened.txns  # commit for a lost intent: skipped
         assert reopened.txns[0].state == "intent"
         reopened.close()
+
+
+class TestMalformedRecord:
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b'{"k":"intent"}',
+            b"not json",
+            b'"intent"',
+            b'{"k":"commit","txn":"x"}',
+            b'{"k":"intent","txn":0,"t":1,"job":1,"src":0}',
+        ],
+    )
+    def test_checksummed_garbage_raises_wal_error(self, tmp_path, payload):
+        path = tmp_path / "steals.txn"
+        path.write_bytes(TXN_MAGIC + pack_frame(payload))
+        with pytest.raises(WALError, match=r"steals\.txn: record 0 "):
+            StealJournal(path)
+
+    def test_error_names_the_record_index(self, tmp_path):
+        path = tmp_path / "steals.txn"
+        journal = StealJournal(path)
+        txn_id = journal.begin(t=1, job_id=1, src=0, dst=1, kind="parked")
+        journal.commit(txn_id)
+        journal.close()
+        path.write_bytes(path.read_bytes() + pack_frame(b'{"k":"intent"}'))
+        with pytest.raises(WALError, match="record 2 passes its CRC"):
+            StealJournal(path)
 
 
 class TestResolvePending:

@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import WALError
 from repro.resilience import WAL_MAGIC, WriteAheadLog, open_wal
+from repro.resilience.wal import pack_frame
 from repro.workloads import WorkloadConfig, generate_workload
 
 
@@ -131,3 +132,28 @@ class TestTornTail:
         assert len(reopened) == survivors + 1
         assert reopened.entries[-1][1] == extra
         reopened.close()
+
+
+class TestMalformedRecord:
+    """A frame whose CRC matches was written that way, not torn: a
+    payload that does not decode is a structured error, not a crash."""
+
+    @pytest.mark.parametrize(
+        "payload",
+        [b'{"t":1}', b"not json", b"[1,2]", b'{"t":"x","spec":{}}', b"\xff\xfe"],
+    )
+    def test_checksummed_garbage_raises_wal_error(self, tmp_path, payload):
+        path = tmp_path / "s.wal"
+        path.write_bytes(WAL_MAGIC + pack_frame(payload))
+        with pytest.raises(WALError, match=r"s\.wal: record 0 "):
+            WriteAheadLog(path)
+
+    def test_error_names_the_record_index(self, tmp_path):
+        path = tmp_path / "s.wal"
+        wal = WriteAheadLog(path)
+        for spec in specs(3):
+            wal.record(spec.arrival, spec)
+        wal.close()
+        path.write_bytes(path.read_bytes() + pack_frame(b'{"t":1}'))
+        with pytest.raises(WALError, match="record 3 passes its CRC"):
+            WriteAheadLog(path)
