@@ -14,7 +14,8 @@ the fault-free run -- the property the recovery tests pin down.
 
 The cluster keeps the invariant that the latest checkpoint postdates
 the latest migration touching a shard (it snapshots all shards after
-every migration tick when fault injection is on), so replay never
+every migration tick whenever it logs submissions for recovery, that
+is when it is supervised or has a fault injector), so replay never
 resurrects a job that migrated away.
 
 :class:`FaultInjector` is the driver: it watches the cluster clock and

@@ -1134,7 +1134,7 @@ class ClusterService:
             # keep the recovery invariant: the latest checkpoint must
             # postdate the migration, or a log replay would resurrect
             # jobs that migrated away
-            if self.fault_injector is not None:
+            if self._log_submissions:
                 self.checkpoint_all()
 
     # ------------------------------------------------------------------

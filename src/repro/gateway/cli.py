@@ -17,23 +17,28 @@ at full CPU speed (virtual clock), KPI history written as JSONL::
 
 Drop ``--clock virtual`` to pace the same run in real time, and add
 ``--serve 8787`` to watch ``curl -N localhost:8787/kpi`` while it runs.
+
+Every flag that changes the result sets one dotted
+:class:`~repro.scenarios.spec.ScenarioSpec` path (``--help`` names it),
+and the run is built by :class:`~repro.scenarios.builder.
+ScenarioBuilder`; the KPI server, the JSONL history and the progress
+reporter attach to the built gateway's feed.  See ``docs/SCENARIOS.md``
+for the table.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import threading
 from typing import Optional, Sequence
 
-from repro.cluster.config import ShardConfig
-from repro.cluster.service import ClusterService
-from repro.errors import ScenarioError
-from repro.gateway.autoscale import Autoscaler
-from repro.gateway.clock import VirtualClock, WallClock
-from repro.gateway.gateway import Gateway
 from repro.gateway.kpi import KpiFeed
-from repro.gateway.load import ARRIVAL_PROCESSES, LoadConfig, LoadGenerator
+from repro.gateway.load import ARRIVAL_PROCESSES
 from repro.gateway.server import KpiServer
+from repro.scenarios.builder import ScenarioBuilder
+from repro.scenarios.cli import flag_overrides, run_flags, spec_flag
+from repro.scenarios.spec import ScenarioSpec
 from repro.service.queue import SHED_POLICIES
 
 
@@ -47,132 +52,103 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     wl = parser.add_argument_group("traffic")
-    wl.add_argument("--n-jobs", type=int, default=2000, help="number of jobs")
-    wl.add_argument("--m", type=int, default=16, help="total machines")
-    wl.add_argument(
-        "--load", type=float, default=1.0, help="offered load (1.0 = capacity)"
-    )
-    wl.add_argument(
-        "--process",
+    spec_flag(wl, "--n-jobs", "workload.n_jobs", "job count", default=2000)
+    spec_flag(wl, "--m", "workload.m", "total machines", default=16)
+    spec_flag(wl, "--load", "workload.load", "offered load", default=1.0)
+    spec_flag(
+        wl, "--process", "workload.process", "arrival process shape",
         choices=sorted(ARRIVAL_PROCESSES),
-        default="poisson",
-        help="arrival process shape",
     )
-    wl.add_argument(
-        "--family", default="mixed", help="DAG family (or 'mixed')"
+    spec_flag(wl, "--family", "workload.family", "DAG family (or 'mixed')")
+    spec_flag(wl, "--epsilon", "workload.epsilon", "slack parameter epsilon")
+    spec_flag(wl, "--seed", "scenario.seed", "traffic RNG seed")
+    spec_flag(wl, "--period", "workload.period", "diurnal sinusoid period")
+    spec_flag(wl, "--amplitude", "workload.amplitude", "diurnal rate swing")
+    spec_flag(
+        wl, "--spike-fraction", "workload.spike_fraction",
+        "flash-crowd: fraction of jobs in the spike",
     )
-    wl.add_argument(
-        "--epsilon", type=float, default=1.0, help="slack parameter epsilon"
-    )
-    wl.add_argument("--seed", type=int, default=0, help="traffic RNG seed")
-    wl.add_argument(
-        "--period", type=int, default=400, help="diurnal sinusoid period"
-    )
-    wl.add_argument(
-        "--amplitude", type=float, default=0.6, help="diurnal rate swing"
-    )
-    wl.add_argument(
-        "--spike-fraction", type=float, default=0.2,
-        help="flash-crowd: fraction of jobs in the spike",
-    )
-    wl.add_argument(
-        "--session-alpha", type=float, default=1.5,
-        help="sessions: Pareto tail exponent (> 1)",
+    spec_flag(
+        wl, "--session-alpha", "workload.session_alpha",
+        "sessions: Pareto tail exponent (> 1)",
     )
 
     gw = parser.add_argument_group("gateway")
-    gw.add_argument(
-        "--clock",
-        choices=["wall", "virtual"],
-        default="wall",
-        help="pace against the wall clock, or run at CPU speed",
+    spec_flag(
+        gw, "--clock", "gateway.clock",
+        "pace against the wall clock, or run at CPU speed",
+        choices=["wall", "virtual"], default="wall",
     )
-    gw.add_argument(
-        "--tick", type=float, default=0.05, metavar="S",
-        help="wall seconds per gateway tick",
+    spec_flag(gw, "--tick", "gateway.tick", "wall seconds per gateway tick")
+    spec_flag(
+        gw, "--steps-per-tick", "gateway.steps_per_tick",
+        "simulated steps per tick (the wall/sim exchange rate)",
     )
-    gw.add_argument(
-        "--steps-per-tick", type=int, default=20, metavar="N",
-        help="simulated steps per tick (the wall/sim exchange rate)",
+    spec_flag(
+        gw, "--buffer", "gateway.buffer",
+        "ingest buffer bound (overflow = gateway shed)",
     )
-    gw.add_argument(
-        "--buffer", type=int, default=4096, metavar="N",
-        help="ingest buffer bound (overflow = gateway shed)",
+    spec_flag(
+        gw, "--max-dispatch", "gateway.max_dispatch",
+        "cap on jobs dispatched per tick (0 = drain all)",
     )
-    gw.add_argument(
-        "--max-dispatch", type=int, default=None, metavar="N",
-        help="cap on jobs dispatched per tick (default: drain all)",
-    )
-    gw.add_argument(
-        "--max-ticks", type=int, default=None, metavar="N",
-        help="stop the loop after N ticks even if traffic remains",
+    spec_flag(
+        gw, "--max-ticks", "gateway.max_ticks",
+        "tick limit, even if traffic remains (0 = run until drained)",
     )
 
     cl = parser.add_argument_group("cluster")
-    cl.add_argument(
-        "--shards-max", type=int, default=4, metavar="K",
-        help="shard units built (scale-up ceiling; m must divide)",
+    spec_flag(
+        cl, "--shards-max", "gateway.shards_max",
+        "shard units built (scale-up ceiling; m must divide)",
     )
-    cl.add_argument(
-        "--shards-initial", type=int, default=None, metavar="K",
-        help="active shards at start (default: shards-max)",
+    spec_flag(
+        cl, "--shards-initial", "gateway.shards_initial",
+        "active shards at start (0 = shards-max)",
     )
-    cl.add_argument(
-        "--router",
-        default=None,
-        help="shard placement policy (default: least-loaded, or "
-        "band-aware when --coordinate is on)",
+    spec_flag(
+        cl, "--router", "cluster.router",
+        "shard placement ('' = least-loaded, band-aware if coordinated)",
     )
-    cl.add_argument(
-        "--coordinate", action="store_true",
-        help="attach the cluster-wide band-aware coordinator to the "
-        "elastic cluster (see docs/SCHEDULING.md); scale events "
-        "invalidate its ledger automatically",
+    spec_flag(
+        cl, "--coordinate", "cluster.coordinate",
+        "attach the band-aware coordinator (see docs/SCHEDULING.md); "
+        "scale events invalidate its ledger automatically",
     )
-    cl.add_argument(
-        "--scheduler",
-        default="sns",
-        help="per-shard scheduling policy (any registered scheduler)",
-    )
-    cl.add_argument(
-        "--capacity", type=int, default=128,
-        help="per-shard ingest queue capacity",
-    )
-    cl.add_argument(
-        "--policy",
+    spec_flag(cl, "--scheduler", "scheduler.name", "per-shard policy")
+    spec_flag(cl, "--capacity", "service.capacity", "per-shard queue bound")
+    spec_flag(
+        cl, "--policy", "service.shed_policy", "per-shard shed policy",
         choices=sorted(SHED_POLICIES),
-        default="reject-lowest-density",
-        help="per-shard shed policy",
     )
-    cl.add_argument(
-        "--max-in-flight", type=int, default=None,
-        help="per-shard cap on jobs inside the engine",
+    spec_flag(
+        cl, "--max-in-flight", "service.max_in_flight",
+        "per-shard cap on jobs inside the engine (0 = unbounded)",
     )
 
     sc = parser.add_argument_group("autoscaling")
-    sc.add_argument(
-        "--autoscale", action="store_true",
-        help="let the hysteresis autoscaler drive the shard count",
+    spec_flag(
+        sc, "--autoscale", "autoscale.enabled",
+        "let the hysteresis autoscaler drive the shard count",
     )
-    sc.add_argument(
-        "--shards-min", type=int, default=1, metavar="K",
-        help="autoscaler floor on active shards",
+    spec_flag(
+        sc, "--shards-min", "autoscale.shards_min", "floor on active shards"
     )
-    sc.add_argument(
-        "--high-water", type=float, default=2.0,
-        help="per-shard backlog that costs as overload",
+    spec_flag(
+        sc, "--high-water", "autoscale.high_water",
+        "per-shard backlog that costs as overload",
     )
-    sc.add_argument(
-        "--up-patience", type=int, default=1,
-        help="consecutive up-votes before a scale-up commits",
+    spec_flag(
+        sc, "--up-patience", "autoscale.up_patience",
+        "consecutive up-votes before a scale-up commits",
     )
-    sc.add_argument(
-        "--down-patience", type=int, default=60,
-        help="consecutive down-votes before a scale-down commits",
+    spec_flag(
+        sc, "--down-patience", "autoscale.down_patience",
+        "consecutive down-votes before a scale-down commits",
     )
-    sc.add_argument(
-        "--cooldown", type=int, default=20,
-        help="ticks after a resize during which no change commits",
+    spec_flag(
+        sc, "--cooldown", "autoscale.cooldown",
+        "ticks after a resize during which no change commits",
     )
 
     out = parser.add_argument_group("output")
@@ -184,9 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--kpi", default=None, metavar="PATH",
         help="write the KPI snapshot history to PATH as JSONL",
     )
-    out.add_argument(
-        "--kpi-every", type=int, default=1, metavar="N",
-        help="publish a KPI snapshot every N ticks",
+    spec_flag(
+        out, "--kpi-every", "gateway.kpi_every", "ticks per KPI snapshot"
     )
     out.add_argument(
         "--report-every", type=int, default=0, metavar="N",
@@ -205,176 +180,59 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _registry():
-    """The shared component registry, fully populated."""
-    from repro.scenarios.components import install_default_components
-    from repro.scenarios.registry import REGISTRY
+def _spec_from_args(args: argparse.Namespace) -> ScenarioSpec:
+    """The gateway-mode :class:`ScenarioSpec` the flags describe.
 
-    install_default_components()
-    return REGISTRY
-
-
-def _spec_from_args(args: argparse.Namespace):
-    """Map the flag namespace onto an equivalent :class:`ScenarioSpec`."""
-    from repro.scenarios.spec import ScenarioSpec
-
-    return ScenarioSpec.from_dict(
+    The cluster runs in-process shards (there is no ``--cluster-mode``
+    flag here); every other value comes from a spec-path flag.
+    """
+    return ScenarioSpec().with_overrides(
         {
-            "scenario": {
-                "name": "repro-gateway",
-                "mode": "gateway",
-                "seed": args.seed,
-            },
-            "workload": {
-                "kind": "open-loop",
-                "n_jobs": args.n_jobs,
-                "m": args.m,
-                "load": args.load,
-                "family": args.family,
-                "epsilon": args.epsilon,
-                "process": args.process,
-                "period": args.period,
-                "amplitude": args.amplitude,
-                "spike_fraction": args.spike_fraction,
-                "session_alpha": args.session_alpha,
-            },
-            "scheduler": {"name": args.scheduler},
-            "service": {
-                "capacity": args.capacity,
-                "shed_policy": args.policy,
-                "max_in_flight": args.max_in_flight or 0,
-            },
-            "cluster": {
-                "router": args.router or "",
-                "mode": "inprocess",  # the cluster's default; no flag
-                "coordinate": args.coordinate,
-            },
-            "gateway": {
-                "clock": args.clock,
-                "tick": args.tick,
-                "steps_per_tick": args.steps_per_tick,
-                "buffer": args.buffer,
-                "max_dispatch": args.max_dispatch or 0,
-                "max_ticks": args.max_ticks or 0,
-                "shards_max": args.shards_max,
-                "shards_initial": args.shards_initial or 0,
-                "kpi_every": args.kpi_every,
-            },
-            "autoscale": {
-                "enabled": args.autoscale,
-                "shards_min": args.shards_min,
-                "high_water": args.high_water,
-                "up_patience": args.up_patience,
-                "down_patience": args.down_patience,
-                "cooldown": args.cooldown,
-            },
+            "name": "repro-gateway",
+            "mode": "gateway",
+            "workload.kind": "open-loop",
+            "cluster.mode": "inprocess",
+            **flag_overrides(args),
         }
     )
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point for the ``repro-gateway`` console script."""
-    args = build_parser().parse_args(argv)
-    if args.scenario:
-        from repro.scenarios.cli import main as scenario_main
+    return run_flags(
+        "repro-gateway",
+        build_parser().parse_args(argv),
+        _spec_from_args,
+        {"gateway": _serve},
+    )
 
-        return scenario_main(["run", args.scenario])
-    try:
-        if args.dump_scenario:
-            sys.stdout.write(_spec_from_args(args).to_toml())
-            return 0
-        _registry().get("scheduler", args.scheduler)
-        if args.router is not None:
-            _registry().get("router", args.router)
-    except ScenarioError as exc:
-        print(f"repro-gateway: {exc}", file=sys.stderr)
-        return 2
-    load = LoadGenerator(
-        LoadConfig(
-            n_jobs=args.n_jobs,
-            m=args.m,
-            load=args.load,
-            family=args.family,
-            epsilon=args.epsilon,
-            seed=args.seed,
-            process=args.process,
-            period=args.period,
-            amplitude=args.amplitude,
-            spike_fraction=args.spike_fraction,
-            session_alpha=args.session_alpha,
-        )
-    )
-    component = _registry().get("scheduler", args.scheduler)
-    scheduler_kwargs = (
-        {"epsilon": args.epsilon}
-        if component.meta.get("accepts_epsilon")
-        else {}
-    )
-    cluster = ClusterService(
-        args.m,
-        args.shards_max,
-        k_initial=(
-            args.shards_max
-            if args.shards_initial is None
-            else args.shards_initial
-        ),
-        config=ShardConfig(
-            m=1,  # overridden per shard by the machine partition
-            scheduler=args.scheduler,
-            scheduler_kwargs=scheduler_kwargs,
-            capacity=args.capacity,
-            shed_policy=args.policy,
-            max_in_flight=args.max_in_flight,
-        ),
-        router=args.router
-        or ("band-aware" if args.coordinate else "least-loaded"),
-    )
-    if args.coordinate:
-        from repro.cluster import coordinate
 
-        coordinate(cluster)
-    autoscaler = None
-    if args.autoscale:
-        autoscaler = Autoscaler(
-            k_min=args.shards_min,
-            k_max=args.shards_max,
-            high_water=args.high_water,
-            up_patience=args.up_patience,
-            down_patience=args.down_patience,
-            cooldown=args.cooldown,
-        )
-    feed = KpiFeed()
-    clock = VirtualClock() if args.clock == "virtual" else WallClock()
-    gateway = Gateway(
-        cluster,
-        load,
-        clock=clock,
-        tick_seconds=args.tick,
-        steps_per_tick=args.steps_per_tick,
-        buffer_capacity=args.buffer,
-        max_dispatch_per_tick=args.max_dispatch,
-        autoscaler=autoscaler,
-        feed=feed,
-        kpi_every=args.kpi_every,
-    )
+def _serve(builder: ScenarioBuilder, args: argparse.Namespace) -> int:
+    """Attach the KPI outputs to the built gateway, run it, summarize."""
+    spec = builder.spec
+    gateway = builder.runnable
     server = None
-    if args.serve is not None:
-        server = KpiServer(feed, port=args.serve).start()
-        print(f"kpi feed:        {server.url}/kpi", flush=True)
-    print(
-        f"repro-gateway: {args.n_jobs} jobs, m={args.m}, "
-        f"process={args.process}, load={args.load}, "
-        f"shards={cluster.k_active}/{args.shards_max}, "
-        f"clock={args.clock}, tick={args.tick}s "
-        f"x {args.steps_per_tick} steps, "
-        f"autoscale={'on' if autoscaler else 'off'}",
-        flush=True,
-    )
-    if args.report_every:
-        reporter = _Reporter(feed, args.report_every)
-        reporter.start()
     try:
-        result = gateway.run(max_ticks=args.max_ticks)
+        if args.serve is not None:
+            server = KpiServer(gateway.feed, port=args.serve).start()
+            print(f"kpi feed:        {server.url}/kpi", flush=True)
+        g = spec.gateway
+        print(
+            f"repro-gateway: {spec.workload.n_jobs} jobs, "
+            f"m={spec.workload.m}, process={spec.workload.process}, "
+            f"load={spec.workload.load}, "
+            f"shards={gateway.cluster.k_active}/{g.shards_max}, "
+            f"clock={g.clock}, tick={g.tick}s x {g.steps_per_tick} steps, "
+            f"autoscale={'on' if spec.autoscale.enabled else 'off'}",
+            flush=True,
+        )
+        if args.report_every:
+            threading.Thread(
+                target=_report,
+                args=(gateway.feed, args.report_every),
+                daemon=True,
+            ).start()
+        result = builder.run()
     finally:
         if server is not None:
             server.stop()
@@ -384,7 +242,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         str(k)
         for k in [
             result.scale_events[0].k_before if result.scale_events else
-            cluster.k_active
+            gateway.cluster.k_active
         ]
         + [e.k_after for e in result.scale_events]
     )
@@ -407,49 +265,41 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     print(f"late_ticks:      {summary['late_ticks']}")
     print(f"fingerprint:     {summary['fingerprint']}")
     if args.kpi:
-        feed.write_jsonl(args.kpi)
-        print(f"kpi written:     {args.kpi} ({len(feed.history())} snapshots)")
+        gateway.feed.write_jsonl(args.kpi)
+        print(
+            f"kpi written:     {args.kpi} "
+            f"({len(gateway.feed.history())} snapshots)"
+        )
     return 0
 
 
-class _Reporter:
-    """Print a progress line per N published KPI snapshots.
+def _report(feed: KpiFeed, every: int) -> None:
+    """Print a progress line per ``every`` published KPI snapshots.
 
     Runs on its own thread consuming the feed like any other client, so
     progress reporting exercises exactly the consumer path the SSE
     server uses.
     """
-
-    def __init__(self, feed: KpiFeed, every: int) -> None:
-        self.feed = feed
-        self.every = every
-
-    def start(self) -> None:
-        import threading
-
-        threading.Thread(target=self._run, daemon=True).start()
-
-    def _run(self) -> None:
-        last = 0
-        while True:
-            events = self.feed.wait_for(last, timeout=0.5)
-            if not events:
-                if self.feed.closed:
-                    return
+    last = 0
+    while True:
+        events = feed.wait_for(last, timeout=0.5)
+        if not events:
+            if feed.closed:
+                return
+            continue
+        for seq, snap in events:
+            last = seq
+            if snap.get("final") or snap["tick"] % every:
                 continue
-            for seq, snap in events:
-                last = seq
-                if snap.get("final") or snap["tick"] % self.every:
-                    continue
-                print(
-                    f"tick={snap['tick']:>6d}  t={snap['sim_t']:>8d}  "
-                    f"shards={snap['active_shards']}  "
-                    f"depth={snap['queue_depth']}  "
-                    f"buffered={snap['buffer_depth']}  "
-                    f"shed={snap['shed_fraction']:.3f}  "
-                    f"profit={snap['profit_total']:.2f}",
-                    flush=True,
-                )
+            print(
+                f"tick={snap['tick']:>6d}  t={snap['sim_t']:>8d}  "
+                f"shards={snap['active_shards']}  "
+                f"depth={snap['queue_depth']}  "
+                f"buffered={snap['buffer_depth']}  "
+                f"shed={snap['shed_fraction']:.3f}  "
+                f"profit={snap['profit_total']:.2f}",
+                flush=True,
+            )
 
 
 if __name__ == "__main__":

@@ -13,11 +13,14 @@
 * ``gateway`` -- a paced :class:`~repro.gateway.gateway.Gateway` over
   an elastic ``ClusterService`` under a wall or virtual clock.
 
-Construction mirrors the flag-driven CLIs *exactly* -- same component
-factories, same defaulting, same submission order -- which is what
-makes a spec-driven run bit-identical to the equivalent ``repro-serve``
-/ ``repro-gateway`` invocation (pinned by ``tests/test_scenarios.py``
-and the CI identity smoke).
+The builder is the only construction path.  ``repro-serve`` and
+``repro-gateway`` map their flags onto a spec (each result-affecting
+flag names its dotted spec path), call :meth:`ScenarioBuilder.setup`,
+attach their output-only sinks -- metrics file, progress lines,
+snapshot probe, KPI server -- to :attr:`ScenarioBuilder.runnable`, and
+drive it.  A flag-driven run is therefore the spec-driven run of its
+``--dump-scenario`` document, bit for bit (pinned by
+``tests/test_scenarios.py`` and the CI identity smoke).
 
 Every shape returns a :class:`ScenarioResult` whose
 :meth:`~ScenarioResult.fingerprint` is a SHA-256 over the observable
@@ -168,7 +171,6 @@ class ScenarioBuilder:
         self.tracer: Any = None
         self._raw: Any = None
         self._load: Any = None
-        self._gateway_parts: Optional[dict] = None
         self._torn_down = False
 
     # -- lifecycle ------------------------------------------------------
@@ -205,6 +207,7 @@ class ScenarioBuilder:
             "gateway": self._run_gateway,
         }[self.spec.mode]
         self._raw = run()
+        self.write_trace()
         return self._raw
 
     def collect(self) -> ScenarioResult:
@@ -248,8 +251,23 @@ class ScenarioBuilder:
             extra=extra,
         )
 
+    def write_trace(self) -> Optional[str]:
+        """Write the recorded trace to ``tracing.path`` as JSONL.
+
+        Every entry point calls this after driving the runnable, so a
+        spec's trace file is the same whichever CLI ran it.  Returns
+        the path written, or ``None`` when the spec names no path.
+        """
+        path = self.spec.tracing.path
+        if self.tracer is None or not path:
+            return None
+        from repro.observability import write_jsonl
+
+        write_jsonl(self.tracer.events, path)
+        return path
+
     def teardown(self) -> None:
-        """Release resources (worker-process shards, open sinks)."""
+        """Release resources (worker-process shards of an unfinished run)."""
         if self._torn_down:
             return
         self._torn_down = True
@@ -275,10 +293,10 @@ class ScenarioBuilder:
         finally:
             self.teardown()
 
-    # -- per-mode construction (mirrors the CLIs) -----------------------
+    # -- per-mode construction -----------------------------------------
     def _scheduler_kwargs(self) -> dict:
-        """The CLI's epsilon threading: S-family schedulers get the
-        workload's epsilon unless kwargs name their own."""
+        """Epsilon threading: S-family schedulers get the workload's
+        epsilon unless kwargs name their own."""
         spec = self.spec
         kwargs = dict(spec.scheduler.kwargs)
         component = REGISTRY.get("scheduler", spec.scheduler.name)
@@ -386,10 +404,11 @@ class ScenarioBuilder:
             schedule = ChaosSchedule.parse(spec.faults.chaos)
         return ChaosInjector(schedule)
 
-    def _supervision(self, supervised: bool) -> dict:
-        """Supervisor and RPC keywords for a supervised cluster (none
-        for an unsupervised one), from the spec's ``[cluster]`` knobs."""
-        if not supervised:
+    def _supervision(self) -> dict:
+        """Supervisor, RPC and durable-directory keywords for a
+        supervised cluster (none for an unsupervised one), from the
+        spec's ``[cluster]`` knobs."""
+        if not self.spec.supervised():
             return {}
         from repro.resilience import DEFAULT_RPC_POLICY, SupervisorConfig
 
@@ -402,6 +421,8 @@ class ScenarioBuilder:
                 on_exhausted=c.on_exhausted,
             ),
             rpc=DEFAULT_RPC_POLICY,
+            wal_dir=c.wal_dir or None,
+            checkpoint_dir=c.checkpoint_dir or None,
         )
 
     def _setup_cluster(self) -> None:
@@ -420,10 +441,7 @@ class ScenarioBuilder:
             checkpoint_every=spec.cluster.checkpoint_every,
             stats_refresh=spec.cluster.stats_refresh,
             tracer=self.tracer,
-            **self._supervision(
-                spec.cluster.supervise
-                or spec.faults.kind not in ("none", "kill")
-            ),
+            **self._supervision(),
         )
         if spec.cluster.coordinate:
             coordinate(
@@ -441,7 +459,6 @@ class ScenarioBuilder:
         from repro.gateway.kpi import KpiFeed
 
         spec = self.spec
-        injector = self._fault_injector()
         cluster = ClusterService(
             spec.workload.m,
             spec.gateway.shards_max,
@@ -449,10 +466,10 @@ class ScenarioBuilder:
             config=self._shard_config(),
             router=spec.router_name(),
             mode=spec.cluster.mode,
-            fault_injector=injector,
+            fault_injector=self._fault_injector(),
             checkpoint_every=spec.cluster.checkpoint_every,
             tracer=self.tracer,
-            **self._supervision(spec.cluster.supervise or injector is not None),
+            **self._supervision(),
         )
         if spec.cluster.coordinate:
             coordinate(cluster)
@@ -468,7 +485,6 @@ class ScenarioBuilder:
                 down_patience=spec.autoscale.down_patience,
                 cooldown=spec.autoscale.cooldown,
             )
-        feed = KpiFeed()
         clock = REGISTRY.create("clock", spec.gateway.clock)
         load = self._load if self._load is not None else _load_generator(spec)
         self.runnable = Gateway(
@@ -480,10 +496,9 @@ class ScenarioBuilder:
             buffer_capacity=spec.gateway.buffer,
             max_dispatch_per_tick=spec.gateway.max_dispatch or None,
             autoscaler=autoscaler,
-            feed=feed,
+            feed=KpiFeed(),
             kpi_every=spec.gateway.kpi_every,
         )
-        self._gateway_parts = {"cluster": cluster, "feed": feed}
 
     # -- per-mode driving ----------------------------------------------
     def _run_batch(self) -> Any:
@@ -529,7 +544,7 @@ def _load_generator(spec: ScenarioSpec) -> Any:
 def build_workload(spec: ScenarioSpec) -> list:
     """Materialize the job list a scenario serves, in submission order.
 
-    ``generated`` workloads reproduce the experiment/CLI path
+    ``generated`` workloads reproduce the experiment suite's generator
     (:func:`~repro.workloads.suite.generate_workload`, sorted by
     arrival); ``open-loop`` workloads materialize the gateway's seeded
     :class:`~repro.gateway.load.LoadGenerator` stream, which already

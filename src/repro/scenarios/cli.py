@@ -27,7 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from repro.errors import ScenarioError
 from repro.scenarios.registry import REGISTRY
@@ -71,6 +71,83 @@ def parse_axis(text: str) -> tuple[str, list[Any]]:
     return name.strip(), [parse_value(v) for v in values.split(",")]
 
 
+def spec_flag(
+    group, flag: str, path: str, help: str, **kwargs: Any
+) -> argparse.Action:
+    """Add ``flag`` to ``group`` as a setter of the dotted spec ``path``.
+
+    Type and default come from the spec field (a bool field becomes a
+    ``store_true`` switch); ``kwargs`` may override either.  The parsed
+    value lands under ``path`` in the namespace, where
+    :func:`flag_overrides` collects it, and the help text names the
+    path, so ``--help`` doubles as the flag -> spec table.
+    """
+    from repro.scenarios.spec import ScenarioSpec
+
+    section, key = path.split(".")
+    default = ScenarioSpec().to_dict()[section][key]
+    kwargs.setdefault("default", default)
+    if isinstance(default, bool):
+        kwargs.setdefault("action", "store_true")
+    else:
+        kwargs.setdefault("type", type(default))
+    if "choices" not in kwargs and kwargs.get("action") != "store_true":
+        kwargs.setdefault(
+            "metavar", flag.lstrip("-").replace("-", "_").upper()
+        )
+    return group.add_argument(
+        flag, dest=path, help=f"{help} [{path}]", **kwargs
+    )
+
+
+def flag_overrides(args: argparse.Namespace) -> dict[str, Any]:
+    """Collect the ``{dotted.path: value}`` overrides of spec flags."""
+    return {key: value for key, value in vars(args).items() if "." in key}
+
+
+def _report_error(prog: str, exc: ScenarioError) -> int:
+    """Print a scenario error (with its suggestions) and return exit 2."""
+    print(f"{prog}: {exc}", file=sys.stderr)
+    if exc.suggestions:
+        print(
+            f"did you mean: {', '.join(exc.suggestions)}?",
+            file=sys.stderr,
+        )
+    return 2
+
+
+def run_flags(
+    prog: str,
+    args: argparse.Namespace,
+    to_spec: Callable[[argparse.Namespace], Any],
+    drivers: dict[str, Callable[[Any, argparse.Namespace], int]],
+) -> int:
+    """The ``main`` of a serving CLI: flags -> spec -> builder -> driver.
+
+    ``--scenario`` runs a spec file instead of the flags.  Otherwise
+    ``to_spec`` maps the flags onto a spec (a :class:`ScenarioError`
+    exits 2), ``--dump-scenario`` prints it, and the spec's mode picks
+    the driver that attaches the CLI's outputs to the built runnable
+    and drives it; teardown is guaranteed.
+    """
+    from repro.scenarios.builder import ScenarioBuilder
+
+    if args.scenario:
+        return main(["run", args.scenario])
+    try:
+        spec = to_spec(args)
+    except ScenarioError as exc:
+        return _report_error(prog, exc)
+    if args.dump_scenario:
+        sys.stdout.write(spec.to_toml())
+        return 0
+    builder = ScenarioBuilder(spec).setup()
+    try:
+        return drivers[spec.mode](builder, args)
+    finally:
+        builder.teardown()
+
+
 def _load(path: str, overrides: dict[str, Any]):
     from repro.scenarios.spec import load_spec
 
@@ -104,6 +181,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     for key, value in sorted(result.extra.items()):
         if isinstance(value, (int, float, str)):
             print(f"{key:<17} {value}")
+    if spec.tracing.path:
+        print(
+            f"trace written     {spec.tracing.path} "
+            f"({len(result.trace_events)} events)"
+        )
     print(f"result fingerprint {result.fingerprint()}")
     return 0
 
@@ -262,13 +344,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.fn(args)
     except ScenarioError as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        if exc.suggestions:
-            print(
-                f"did you mean: {', '.join(exc.suggestions)}?",
-                file=sys.stderr,
-            )
-        return 2
+        return _report_error("scenario error", exc)
 
 
 if __name__ == "__main__":

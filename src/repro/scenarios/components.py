@@ -4,8 +4,8 @@ The codebase grew half a dozen hand-rolled name tables before the
 component registry existed -- ``SCHEDULER_REGISTRY``, ``ROUTERS``,
 ``SHED_POLICIES``, ``PICKERS``, ``FAMILIES``, ``PROFIT_SAMPLERS``,
 ``ARRIVAL_PROCESSES``.  :func:`install_default_components` folds all
-of them (plus clocks, fault schedules, autoscalers,
-workload presets and sinks) into the shared
+of them (plus clocks, fault schedules, autoscalers and
+workload presets) into the shared
 :data:`~repro.scenarios.registry.REGISTRY` exactly once, so scenario
 specs, CLIs and docs all draw component names from one place.
 
@@ -35,7 +35,6 @@ KINDS = (
     "faults",
     "autoscaler",
     "clock",
-    "sink",
 )
 
 _installed = False
@@ -55,7 +54,6 @@ def install_default_components() -> None:
     _install_faults()
     _install_autoscalers()
     _install_clocks()
-    _install_sinks()
 
 
 # ----------------------------------------------------------------------
@@ -207,7 +205,7 @@ def _install_workloads() -> None:
 
 
 # ----------------------------------------------------------------------
-# Faults, autoscalers, clocks, sinks.
+# Faults, autoscalers, clocks.
 # ----------------------------------------------------------------------
 def _install_faults() -> None:
     from repro.resilience.chaos import (
@@ -277,21 +275,6 @@ def _install_clocks() -> None:
 
     REGISTRY.register("clock", "wall", WallClock)
     REGISTRY.register("clock", "virtual", VirtualClock)
-
-
-def _install_sinks() -> None:
-    REGISTRY.register(
-        "sink", "metrics-jsonl", _named("metrics-jsonl", {}),
-        summary="Telemetry samples as JSONL (repro-serve --metrics).",
-    )
-    REGISTRY.register(
-        "sink", "trace-jsonl", _named("trace-jsonl", {}),
-        summary="Structured decision trace as JSONL (repro-trace input).",
-    )
-    REGISTRY.register(
-        "sink", "kpi-jsonl", _named("kpi-jsonl", {}),
-        summary="Gateway KPI snapshot history as JSONL.",
-    )
 
 
 class _named:

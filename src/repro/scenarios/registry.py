@@ -2,7 +2,7 @@
 
 The scenario subsystem treats schedulers, node pickers, routers,
 shed policies, arrival processes, DAG families, profit samplers, fault
-schedules, autoscalers, clocks and sinks uniformly as *components*: a
+schedules, autoscalers and clocks uniformly as *components*: a
 ``(kind, name)`` pair mapping to a factory.  A
 :class:`ComponentRegistry` holds them; the module-level
 :data:`REGISTRY` is the shared instance every CLI and the

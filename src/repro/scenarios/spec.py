@@ -120,6 +120,12 @@ class ClusterSection:
     heartbeat_every: int = 16
     #: "raise" or "degrade" once a shard's restart budget is spent
     on_exhausted: str = "raise"
+    #: durable per-shard write-ahead logs ("" = in-memory logs;
+    #: supervised clusters only)
+    wal_dir: str = ""
+    #: digest-verified on-disk checkpoint store ("" = in-memory
+    #: checkpoints; supervised clusters only)
+    checkpoint_dir: str = ""
 
 
 @dataclass(frozen=True)
@@ -224,6 +230,19 @@ class ScenarioSpec:
         if self.workload.kind:
             return self.workload.kind
         return "open-loop" if self.mode == "gateway" else "generated"
+
+    def supervised(self) -> bool:
+        """Whether the cluster runs under a shard supervisor.
+
+        Asked for by ``cluster.supervise``, or implied by the faults: a
+        chaos schedule or a single chaos kind supervises a cluster, and
+        in gateway mode so does a bare kill.
+        """
+        if self.cluster.supervise:
+            return True
+        if self.mode == "gateway":
+            return self.faults.kind != "none"
+        return self.faults.kind not in ("none", "kill")
 
     def router_name(self) -> str:
         """Resolve the ``""`` auto router for this mode."""
@@ -390,41 +409,100 @@ class ScenarioSpec:
                     self.cluster.on_exhausted, ("raise", "degrade")
                 ),
             )
-        if self.cluster.heartbeat_timeout <= 0:
-            raise ScenarioError(
-                "cluster.heartbeat_timeout must be positive",
-                location="cluster.heartbeat_timeout",
-            )
         if self.faults.kind == "chaos" and not self.faults.chaos:
             raise ScenarioError(
                 "faults.kind = 'chaos' needs faults.chaos "
                 "('kind:shard:at,...' or 'seed:N')",
                 location="faults.chaos",
             )
-        for location, value, least in [
-            ("workload.n_jobs", self.workload.n_jobs, 1),
-            ("workload.m", self.workload.m, 1),
-            ("cluster.shards", self.cluster.shards, 1),
-            ("cluster.max_restarts", self.cluster.max_restarts, 0),
-            ("cluster.heartbeat_every", self.cluster.heartbeat_every, 1),
-            ("gateway.shards_max", self.gateway.shards_max, 1),
-            ("gateway.steps_per_tick", self.gateway.steps_per_tick, 1),
-            ("gateway.kpi_every", self.gateway.kpi_every, 1),
-        ]:
-            if value < least:
+        self._check_ranges()
+        for key in ("wal_dir", "checkpoint_dir"):
+            if getattr(self.cluster, key) and not (
+                self.mode in ("cluster", "gateway") and self.supervised()
+            ):
                 raise ScenarioError(
-                    f"{location} must be >= {least}, got {value}",
-                    location=location,
+                    f"cluster.{key} needs a supervised cluster; set "
+                    "cluster.supervise = true (or inject chaos faults)",
+                    location=f"cluster.{key}",
                 )
-        if self.workload.load <= 0:
-            raise ScenarioError(
-                "workload.load must be positive", location="workload.load"
-            )
         if self.mode == "gateway" and self.workload_kind() != "open-loop":
             raise ScenarioError(
                 "gateway mode paces open-loop traffic; set workload.kind "
                 "= 'open-loop' (or leave it '' for auto)",
                 location="workload.kind",
+            )
+
+    def _check_ranges(self) -> None:
+        """Numeric bounds: an out-of-range value fails here, naming its
+        key, instead of deep inside the constructor it reaches."""
+        w, e, c, f = self.workload, self.engine, self.cluster, self.faults
+        g, a = self.gateway, self.autoscale
+        shards = g.shards_max if self.mode == "gateway" else c.shards
+        clustered = self.mode == "cluster"
+        targeted = f.kind not in ("none", "chaos")  # kill or one chaos kind
+        slack = w.deadline_policy == "slack"
+        # (location, value, least, most); most = None is unbounded
+        for location, value, least, most in [
+            ("workload.n_jobs", w.n_jobs, 1, None),
+            ("workload.m", w.m, 1, None),
+            ("workload.slack_low", w.slack_low, 1.0 if slack else 0.0, None),
+            ("workload.slack_high", w.slack_high, w.slack_low, None),
+            ("engine.horizon", e.horizon, 0, None),
+            ("engine.preemption_overhead", e.preemption_overhead, 0.0, None),
+            ("service.capacity", self.service.capacity, 1, None),
+            ("service.max_in_flight", self.service.max_in_flight, 0, None),
+            ("service.sample_every", self.service.sample_every, 0, None),
+            ("cluster.shards", c.shards, 1, w.m if clustered else None),
+            ("cluster.migrate_every", c.migrate_every, 0, None),
+            ("cluster.stats_refresh", c.stats_refresh, 1, None),
+            ("cluster.max_restarts", c.max_restarts, 0, None),
+            ("cluster.heartbeat_every", c.heartbeat_every, 1, None),
+            ("faults.shard", f.shard, 0, shards - 1 if targeted else None),
+            ("faults.at", f.at, 0, None),
+            ("gateway.shards_max", g.shards_max, 1, None),
+            ("gateway.shards_initial", g.shards_initial, 0, g.shards_max),
+            ("gateway.steps_per_tick", g.steps_per_tick, 1, None),
+            ("gateway.buffer", g.buffer, 1, None),
+            ("gateway.max_dispatch", g.max_dispatch, 0, None),
+            ("gateway.max_ticks", g.max_ticks, 0, None),
+            ("gateway.kpi_every", g.kpi_every, 1, None),
+            ("autoscale.shards_min", a.shards_min, 1, g.shards_max),
+            ("autoscale.up_patience", a.up_patience, 1, None),
+            ("autoscale.down_patience", a.down_patience, 1, None),
+            ("autoscale.cooldown", a.cooldown, 0, None),
+        ]:
+            if value < least or (most is not None and value > most):
+                bound = (
+                    f">= {least}" if most is None else f"in [{least}, {most}]"
+                )
+                raise ScenarioError(
+                    f"{location} must be {bound}, got {value}",
+                    location=location,
+                )
+        for location, value in [
+            ("workload.load", w.load),
+            ("workload.epsilon", w.epsilon),
+            ("engine.speed", e.speed),
+            ("cluster.heartbeat_timeout", c.heartbeat_timeout),
+            ("gateway.tick", g.tick),
+            ("autoscale.high_water", a.high_water),
+        ]:
+            if value <= 0:
+                raise ScenarioError(
+                    f"{location} must be positive, got {value}",
+                    location=location,
+                )
+        if not 0 <= w.spike_fraction < 1:
+            raise ScenarioError(
+                f"workload.spike_fraction must be in [0, 1), got "
+                f"{w.spike_fraction}",
+                location="workload.spike_fraction",
+            )
+        if self.mode == "gateway" and w.m % g.shards_max:
+            raise ScenarioError(
+                f"gateway.shards_max must divide workload.m = {w.m} "
+                f"(elastic shards are fixed-size), got {g.shards_max}",
+                location="gateway.shards_max",
             )
 
     def with_overrides(

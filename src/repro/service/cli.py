@@ -21,6 +21,12 @@ from its latest checkpoint plus submission-log replay::
 
     repro-serve --n-jobs 5000 --m 32 --shards 4 --router least-loaded \\
         --fault-at 200 --fault-shard 1
+
+Every flag that changes the result sets one dotted
+:class:`~repro.scenarios.spec.ScenarioSpec` path (``--help`` names it),
+and the run is built by :class:`~repro.scenarios.builder.
+ScenarioBuilder`: a flag run and the run of its ``--dump-scenario``
+document are the same run.  See ``docs/SCENARIOS.md`` for the table.
 """
 
 from __future__ import annotations
@@ -30,23 +36,12 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from repro.errors import ScenarioError
-from repro.service.queue import SHED_POLICIES, make_shed_policy
-from repro.service.replay import SubmissionLog
+from repro.scenarios.builder import ScenarioBuilder, result_fingerprint
+from repro.scenarios.cli import flag_overrides, run_flags, spec_flag
+from repro.scenarios.spec import ScenarioSpec
+from repro.service.queue import SHED_POLICIES
 from repro.service.service import SchedulingService
 from repro.service.snapshot import load_snapshot, save_snapshot
-from repro.service.telemetry import MetricsRegistry
-from repro.sim.scheduler import Scheduler
-from repro.workloads.suite import WorkloadConfig, generate_workload
-
-
-def _registry():
-    """The shared component registry, fully populated."""
-    from repro.scenarios.components import install_default_components
-    from repro.scenarios.registry import REGISTRY
-
-    install_default_components()
-    return REGISTRY
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -59,144 +54,115 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     wl = parser.add_argument_group("workload")
-    wl.add_argument("--n-jobs", type=int, default=1000, help="number of jobs")
-    wl.add_argument("--m", type=int, default=8, help="number of processors")
-    wl.add_argument(
-        "--load", type=float, default=2.0, help="offered load (1.0 = capacity)"
-    )
-    wl.add_argument(
-        "--family", default="mixed", help="DAG family (or 'mixed')"
-    )
-    wl.add_argument(
-        "--epsilon", type=float, default=1.0, help="slack parameter epsilon"
-    )
-    wl.add_argument("--seed", type=int, default=0, help="workload RNG seed")
+    spec_flag(wl, "--n-jobs", "workload.n_jobs", "number of jobs")
+    spec_flag(wl, "--m", "workload.m", "number of processors")
+    spec_flag(wl, "--load", "workload.load", "offered load (1.0 = capacity)")
+    spec_flag(wl, "--family", "workload.family", "DAG family (or 'mixed')")
+    spec_flag(wl, "--epsilon", "workload.epsilon", "slack parameter epsilon")
+    spec_flag(wl, "--seed", "scenario.seed", "workload RNG seed")
 
     srv = parser.add_argument_group("service")
-    srv.add_argument(
-        "--scheduler",
-        default="sns",
-        help="scheduling policy (any registered scheduler; see "
-        "`repro-scenario list --kind scheduler`)",
+    spec_flag(
+        srv, "--scheduler", "scheduler.name",
+        "scheduling policy (see `repro-scenario list --kind scheduler`)",
     )
-    srv.add_argument(
-        "--capacity", type=int, default=128, help="ingest queue capacity"
+    spec_flag(srv, "--capacity", "service.capacity", "ingest queue capacity")
+    spec_flag(
+        srv, "--policy", "service.shed_policy",
+        "shed policy when the queue is full", choices=sorted(SHED_POLICIES),
     )
-    srv.add_argument(
-        "--policy",
-        choices=sorted(SHED_POLICIES),
-        default="reject-lowest-density",
-        help="shed policy when the queue is full",
+    spec_flag(
+        srv, "--max-in-flight", "service.max_in_flight",
+        "cap on jobs inside the engine (0 = unbounded)",
     )
-    srv.add_argument(
-        "--max-in-flight",
-        type=int,
-        default=None,
-        help="cap on jobs inside the engine (default: unbounded)",
-    )
-    srv.add_argument(
-        "--speed", type=float, default=1.0, help="processor speed s"
-    )
+    spec_flag(srv, "--speed", "engine.speed", "processor speed s")
 
     cl = parser.add_argument_group("cluster (active when --shards > 1)")
-    cl.add_argument(
-        "--shards", type=int, default=1, metavar="K",
-        help="shard the machines into K pools (default 1: single service)",
+    spec_flag(cl, "--shards", "cluster.shards", "machine pools (1 = service)")
+    spec_flag(
+        cl, "--router", "cluster.router",
+        "shard placement ('' = consistent-hash, band-aware if coordinated)",
     )
-    cl.add_argument(
-        "--router",
-        default=None,
-        help="shard placement policy (default: consistent-hash, or "
-        "band-aware when --coordinate is on)",
+    spec_flag(
+        cl, "--coordinate", "cluster.coordinate",
+        "attach the band-aware coordinator: ledger-fed routing plus "
+        "density-aware steals (see docs/SCHEDULING.md)",
     )
-    cl.add_argument(
-        "--coordinate", action="store_true",
-        help="attach the cluster-wide band-aware coordinator: ledger-fed "
-        "routing plus density-aware steals of parked/starved jobs "
-        "(see docs/SCHEDULING.md)",
+    spec_flag(
+        cl, "--coordinate-every", "cluster.coordinate_every",
+        "submissions between coordinator ledger refreshes and steal ticks",
     )
-    cl.add_argument(
-        "--coordinate-every", type=int, default=64, metavar="N",
-        help="submissions between coordinator ledger refreshes and "
-        "steal ticks",
+    spec_flag(cl, "--steal-batch", "cluster.steal_batch", "steals per tick")
+    spec_flag(
+        cl, "--steal-margin", "cluster.steal_margin",
+        "density advantage a victim needs over each job it displaces (> 1)",
     )
-    cl.add_argument(
-        "--steal-batch", type=int, default=64, metavar="N",
-        help="max steals per coordinator tick",
+    spec_flag(
+        cl, "--max-displaced", "cluster.max_displaced",
+        "receiver jobs displaced per steal (0 disables displacement)",
     )
-    cl.add_argument(
-        "--steal-margin", type=float, default=3.0, metavar="X",
-        help="density advantage a victim needs over each receiver job "
-        "it displaces (> 1)",
+    spec_flag(
+        cl, "--max-moves-per-job", "cluster.max_moves_per_job",
+        "lifetime cap on coordinator migrations of any one job",
     )
-    cl.add_argument(
-        "--max-displaced", type=int, default=3, metavar="N",
-        help="receiver jobs displaced per steal (0 disables displacement)",
-    )
-    cl.add_argument(
-        "--max-moves-per-job", type=int, default=2, metavar="N",
-        help="lifetime cap on coordinator migrations of any one job",
-    )
-    cl.add_argument(
-        "--cluster-mode",
+    spec_flag(
+        cl, "--cluster-mode", "cluster.mode",
+        "run shards in this process or in worker processes",
         choices=["inprocess", "process"],
-        default="process",
-        help="run shards in this process or in worker processes",
     )
-    cl.add_argument(
-        "--migrate-every", type=int, default=0, metavar="T",
-        help="rebalance queued jobs every T simulated steps (0 = off)",
+    spec_flag(
+        cl, "--migrate-every", "cluster.migrate_every",
+        "simulated steps between queued-job rebalances (0 = off)",
     )
     cl.add_argument(
         "--fault-at", type=int, default=None, metavar="T",
-        help="kill a shard at simulated time T and recover it",
+        help="kill a shard at simulated time T and recover it "
+        "[faults.kind = 'kill', faults.at]",
     )
     cl.add_argument(
         "--fault-shard", type=int, default=0, metavar="I",
-        help="which shard --fault-at kills (default 0)",
+        help="which shard --fault-at kills [faults.shard]",
     )
-    cl.add_argument(
-        "--checkpoint-every", type=int, default=64, metavar="T",
-        help="cluster checkpoint interval when fault injection is on",
+    spec_flag(
+        cl, "--checkpoint-every", "cluster.checkpoint_every",
+        "checkpoint interval of a cluster that logs submissions",
     )
 
     res = parser.add_argument_group(
         "resilience (active with --supervise or --chaos; --shards > 1)"
     )
-    res.add_argument(
-        "--supervise", action="store_true",
-        help="supervise the cluster's shards: heartbeat "
-        "supervision, RPC deadlines, circuit breakers",
+    spec_flag(
+        res, "--supervise", "cluster.supervise",
+        "supervise the shards: heartbeats, RPC deadlines, circuit breakers",
     )
-    res.add_argument(
-        "--max-restarts", type=int, default=5, metavar="N",
-        help="supervisor restart budget per shard",
+    spec_flag(
+        res, "--max-restarts", "cluster.max_restarts", "restarts per shard"
     )
-    res.add_argument(
-        "--heartbeat-timeout", type=float, default=0.5, metavar="S",
-        help="seconds a shard may take to answer a heartbeat",
+    spec_flag(
+        res, "--heartbeat-timeout", "cluster.heartbeat_timeout",
+        "seconds a shard may take to answer a heartbeat",
     )
-    res.add_argument(
-        "--heartbeat-every", type=int, default=16, metavar="N",
-        help="decision points between heartbeat rounds",
+    spec_flag(
+        res, "--heartbeat-every", "cluster.heartbeat_every",
+        "decision points between heartbeat rounds",
     )
-    res.add_argument(
-        "--on-exhausted", choices=["raise", "degrade"], default="raise",
-        help="restart budget spent: exit with a structured error, or "
-        "degrade the shard and serve on",
+    spec_flag(
+        res, "--on-exhausted", "cluster.on_exhausted",
+        "restart budget spent: exit with an error, or degrade the shard",
+        choices=["raise", "degrade"],
     )
-    res.add_argument(
-        "--wal-dir", default=None, metavar="DIR",
-        help="durable write-ahead logs for shard submissions",
+    spec_flag(
+        res, "--wal-dir", "cluster.wal_dir",
+        "durable write-ahead logs for shard submissions (supervised only)",
     )
-    res.add_argument(
-        "--checkpoint-dir", default=None, metavar="DIR",
-        help="digest-verified on-disk checkpoint store",
+    spec_flag(
+        res, "--checkpoint-dir", "cluster.checkpoint_dir",
+        "digest-verified on-disk checkpoint store (supervised only)",
     )
     res.add_argument(
         "--chaos", default=None, metavar="SPEC",
         help="inject faults: 'kind:shard:at,...' or 'seed:N' "
-        "(implies --supervise)",
+        "(implies --supervise) [faults.kind = 'chaos', faults.chaos]",
     )
 
     out = parser.add_argument_group("output")
@@ -204,9 +170,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--metrics", default=None, metavar="PATH",
         help="write JSONL metrics samples to PATH",
     )
-    out.add_argument(
-        "--sample-every", type=int, default=None, metavar="T",
-        help="minimum simulated time between metric samples",
+    spec_flag(
+        out, "--sample-every", "service.sample_every",
+        "minimum simulated time between metric samples (0 = every step)",
     )
     out.add_argument(
         "--report-every", type=int, default=2000, metavar="N",
@@ -222,8 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     out.add_argument(
         "--trace", default=None, metavar="PATH",
-        help="record a structured decision trace and write it to PATH "
-        "as JSONL (inspect with repro-trace)",
+        help="record a decision trace and write it to PATH as JSONL "
+        "(inspect with repro-trace) [tracing.enabled, tracing.path]",
     )
 
     sc = parser.add_argument_group("scenario")
@@ -240,85 +206,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _make_scheduler(args: argparse.Namespace) -> Scheduler:
-    component = _registry().get("scheduler", args.scheduler)
-    kwargs = (
-        {"epsilon": args.epsilon}
-        if component.meta.get("accepts_epsilon")
-        else {}
-    )
-    return component.create(**kwargs)
+def _spec_from_args(args: argparse.Namespace) -> ScenarioSpec:
+    """The :class:`ScenarioSpec` the flags describe.
 
-
-def _spec_from_args(args: argparse.Namespace):
-    """Map the flag namespace onto an equivalent :class:`ScenarioSpec`.
-
-    The builder mirrors this CLI's construction exactly, so the
-    returned spec runs to the same result fingerprint as the flags.
+    Spec-path flags map one to one; only the mode (from ``--shards``),
+    tracing (from ``--trace``) and faults (from ``--chaos`` /
+    ``--fault-at``) are derived here.
     """
-    from repro.scenarios.spec import ScenarioSpec
-
-    doc: dict = {
-        "scenario": {
-            "name": "repro-serve",
-            "mode": "cluster" if args.shards > 1 else "service",
-            "seed": args.seed,
-        },
-        "workload": {
-            "n_jobs": args.n_jobs,
-            "m": args.m,
-            "load": args.load,
-            "family": args.family,
-            "epsilon": args.epsilon,
-        },
-        "engine": {"speed": args.speed},
-        "scheduler": {"name": args.scheduler},
-        "service": {
-            "capacity": args.capacity,
-            "shed_policy": args.policy,
-            "max_in_flight": args.max_in_flight or 0,
-            "sample_every": args.sample_every or 0,
-        },
-        "tracing": {
-            "enabled": args.trace is not None,
-            "path": args.trace or "",
-        },
+    clustered = getattr(args, "cluster.shards") > 1
+    overrides = {
+        "name": "repro-serve",
+        **flag_overrides(args),
+        "mode": "cluster" if clustered else "service",
+        "tracing.enabled": args.trace is not None,
+        "tracing.path": args.trace or "",
     }
-    if args.shards > 1:
-        doc["cluster"] = {
-            "shards": args.shards,
-            "router": args.router or "",
-            "mode": args.cluster_mode,
-            "migrate_every": args.migrate_every,
-            "coordinate": args.coordinate,
-            "coordinate_every": args.coordinate_every,
-            "steal_batch": args.steal_batch,
-            "steal_margin": args.steal_margin,
-            "max_displaced": args.max_displaced,
-            "max_moves_per_job": args.max_moves_per_job,
-            "checkpoint_every": args.checkpoint_every,
-            "supervise": args.supervise,
-            "max_restarts": args.max_restarts,
-            "heartbeat_timeout": args.heartbeat_timeout,
-            "heartbeat_every": args.heartbeat_every,
-            "on_exhausted": args.on_exhausted,
-        }
-        if args.chaos is not None:
-            doc["faults"] = {"kind": "chaos", "chaos": args.chaos}
-        elif args.fault_at is not None:
-            doc["faults"] = {
-                "kind": "kill",
-                "shard": args.fault_shard,
-                "at": args.fault_at,
+    if args.chaos is not None:
+        overrides.update({"faults.kind": "chaos", "faults.chaos": args.chaos})
+    elif args.fault_at is not None:
+        overrides.update(
+            {
+                "faults.kind": "kill",
+                "faults.shard": args.fault_shard,
+                "faults.at": args.fault_at,
             }
-    return ScenarioSpec.from_dict(doc)
-
-
-def _run_scenario_file(path: str) -> int:
-    """Shared ``--scenario SPEC`` handler for the wrapper CLIs."""
-    from repro.scenarios.cli import main as scenario_main
-
-    return scenario_main(["run", path])
+        )
+    return ScenarioSpec().with_overrides(overrides)
 
 
 def _progress(service: SchedulingService, submitted: int, total: int) -> str:
@@ -335,74 +248,44 @@ def _progress(service: SchedulingService, submitted: int, total: int) -> str:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point for the ``repro-serve`` console script."""
-    args = build_parser().parse_args(argv)
-    if args.scenario:
-        return _run_scenario_file(args.scenario)
-    try:
-        if args.dump_scenario:
-            sys.stdout.write(_spec_from_args(args).to_toml())
-            return 0
-        _registry().get("scheduler", args.scheduler)
-        if args.router is not None:
-            _registry().get("router", args.router)
-    except ScenarioError as exc:
-        print(f"repro-serve: {exc}", file=sys.stderr)
-        return 2
-    specs = generate_workload(
-        WorkloadConfig(
-            n_jobs=args.n_jobs,
-            m=args.m,
-            load=args.load,
-            family=args.family,
-            epsilon=args.epsilon,
-            seed=args.seed,
-        )
+    return run_flags(
+        "repro-serve",
+        build_parser().parse_args(argv),
+        _spec_from_args,
+        {"service": _serve, "cluster": _serve_cluster},
     )
-    specs.sort(key=lambda sp: (sp.arrival, sp.job_id))
-    tracer = None
-    if args.trace:
-        from repro.observability import TraceRecorder
 
-        tracer = TraceRecorder()
-    if args.shards > 1:
-        return _main_cluster(args, specs, tracer)
-    log = SubmissionLog()
+
+def _serve(builder: ScenarioBuilder, args: argparse.Namespace) -> int:
+    """Stream the workload through the single service."""
+    spec = builder.spec
+    service = builder.runnable
     sink = open(args.metrics, "w", encoding="utf-8") if args.metrics else None
     try:
-        metrics = MetricsRegistry(sink=sink, keep_samples=False)
-        service = SchedulingService(
-            m=args.m,
-            scheduler=_make_scheduler(args),
-            capacity=args.capacity,
-            shed_policy=make_shed_policy(args.policy),
-            max_in_flight=args.max_in_flight,
-            speed=args.speed,
-            metrics=metrics,
-            sample_every=args.sample_every,
-            recorder=log,
-            tracer=tracer,
-        )
+        service.metrics.sink = sink
         service.start()
         print(
-            f"repro-serve: {args.n_jobs} jobs, m={args.m}, "
-            f"load={args.load}, scheduler={args.scheduler}, "
-            f"capacity={args.capacity}, policy={args.policy}",
+            f"repro-serve: {spec.workload.n_jobs} jobs, m={spec.workload.m}, "
+            f"load={spec.workload.load}, scheduler={spec.scheduler.name}, "
+            f"capacity={spec.service.capacity}, "
+            f"policy={spec.service.shed_policy}",
             flush=True,
         )
         checkpointed = False
-        for i, spec in enumerate(specs, 1):
+        jobs = builder.specs
+        for i, job in enumerate(jobs, 1):
             if (
                 args.checkpoint_at is not None
                 and not checkpointed
-                and spec.arrival >= args.checkpoint_at
+                and job.arrival >= args.checkpoint_at
             ):
                 service = _checkpoint_restore(
-                    service, args, metrics, log, tracer
+                    builder, service, args.checkpoint_path
                 )
                 checkpointed = True
-            service.submit(spec, t=spec.arrival)
+            service.submit(job, t=job.arrival)
             if args.report_every and i % args.report_every == 0:
-                print(_progress(service, i, len(specs)), flush=True)
+                print(_progress(service, i, len(jobs)), flush=True)
         result = service.finish()
     finally:
         if sink is not None:
@@ -417,137 +300,49 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     print(f"total_profit:    {result.total_profit:.4f}")
     print(f"profit_shed:     {result.profit_shed:.4f}")
     print(f"decisions:       {counters.decisions}")
-    print(f"fingerprint:     {_fingerprint('service', result)}")
+    print(f"fingerprint:     {result_fingerprint('service', result)}")
     if args.metrics:
         print(f"metrics written: {args.metrics}")
-    if tracer is not None:
-        _write_trace(tracer, args.trace)
+    _write_trace(builder)
     return 0
 
 
-def _fingerprint(mode: str, result) -> str:
-    from repro.scenarios.builder import result_fingerprint
-
-    return result_fingerprint(mode, result)
-
-
-def _write_trace(tracer, path: str) -> None:
-    """Export a recorded trace as JSONL and announce it."""
-    from repro.observability import write_jsonl
-
-    write_jsonl(tracer.events, path)
-    print(f"trace written:   {path} ({len(tracer)} events)")
+def _write_trace(builder: ScenarioBuilder) -> None:
+    """Write the spec's trace file (if any) and announce it."""
+    path = builder.write_trace()
+    if path is not None:
+        print(f"trace written:   {path} ({len(builder.tracer)} events)")
 
 
-def _main_cluster(
-    args: argparse.Namespace, specs: list, tracer=None
-) -> int:
+def _serve_cluster(builder: ScenarioBuilder, args: argparse.Namespace) -> int:
     """Serve the stream through a sharded cluster (``--shards > 1``).
 
-    With ``--supervise`` or ``--chaos`` the cluster is supervised; a
-    shard whose restart budget is exhausted under
+    A supervised cluster whose shard exhausts its restart budget under
     ``--on-exhausted raise`` aborts the run with a structured JSON
     error summary on stderr and exit code 2.
     """
-    from repro.cluster import (
-        ClusterService,
-        FaultInjector,
-        QueueBalancer,
-        ShardConfig,
-    )
     from repro.errors import RestartBudgetExhausted, ShardFailedError
 
-    component = _registry().get("scheduler", args.scheduler)
-    scheduler_kwargs = (
-        {"epsilon": args.epsilon}
-        if component.meta.get("accepts_epsilon")
-        else {}
-    )
-    router = args.router or (
-        "band-aware" if args.coordinate else "consistent-hash"
-    )
-    resilient = args.supervise or args.chaos is not None
-    injector = None
-    if args.chaos is not None:
-        from repro.resilience.chaos import ChaosInjector, ChaosSchedule
-
-        if args.chaos.startswith("seed:"):
-            horizon = max(spec.arrival for spec in specs) or 1
-            schedule = ChaosSchedule.generate(
-                int(args.chaos.split(":", 1)[1]),
-                k=args.shards,
-                horizon=horizon,
-            )
-        else:
-            schedule = ChaosSchedule.parse(args.chaos)
-        injector = ChaosInjector(schedule)
-    elif args.fault_at is not None:
-        injector = FaultInjector().add(shard=args.fault_shard, at=args.fault_at)
-    config = ShardConfig(
-        m=1,  # overridden per shard by the machine partition
-        scheduler=args.scheduler,
-        scheduler_kwargs=scheduler_kwargs,
-        capacity=args.capacity,
-        shed_policy=args.policy,
-        max_in_flight=args.max_in_flight,
-        speed=args.speed,
-        sample_every=args.sample_every,
-    )
-    supervision: dict = {}
-    if resilient:
-        from repro.resilience import DEFAULT_RPC_POLICY, SupervisorConfig
-
-        supervision = dict(
-            supervisor=SupervisorConfig(
-                heartbeat_timeout=args.heartbeat_timeout,
-                heartbeat_every=args.heartbeat_every,
-                max_restarts=args.max_restarts,
-                on_exhausted=args.on_exhausted,
-            ),
-            rpc=DEFAULT_RPC_POLICY,
-            wal_dir=args.wal_dir,
-            checkpoint_dir=args.checkpoint_dir,
-        )
-    cluster = ClusterService(
-        args.m,
-        args.shards,
-        config=config,
-        router=router,
-        mode=args.cluster_mode,
-        migration=QueueBalancer() if args.migrate_every else None,
-        migrate_every=args.migrate_every,
-        fault_injector=injector,
-        checkpoint_every=args.checkpoint_every,
-        tracer=tracer,
-        **supervision,
-    )
-    if args.coordinate:
-        from repro.cluster import coordinate
-
-        coordinate(
-            cluster,
-            refresh_every=args.coordinate_every,
-            steal_batch=args.steal_batch,
-            steal_margin=args.steal_margin,
-            max_displaced=args.max_displaced,
-            max_moves_per_job=args.max_moves_per_job,
-        )
+    spec = builder.spec
+    c = spec.cluster
+    cluster = builder.runnable
     cluster.start()
     print(
-        f"repro-serve: {args.n_jobs} jobs, m={args.m}, shards={args.shards}, "
-        f"mode={args.cluster_mode}, router={router}, "
-        f"scheduler={args.scheduler}, migrate_every={args.migrate_every}, "
-        f"fault_at={args.fault_at}, "
-        f"coordinate={'yes' if args.coordinate else 'no'}, "
-        f"resilient={'yes' if resilient else 'no'}",
+        f"repro-serve: {spec.workload.n_jobs} jobs, m={spec.workload.m}, "
+        f"shards={c.shards}, mode={c.mode}, router={spec.router_name()}, "
+        f"scheduler={spec.scheduler.name}, migrate_every={c.migrate_every}, "
+        f"fault_at={spec.faults.at if spec.faults.kind == 'kill' else None}, "
+        f"coordinate={'yes' if c.coordinate else 'no'}, "
+        f"resilient={'yes' if spec.supervised() else 'no'}",
         flush=True,
     )
+    jobs = builder.specs
     try:
-        for i, spec in enumerate(specs, 1):
-            cluster.submit(spec, t=spec.arrival)
+        for i, job in enumerate(jobs, 1):
+            cluster.submit(job, t=job.arrival)
             if args.report_every and i % args.report_every == 0:
                 print(
-                    f"t={cluster.now:>8d}  submitted={i}/{len(specs)}",
+                    f"t={cluster.now:>8d}  submitted={i}/{len(jobs)}",
                     flush=True,
                 )
         result = cluster.finish()
@@ -581,14 +376,14 @@ def _main_cluster(
     print(f"expired:         {int(values.get('expired_total', 0))}")
     print(f"shed:            {result.num_shed}")
     print(f"migrated:        {int(values.get('migrations_total', 0))}")
-    if args.coordinate:
+    if c.coordinate:
         print(f"steals:          {int(values.get('steals_total', 0))}")
         print(
             f"displaced:       "
             f"{int(values.get('steals_displaced_total', 0))}"
         )
     print(f"total_profit:    {result.total_profit:.4f}")
-    print(f"fingerprint:     {_fingerprint('cluster', result)}")
+    print(f"fingerprint:     {result_fingerprint('cluster', result)}")
     for event in result.recoveries:
         print(
             f"recovery:        shard {event.shard} at t={event.time} "
@@ -609,8 +404,7 @@ def _main_cluster(
     cluster_shed = result.extra.get("cluster_shed", [])
     if cluster_shed:
         print(f"cluster_shed:    {len(cluster_shed)}")
-    if tracer is not None:
-        _write_trace(tracer, args.trace)
+    _write_trace(builder)
     if args.metrics:
         merged = result.metrics
         merged.samples = sorted(
@@ -627,35 +421,31 @@ def _main_cluster(
 
 
 def _checkpoint_restore(
+    builder: ScenarioBuilder,
     service: SchedulingService,
-    args: argparse.Namespace,
-    metrics: MetricsRegistry,
-    log: SubmissionLog,
-    tracer=None,
+    path: Optional[str],
 ) -> SchedulingService:
-    """Snapshot the live service, discard it, restore, and continue."""
+    """Snapshot the live service, discard it, restore, and continue.
+
+    The restored service keeps the live one's metrics registry,
+    submission log and tracer, and gets a fresh scheduler from the
+    spec's recipe.
+    """
     from repro.service.snapshot import service_from_dict, service_to_dict
 
-    if args.checkpoint_path:
-        save_snapshot(service, args.checkpoint_path)
-        restored = load_snapshot(
-            args.checkpoint_path,
-            _make_scheduler(args),
-            metrics=metrics,
-            recorder=log,
-        )
-        where = args.checkpoint_path
+    keep = dict(metrics=service.metrics, recorder=service.recorder)
+    if path:
+        save_snapshot(service, path)
+        restored = load_snapshot(path, builder.make_scheduler(), **keep)
+        where = path
     else:
         blob = json.dumps(service_to_dict(service))
         restored = service_from_dict(
-            json.loads(blob),
-            _make_scheduler(args),
-            metrics=metrics,
-            recorder=log,
+            json.loads(blob), builder.make_scheduler(), **keep
         )
         where = "<memory>"
-    if tracer is not None:
-        restored.attach_tracer(tracer)
+    if builder.tracer is not None:
+        restored.attach_tracer(builder.tracer)
     print(
         f"checkpoint: t={restored.now} restored from {where} "
         f"({restored.in_flight} in flight, depth={restored.queue.depth})",
