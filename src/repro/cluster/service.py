@@ -1070,22 +1070,32 @@ class ClusterService:
             self._submits_since_stats = 0
         return self._stats_cache
 
-    def live_metrics(self) -> MetricsRegistry:
-        """Mid-run cluster telemetry roll-up (in-process shards only).
+    def live_registries(self) -> list[MetricsRegistry]:
+        """The registries the mid-run roll-up reads, in merge order:
+        every live in-process shard's, then :attr:`cluster_metrics`.
 
-        Merges every live in-process shard's registry -- counters,
-        gauges *and* histograms, so p99 admission latency comes from the
-        same :class:`~repro.service.telemetry.MetricsRegistry` path the
-        final result uses -- with the cluster-level counters.  Process-
-        mode shards keep their registries worker-side and are skipped;
-        their totals appear in the final :class:`ClusterResult` instead.
+        Returned in place, not copied -- the gateway's KPI tick reads
+        them directly instead of merging them every tick.  Process-mode
+        shards keep their registries worker-side and are absent; their
+        totals appear in the final :class:`ClusterResult` instead.
         """
         registries = [
             shard.service.metrics
             for shard in self.shards
             if shard.alive and isinstance(shard, InProcessShard)
         ]
-        return merge_registries(registries + [self.cluster_metrics])
+        registries.append(self.cluster_metrics)
+        return registries
+
+    def live_metrics(self) -> MetricsRegistry:
+        """Mid-run cluster telemetry roll-up (in-process shards only).
+
+        Merges :meth:`live_registries` -- counters, gauges *and*
+        histograms, so p99 admission latency comes from the same
+        :class:`~repro.service.telemetry.MetricsRegistry` path the
+        final result uses -- into one fresh registry.
+        """
+        return merge_registries(self.live_registries())
 
     # ------------------------------------------------------------------
     # Decision-point hooks

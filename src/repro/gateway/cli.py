@@ -33,13 +33,14 @@ import sys
 import threading
 from typing import Optional, Sequence
 
-from repro.gateway.kpi import KpiFeed
+from repro.gateway.kpi import KpiFeed, snapshots_to_jsonl
 from repro.gateway.load import ARRIVAL_PROCESSES
 from repro.gateway.server import KpiServer
 from repro.scenarios.builder import ScenarioBuilder
 from repro.scenarios.cli import flag_overrides, run_flags, spec_flag
 from repro.scenarios.spec import ScenarioSpec
 from repro.service.queue import SHED_POLICIES
+from repro.service.telemetry import write_text_atomic
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -158,7 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     out.add_argument(
         "--kpi", default=None, metavar="PATH",
-        help="write the KPI snapshot history to PATH as JSONL",
+        help="write every published KPI snapshot, then the final "
+        "line, to PATH as JSONL",
     )
     spec_flag(
         out, "--kpi-every", "gateway.kpi_every", "ticks per KPI snapshot"
@@ -265,11 +267,11 @@ def _serve(builder: ScenarioBuilder, args: argparse.Namespace) -> int:
     print(f"late_ticks:      {summary['late_ticks']}")
     print(f"fingerprint:     {summary['fingerprint']}")
     if args.kpi:
-        gateway.feed.write_jsonl(args.kpi)
-        print(
-            f"kpi written:     {args.kpi} "
-            f"({len(gateway.feed.history())} snapshots)"
-        )
+        # the feed keeps a bounded history; the result keeps every
+        # tick's snapshot, and the feed's newest entry is the final line
+        snapshots = result.kpis + gateway.feed.history()[-1:]
+        write_text_atomic(args.kpi, snapshots_to_jsonl(snapshots))
+        print(f"kpi written:     {args.kpi} ({len(snapshots)} snapshots)")
     return 0
 
 
@@ -291,13 +293,14 @@ def _report(feed: KpiFeed, every: int) -> None:
             last = seq
             if snap.get("final") or snap["tick"] % every:
                 continue
+            shed, profit = snap["shed_fraction"], snap["profit_total"]
             print(
                 f"tick={snap['tick']:>6d}  t={snap['sim_t']:>8d}  "
                 f"shards={snap['active_shards']}  "
                 f"depth={snap['queue_depth']}  "
                 f"buffered={snap['buffer_depth']}  "
-                f"shed={snap['shed_fraction']:.3f}  "
-                f"profit={snap['profit_total']:.2f}",
+                f"shed={'n/a' if shed is None else f'{shed:.3f}'}  "
+                f"profit={'n/a' if profit is None else f'{profit:.2f}'}",
                 flush=True,
             )
 

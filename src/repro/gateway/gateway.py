@@ -558,11 +558,16 @@ class Gateway:
         level = (
             self.degradation.name if self.degradation is not None else "normal"
         )
+        # process shards keep their registries worker-side: a roll-up
+        # without them would publish zeros, not the cluster's totals
+        registries = (
+            cluster.live_registries() if cluster.mode == "inprocess" else None
+        )
         return self.kpi.snapshot(
             tick=tick,
             sim_t=boundary,
             wall_s=self.clock.now() - start_wall,
-            metrics=cluster.live_metrics(),
+            registries=registries,
             active_shards=cluster.k_active,
             queue_depth=sum(s.queue_depth for s in stats),
             in_flight=sum(s.in_flight for s in stats),

@@ -1,17 +1,19 @@
 """Live KPI aggregation and the feed the gateway publishes it on.
 
-:class:`KpiAggregator` turns one tick's cluster state -- the merged
-:meth:`~repro.cluster.service.ClusterService.live_metrics` roll-up plus
-gateway-side counters -- into a flat JSON-serializable snapshot:
-rolling profit rate, shed fraction (gateway drops *and* scheduler
-sheds), queue depth, and p50/p99 admission latency straight from the
-service's own ``admission_latency`` histogram.  No parallel metrics
-path: what the feed reports is what the final result reports.
+:class:`KpiAggregator` turns one tick's cluster state -- the live
+registries :meth:`~repro.cluster.service.ClusterService.live_metrics`
+rolls up, read in place, plus gateway-side counters -- into a flat
+JSON-serializable snapshot: rolling profit rate, shed fraction (gateway
+drops *and* scheduler sheds), queue depth, and p50/p99 admission
+latency straight from the services' own ``admission_latency``
+histograms.  No parallel metrics path: every field equals what the
+merged :class:`~repro.service.telemetry.MetricsRegistry` roll-up would
+report, and what the feed reports is what the final result reports.
 
 :class:`KpiFeed` is the fan-out half: a bounded history of snapshots
 with a condition variable so any number of consumers (the SSE server,
-a JSONL writer, a test) can block for "everything after sequence N"
-without polling, and a ``close()`` that wakes them all for shutdown.
+a progress printer, a test) can block for "everything after sequence
+N" without polling, and a ``close()`` that wakes them all for shutdown.
 """
 
 from __future__ import annotations
@@ -19,9 +21,37 @@ from __future__ import annotations
 import json
 import threading
 from collections import deque
-from typing import Any, Optional
+from typing import Any, Iterable, Optional, Sequence
 
-from repro.service.telemetry import MetricsRegistry
+from repro.service.telemetry import (
+    MetricsRegistry,
+    merged_histogram_summary,
+    write_text_atomic,
+)
+
+#: Snapshot fields derived from the shard registries' roll-up; they
+#: read ``None`` while an active shard keeps its registry worker-side.
+ROLLUP_FIELDS: tuple[str, ...] = (
+    "submitted_total",
+    "completed_total",
+    "shed_total",
+    "shed_fraction",
+    "profit_total",
+    "profit_rate",
+    "arrival_rate",
+    "admission_latency_p50",
+    "admission_latency_p99",
+    "admission_latency_mean",
+)
+
+
+def _total(registries: Sequence[MetricsRegistry], name: str) -> float:
+    """``merge_registries(registries).values().get(name, 0.0)`` for a
+    summed metric: the same fold, in registry order from 0.0."""
+    total = 0.0
+    for registry in registries:
+        total += registry.value(name)
+    return total
 
 
 class KpiAggregator:
@@ -47,7 +77,7 @@ class KpiAggregator:
         tick: int,
         sim_t: int,
         wall_s: float,
-        metrics: MetricsRegistry,
+        registries: Optional[Sequence[MetricsRegistry]],
         active_shards: int,
         queue_depth: int,
         in_flight: int,
@@ -57,24 +87,35 @@ class KpiAggregator:
         degraded_shards: int = 0,
         degradation: str = "normal",
     ) -> dict[str, Any]:
-        """Build one KPI snapshot dict from this tick's state."""
-        values = metrics.values()
-        profit = float(values.get("profit_total", 0.0))
-        submitted = float(values.get("submitted_total", 0.0))
-        shed = float(values.get("shed_total", 0.0))
-        completed = float(values.get("completed_total", 0.0))
-        offered = submitted + gateway_shed
-        shed_fraction = (shed + gateway_shed) / offered if offered else 0.0
+        """Build one KPI snapshot dict from this tick's state.
 
-        self._marks.append((sim_t, profit, offered))
-        t0, profit0, offered0 = self._marks[0]
-        span = max(1, sim_t - t0)
-        profit_rate = (profit - profit0) / span if len(self._marks) > 1 else 0.0
-        arrival_rate = (
-            (offered - offered0) / span if len(self._marks) > 1 else 0.0
-        )
+        ``registries`` are the live registries the cluster roll-up
+        merges (:meth:`~repro.cluster.service.ClusterService.
+        live_registries`), read in place; ``None`` when part of the
+        roll-up is out of reach (worker-side shard registries), which
+        publishes every :data:`ROLLUP_FIELDS` entry as ``None``.
+        """
+        if registries is None:
+            submitted = completed = shed = shed_fraction = None
+            profit = profit_rate = arrival_rate = None
+            latency: dict[str, Any] = {}
+        else:
+            profit = _total(registries, "profit_total")
+            submitted = _total(registries, "submitted_total")
+            shed = _total(registries, "shed_total")
+            completed = _total(registries, "completed_total")
+            offered = submitted + gateway_shed
+            shed_fraction = (
+                (shed + gateway_shed) / offered if offered else 0.0
+            )
 
-        latency = metrics.histogram_summary("admission_latency")
+            self._marks.append((sim_t, profit, offered))
+            t0, profit0, offered0 = self._marks[0]
+            span = max(1, sim_t - t0)
+            rated = len(self._marks) > 1
+            profit_rate = (profit - profit0) / span if rated else 0.0
+            arrival_rate = (offered - offered0) / span if rated else 0.0
+            latency = merged_histogram_summary(registries, "admission_latency")
         return {
             "tick": int(tick),
             "sim_t": int(sim_t),
@@ -98,6 +139,11 @@ class KpiAggregator:
             "degraded_shards": int(degraded_shards),
             "degradation": str(degradation),
         }
+
+
+def snapshots_to_jsonl(snapshots: Iterable[dict[str, Any]]) -> str:
+    """Render KPI snapshots as JSON lines."""
+    return "".join(json.dumps(s) + "\n" for s in snapshots)
 
 
 class KpiFeed:
@@ -164,12 +210,12 @@ class KpiFeed:
 
     def to_jsonl(self) -> str:
         """Render the retained history as JSON lines."""
-        return "".join(json.dumps(s) + "\n" for s in self.history())
+        return snapshots_to_jsonl(self.history())
 
     def write_jsonl(self, path: str) -> None:
-        """Write the retained history to ``path`` as JSONL."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_jsonl())
+        """Write the retained history to ``path`` as JSONL, crash-safely
+        (:func:`~repro.service.telemetry.write_text_atomic`)."""
+        write_text_atomic(path, self.to_jsonl())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"KpiFeed(seq={self.last_seq}, closed={self.closed})"

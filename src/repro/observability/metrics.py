@@ -17,7 +17,7 @@ snapshot formats bit-identical with or without observability.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable, Optional, Sequence
 
 
 def _pick(ordered: list[float], q: float) -> Optional[float]:
@@ -90,30 +90,17 @@ class RingHistogram:
         cross-shard observation order is not defined anyway; windowed
         quantiles over the merged window are the cluster-level
         approximation.  The result equals merging the inputs one by
-        one, but each window is copied once instead of once per input.
+        one; only the retained tail is copied (:func:`tail_window`).
         Inputs are unchanged; empty ones are skipped.
         """
-        merged: Optional[list[float]] = None
-        count, total, lo, hi = self.count, self.total, self.min, self.max
-        for other in others:
-            if other.count == 0:
-                continue
-            if merged is None:
-                merged = self.window()
-            ring, pos = other._ring, other._pos
-            merged += ring[pos:]
-            merged += ring[:pos]
-            count += other.count
-            total += other.total
-            if lo is None or (other.min is not None and other.min < lo):
-                lo = other.min
-            if hi is None or (other.max is not None and other.max > hi):
-                hi = other.max
-        if merged is None:
+        inputs = [other for other in others if other.count]
+        if not inputs:
             return
-        self._ring = merged[-self.capacity:]
+        self.count, self.total, self.min, self.max = _fold(
+            inputs, self.count, self.total, self.min, self.max
+        )
+        self._ring = tail_window([self] + inputs, self.capacity)
         self._pos = 0
-        self.count, self.total, self.min, self.max = count, total, lo, hi
 
     def window(self) -> list[float]:
         """Retained observations, oldest first."""
@@ -137,17 +124,7 @@ class RingHistogram:
     def summary(self) -> dict[str, Any]:
         """Flat JSON-compatible summary: lifetime aggregates plus
         windowed p50/p90/p99 (one sort of the window for all three)."""
-        ordered = sorted(self._ring)
-        return {
-            "count": self.count,
-            "total": self.total,
-            "mean": self.mean,
-            "min": self.min,
-            "max": self.max,
-            "p50": _pick(ordered, 0.50),
-            "p90": _pick(ordered, 0.90),
-            "p99": _pick(ordered, 0.99),
-        }
+        return _summary(self.count, self.total, self.min, self.max, self._ring)
 
     def __len__(self) -> int:
         """Number of retained (windowed) observations."""
@@ -158,3 +135,88 @@ class RingHistogram:
             f"RingHistogram({self.name!r}, count={self.count}, "
             f"mean={self.mean:.6g})"
         )
+
+
+def _summary(
+    count: int,
+    total: float,
+    lo: Optional[float],
+    hi: Optional[float],
+    window: list[float],
+) -> dict[str, Any]:
+    ordered = sorted(window)
+    return {
+        "count": count,
+        "total": total,
+        "mean": total / count if count else 0.0,
+        "min": lo,
+        "max": hi,
+        "p50": _pick(ordered, 0.50),
+        "p90": _pick(ordered, 0.90),
+        "p99": _pick(ordered, 0.99),
+    }
+
+
+def _fold(
+    histograms: Iterable[RingHistogram],
+    count: int,
+    total: float,
+    lo: Optional[float],
+    hi: Optional[float],
+) -> tuple[int, float, Optional[float], Optional[float]]:
+    """Lifetime aggregates folded over ``histograms`` in order."""
+    for h in histograms:
+        count += h.count
+        total += h.total
+        if lo is None or (h.min is not None and h.min < lo):
+            lo = h.min
+        if hi is None or (h.max is not None and h.max > hi):
+            hi = h.max
+    return count, total, lo, hi
+
+
+def tail_window(
+    histograms: Sequence[RingHistogram], capacity: int
+) -> list[float]:
+    """Newest ``capacity`` observations of the concatenated windows.
+
+    The windows join in input order (later histograms count as more
+    recent) and the result is oldest first: for ``capacity >= 1`` it
+    equals ``sum((h.window() for h in histograms), [])[-capacity:]``.
+    It walks the inputs newest-first and copies at most ``capacity``
+    observations, so a roll-up of k full windows costs one window, not
+    k.  The one merge implementation behind
+    :meth:`RingHistogram.merge_many` and :func:`merged_summary`.
+    """
+    chunks: list[list[float]] = []
+    need = capacity
+    for h in reversed(histograms):
+        if need <= 0:
+            break
+        ring, pos = h._ring, h._pos
+        # window = ring[pos:] (older) + ring[:pos] (newer)
+        if need <= pos:
+            chunk = ring[pos - need:pos]
+        else:
+            chunk = ring[max(pos, len(ring) - (need - pos)):] + ring[:pos]
+        chunks.append(chunk)
+        need -= len(chunk)
+    out: list[float] = []
+    for chunk in reversed(chunks):
+        out += chunk
+    return out
+
+
+def merged_summary(histograms: Sequence[RingHistogram]) -> dict[str, Any]:
+    """Summary of a merge of ``histograms``, without building it.
+
+    Equals :meth:`RingHistogram.summary` of a fresh histogram with the
+    first input's capacity after :meth:`~RingHistogram.merge_many` over
+    ``histograms``, computed from the inputs in place.  ``histograms``
+    must be non-empty.
+    """
+    inputs = [h for h in histograms if h.count]
+    count, total, lo, hi = _fold(inputs, 0, 0.0, None, None)
+    return _summary(
+        count, total, lo, hi, tail_window(inputs, histograms[0].capacity)
+    )

@@ -593,6 +593,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 n_events=args.events,
                 kinds=kinds,
                 workdir=workdir,
+                mode=args.mode,
             )
         payload = report.to_dict()
         if args.out:

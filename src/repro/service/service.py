@@ -39,6 +39,17 @@ from repro.sim.scheduler import Scheduler
 from repro.service.queue import IngestQueue, QueuedJob, ShedPolicy, sns_density
 from repro.service.telemetry import MetricsRegistry
 
+#: Gauges every sample refreshes, in the order they are first created.
+SYNCED_GAUGES: tuple[str, ...] = (
+    "queue_depth",
+    "in_flight",
+    "completed_total",
+    "expired_total",
+    "profit_total",
+    "profit_rate",
+    "utilization",
+)
+
 
 class Admission(enum.Enum):
     """Outcome of one :meth:`SchedulingService.submit` call."""
@@ -180,6 +191,9 @@ class SchedulingService:
         #: jobs dropped before release, in drop order
         self.shed_log: list[ShedRecord] = []
         self._last_sample_t: Optional[int] = None
+        # (registry, its SYNCED_GAUGES objects), bound on the first sync:
+        # registries and checkpoints taken before it hold no gauges
+        self._synced: Optional[tuple[MetricsRegistry, tuple[Any, ...]]] = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -499,20 +513,26 @@ class SchedulingService:
         profit: Optional[float] = None,
     ) -> None:
         metrics = self.metrics
-        metrics.gauge("queue_depth").set(self.queue.depth)
+        synced = self._synced
+        if synced is None or synced[0] is not metrics:
+            # bind in SYNCED_GAUGES order: gauge creation order is the
+            # order state_to_dict (and so a checkpoint) lists them in
+            synced = self._synced = (
+                metrics, tuple(metrics.gauge(n) for n in SYNCED_GAUGES)
+            )
+        queue, flight, completed, expired, total, rate, util = synced[1]
+        queue.set(self.queue.depth)
         if in_flight is None:
             in_flight = self.in_flight
         if profit is None:
             profit = self.sim.profit_so_far()
-        metrics.gauge("in_flight").set(in_flight)
-        metrics.gauge("completed_total").set(counters.completions)
-        metrics.gauge("expired_total").set(counters.expiries)
-        metrics.gauge("profit_total").set(profit)
-        metrics.gauge("profit_rate").set(profit / now if now > 0 else 0.0)
+        flight.set(in_flight)
+        completed.set(counters.completions)
+        expired.set(counters.expiries)
+        total.set(profit)
+        rate.set(profit / now if now > 0 else 0.0)
         allocated = counters.allocated_steps
-        metrics.gauge("utilization").set(
-            counters.busy_steps / allocated if allocated > 0 else 0.0
-        )
+        util.set(counters.busy_steps / allocated if allocated > 0 else 0.0)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = f"t={self.sim.now}" if self.sim.started else "idle"

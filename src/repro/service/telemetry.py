@@ -134,6 +134,13 @@ class MetricsRegistry:
             out[name] = self._gauges[name].value
         return out
 
+    def value(self, name: str) -> float:
+        """Current value of one metric as :meth:`values` reports it (a
+        gauge shadows a counter of the same name); 0.0 when absent.
+        Nothing is created."""
+        metric = self._gauges.get(name) or self._counters.get(name)
+        return metric.value if metric is not None else 0.0
+
     # ------------------------------------------------------------------
     def sample(self, t: int) -> dict[str, Any]:
         """Snapshot every metric at simulated time ``t``.
@@ -154,41 +161,9 @@ class MetricsRegistry:
         return "".join(json.dumps(s) + "\n" for s in self.samples)
 
     def write_jsonl(self, path: str) -> None:
-        """Write all retained samples to a JSONL file, crash-safely.
-
-        The samples are rendered into a sibling temp file which is
-        fsynced, then atomically renamed over ``path`` (``os.replace``)
-        and the containing directory fsynced, so a process killed
-        mid-export -- a faulted cluster shard, a SIGKILLed service, a
-        power cut -- never leaves a truncated or corrupt file behind:
-        readers see either the previous complete file or the new one,
-        and the rename itself is durable.
-        """
-        tmp = f"{path}.tmp.{os.getpid()}"
-        try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(self.to_jsonl())
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        # make the rename durable: fsync the directory entry too
-        parent = os.path.dirname(os.path.abspath(path))
-        try:
-            fd = os.open(parent, os.O_RDONLY)
-        except OSError:  # pragma: no cover - exotic filesystems
-            return
-        try:
-            os.fsync(fd)
-        except OSError:  # pragma: no cover - fsync on dirs unsupported
-            pass
-        finally:
-            os.close(fd)
+        """Write all retained samples to a JSONL file, crash-safely
+        (see :func:`write_text_atomic`)."""
+        write_text_atomic(path, self.to_jsonl())
 
     def merge_from(
         self,
@@ -295,3 +270,57 @@ def merge_registries(
             gauge.set(gauge.value / count)
     merged._mean_counts = {}
     return merged
+
+
+def merged_histogram_summary(
+    registries: Iterable["MetricsRegistry"], name: str
+) -> dict[str, Any]:
+    """Roll-up summary of one histogram, read from ``registries`` in place.
+
+    Equals ``merge_registries(registries).histogram_summary(name)``:
+    the lifetime aggregates fold in registry order and the quantiles
+    come from the newest ``capacity`` observations of the concatenated
+    windows, but no roll-up registry or merged histogram is built.
+    ``{}`` when no input has ``name``.
+    """
+    from repro.observability.metrics import merged_summary
+
+    found = [r._histograms[name] for r in registries if name in r._histograms]
+    return merged_summary(found) if found else {}
+
+
+def write_text_atomic(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` crash-safely.
+
+    The text goes into a sibling temp file which is fsynced, then
+    atomically renamed over ``path`` (``os.replace``) and the containing
+    directory fsynced, so a process killed mid-export -- a faulted
+    cluster shard, a SIGKILLed service, a power cut -- never leaves a
+    truncated or corrupt file behind: readers see either the previous
+    complete file or the new one, and the rename itself is durable.
+    """
+    tmp = f"{path}.tmp.{os.getpid()}"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+    # make the rename durable: fsync the directory entry too
+    parent = os.path.dirname(os.path.abspath(path))
+    try:
+        fd = os.open(parent, os.O_RDONLY)
+    except OSError:  # pragma: no cover - exotic filesystems
+        return
+    try:
+        os.fsync(fd)
+    except OSError:  # pragma: no cover - fsync on dirs unsupported
+        pass
+    finally:
+        os.close(fd)
