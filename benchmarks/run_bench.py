@@ -32,7 +32,7 @@ A second snapshot, ``BENCH_cluster.json``, covers the sharded cluster
 host the speedup comes from subproblem scaling, since per-decision
 scheduler cost grows with the active set each shard holds), migration
 on/off under a deliberately skewed router, and the wall-clock cost of
-a kill-and-recover cycle with its fault-free-equality check.
+a supervised crash-and-recover cycle with its fault-free-equality check.
 
 A third snapshot, ``BENCH_resilience.json``, covers the supervised
 cluster (:mod:`repro.resilience`): hang detection and restart latency
@@ -95,7 +95,6 @@ from repro.baselines.federated import FederatedScheduler  # noqa: E402
 from repro.dag.graph import DAGStructure  # noqa: E402
 from repro.cluster import (  # noqa: E402
     ClusterService,
-    FaultInjector,
     QueueBalancer,
     Router,
     ShardConfig,
@@ -621,7 +620,9 @@ def bench_cluster_migration(quick: bool) -> dict:
 
 
 def bench_cluster_recovery(quick: bool) -> dict:
-    """Kill-and-recover wall time plus fault-free bit-equality."""
+    """Crash-and-recover wall time plus fault-free bit-equality."""
+    from repro.resilience import ChaosInjector, ChaosSchedule, SupervisorConfig
+
     n_jobs = 200 if quick else 2000
     m = 32
     specs = generate_workload(
@@ -632,7 +633,8 @@ def bench_cluster_recovery(quick: bool) -> dict:
     config = ShardConfig(m=1, scheduler="sns", scheduler_kwargs={"epsilon": 1.0})
     fault_at = sorted(s.arrival for s in specs)[len(specs) // 2]
 
-    def run(injector):
+    def run(chaos):
+        injector = ChaosInjector(ChaosSchedule.parse(chaos)) if chaos else None
         # a wide checkpoint interval leaves a real log tail to replay,
         # so the recovery timing covers restore + replay, not just restore
         return ClusterService(
@@ -641,14 +643,14 @@ def bench_cluster_recovery(quick: bool) -> dict:
             config=config,
             router="consistent-hash",
             mode="process",
+            supervisor=SupervisorConfig(backoff_base=0.0, backoff_max=0.0),
             fault_injector=injector,
-            checkpoint_every=512 if injector else None,
+            checkpoint_every=512,
         ).run_stream(specs)
 
     clean = run(None)
-    injector = FaultInjector().add(shard=1, at=fault_at)
-    faulted = run(injector)
-    event = injector.events[0]
+    faulted = run(f"crash:1:{fault_at}")
+    event = faulted.recoveries[0]
     return {
         "n_jobs": n_jobs,
         "m": m,

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Sharded serving: route, migrate, kill and recover a cluster.
+"""Sharded serving: route, migrate, crash and recover a cluster.
 
 Walks the :mod:`repro.cluster` subsystem end to end on one overloaded
 stream:
@@ -8,9 +8,9 @@ stream:
    compare profit against the single monolithic service;
 2. turn migration on under a deliberately skewed router and watch the
    queue balancer rescue shed jobs from the hot shard;
-3. kill a shard mid-stream and recover it from its latest JSON
-   checkpoint plus submission-log replay -- finishing bit-identically
-   to the fault-free run.
+3. crash a shard mid-stream and let the supervisor recover it from its
+   latest checkpoint plus submission-log replay -- finishing
+   bit-identically to the fault-free run.
 
 Run:  python examples/sharded_cluster.py
 """
@@ -18,7 +18,6 @@ Run:  python examples/sharded_cluster.py
 from repro.analysis import format_table
 from repro.cluster import (
     ClusterService,
-    FaultInjector,
     QueueBalancer,
     Router,
     ShardConfig,
@@ -26,6 +25,7 @@ from repro.cluster import (
 )
 from repro.cluster.router import ROUTERS
 from repro.core import SNSScheduler
+from repro.resilience import ChaosInjector, ChaosSchedule, SupervisorConfig
 from repro.service import SchedulingService
 from repro.workloads import WorkloadConfig, generate_workload
 
@@ -92,27 +92,27 @@ def main() -> None:
             f"profit={result.total_profit:.2f}"
         )
 
-    # -- 3. kill shard 1 mid-stream, recover, lose nothing --------------
-    print("\nFault injection (kill shard 1 mid-stream, process mode):")
+    # -- 3. crash shard 1 mid-stream, recover, lose nothing -------------
+    print("\nFault injection (crash shard 1 mid-stream, process mode):")
     mid = sorted(s.arrival for s in specs)[len(specs) // 2]
 
-    def run(injector):
+    def run(chaos):
+        injector = ChaosInjector(ChaosSchedule.parse(chaos)) if chaos else None
         return ClusterService(
             M,
             K,
             config=CONFIG,
             router="consistent-hash",
             mode="process",
+            supervisor=SupervisorConfig(backoff_base=0.001, backoff_max=0.01),
             fault_injector=injector,
-            checkpoint_every=64 if injector else None,
         ).run_stream(specs)
 
     clean = run(None)
-    injector = FaultInjector().add(shard=1, at=mid)
-    faulted = run(injector)
+    faulted = run(f"crash:1:{mid}")
     event = faulted.recoveries[0]
     print(
-        f"  killed shard {event.shard} at t={event.time}, restored from "
+        f"  recovered shard {event.shard} at t={event.time} from "
         f"checkpoint t={event.checkpoint_time}, replayed "
         f"{event.replayed} submissions in {event.wall_seconds * 1e3:.1f} ms"
     )

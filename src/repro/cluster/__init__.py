@@ -1,10 +1,12 @@
-"""Sharded multi-process serving: routed admission, migration, faults.
+"""Sharded multi-process serving: routed admission, migration, recovery.
 
 Scales the single-process :mod:`repro.service` layer out: ``m``
 machines split into ``k`` independent machine-pool shards, each running
 its own scheduler-S service, with jobs placed by a pluggable router at
-submit time, queued work rebalanced by a migration policy, and killed
-shards restored from checkpoints plus submission-log replay.
+submit time, queued work rebalanced by a migration policy, and crashed
+shards of a supervised cluster restored from checkpoints plus
+submission-log replay (faults are injected by
+:mod:`repro.resilience.chaos`).
 
 Package map
 -----------
@@ -17,8 +19,8 @@ Package map
 * :mod:`repro.cluster.migration` -- queued-job rebalancing policies.
 * :mod:`repro.cluster.service` -- the one :class:`ClusterService`
   (fixed or elastic shard count, unsupervised or supervised) and the
-  merged :class:`ClusterResult`.
-* :mod:`repro.cluster.faults` -- kill/recover fault-injection harness.
+  merged :class:`ClusterResult`, with its :class:`RecoveryEvent`
+  reports.
 * :mod:`repro.cluster.elastic` -- the :func:`ElasticCluster` constructor
   shim (an elastic ``ClusterService`` with a least-loaded router).
 * :mod:`repro.cluster.coordinator` -- cluster-wide band-aware
@@ -44,7 +46,6 @@ from repro.cluster.coordinator import (
     coordinate,
 )
 from repro.cluster.elastic import ElasticCluster
-from repro.cluster.faults import FaultInjector, FaultPlan, RecoveryEvent
 from repro.cluster.migration import MigrationMove, MigrationPolicy, QueueBalancer
 from repro.cluster.router import (
     BandAwareRouter,
@@ -57,7 +58,12 @@ from repro.cluster.router import (
     ShardStats,
     make_router,
 )
-from repro.cluster.service import ClusterResult, ClusterService, ScaleEvent
+from repro.cluster.service import (
+    ClusterResult,
+    ClusterService,
+    RecoveryEvent,
+    ScaleEvent,
+)
 from repro.cluster.shard import (
     InProcessShard,
     ProcessShard,
@@ -78,8 +84,6 @@ __all__ = [
     "Coordinator",
     "DensityAwareRouter",
     "ElasticCluster",
-    "FaultInjector",
-    "FaultPlan",
     "InProcessShard",
     "LeastLoadedRouter",
     "MigrationMove",

@@ -445,8 +445,8 @@ class Coordinator:
     configuration: on an elastic cluster only the active prefix is
     read, routed to, or stolen between (resizes invalidate the ledger);
     on a supervised one steals are journaled and a shard failure
-    mid-tick is supervised.  Steals re-checkpoint when fault injection
-    is on, so log replay never resurrects a stolen-away job.
+    mid-tick is supervised.  A recovered shard is reconciled against
+    the steal journal, so log replay never resurrects a stolen-away job.
 
     Parameters
     ----------
@@ -774,11 +774,6 @@ class Coordinator:
                 metrics.counter("steals_displaced_total").inc(displaced_total)
             # shard state changed under the ledger's feet
             self.invalidate()
-            # recovery invariant (same as queued migration): the latest
-            # checkpoint must postdate the steal, or a donor log replay
-            # would resurrect jobs that migrated away
-            if cluster.fault_injector is not None:
-                cluster.checkpoint_all()
 
 
 def coordinate(

@@ -34,11 +34,11 @@ On top of placement every configuration offers:
 * **migration** -- a :class:`~repro.cluster.migration.MigrationPolicy`
   periodically moves queued-but-unstarted jobs from overloaded to idle
   shards (off by default);
-* **fault recovery** -- with a fault injector (or a supervisor), shards
-  are periodically checkpointed and every submission is logged, so a
-  killed shard is restored from its latest checkpoint plus a keyed
-  log-tail replay with zero admitted jobs lost.  ``wal_dir`` and
-  ``checkpoint_dir`` make the log and the checkpoints durable;
+* **fault recovery** -- with a supervisor, shards are periodically
+  checkpointed and every submission is logged, so a crashed shard is
+  restored from its latest checkpoint plus a keyed log-tail replay with
+  zero admitted jobs lost.  ``wal_dir`` and ``checkpoint_dir`` make the
+  log and the checkpoints durable;
 * **telemetry roll-up** -- per-shard registries merge into one cluster
   view (:func:`repro.service.telemetry.merge_registries`), alongside
   cluster-level counters (routed/migrated/recovered).
@@ -70,7 +70,6 @@ from functools import cached_property
 from typing import Any, Iterable, Optional, Sequence, Union
 
 from repro.cluster.config import ShardConfig, partition_machines
-from repro.cluster.faults import RecoveryEvent
 from repro.cluster.migration import MigrationPolicy
 from repro.cluster.router import Router, ShardStats, make_router
 from repro.cluster.shard import (
@@ -103,6 +102,21 @@ from repro.sim.jobs import CompletionRecord, JobSpec
 
 
 @dataclass
+class RecoveryEvent:
+    """One executed shard recovery, for reporting."""
+
+    shard: int
+    #: simulated time the recovery ran
+    time: int
+    #: simulated time of the checkpoint the shard was restored from
+    checkpoint_time: int
+    #: submission-log entries replayed on top of the checkpoint
+    replayed: int
+    #: wall-clock seconds the restore + replay took
+    wall_seconds: float
+
+
+@dataclass
 class ClusterResult:
     """Everything a finished cluster run reports."""
 
@@ -110,7 +124,7 @@ class ClusterResult:
     shard_results: list[ServiceResult]
     #: cluster-level counters (routed/migrated/recovered totals)
     cluster_metrics: MetricsRegistry
-    #: executed kill-and-recover events, in firing order
+    #: executed shard recoveries, in order
     recoveries: list[RecoveryEvent] = field(default_factory=list)
     extra: dict = field(default_factory=dict)
 
@@ -202,12 +216,11 @@ class ClusterService:
     migrate_every:
         Simulated-time interval between rebalance ticks.
     fault_injector:
-        Optional fault schedule (:class:`~repro.cluster.faults.
-        FaultInjector` or :class:`~repro.resilience.chaos.
-        ChaosInjector`); enables checkpointing + submission logging.
+        Optional :class:`~repro.resilience.chaos.ChaosInjector` fired at
+        every decision point; needs a supervisor.
     checkpoint_every:
         Simulated-time interval between cluster-wide checkpoints
-        (default 64 whenever submissions are logged).
+        (default 64 on a supervised cluster).
     stats_refresh:
         In ``"process"`` mode, submissions between synchronous stats
         refreshes for stats-hungry routers (lower = fresher = slower).
@@ -277,8 +290,10 @@ class ClusterService:
                 )
             if not 1 <= k_initial <= k:
                 raise ClusterError("k_initial must be in [1, k]")
-        if supervisor is None and (wal_dir or checkpoint_dir):
-            raise ClusterError("wal_dir and checkpoint_dir need a supervisor")
+        if supervisor is None and (wal_dir or checkpoint_dir or fault_injector):
+            raise ClusterError(
+                "wal_dir, checkpoint_dir and fault_injector need a supervisor"
+            )
         template = config if config is not None else ShardConfig(m=1)
         self.m = int(m)
         self.k = int(k)
@@ -298,9 +313,7 @@ class ClusterService:
             supervisor = ShardSupervisor(supervisor)
         self.supervisor: Optional[ShardSupervisor] = supervisor
         #: whether submissions are logged for recovery
-        self._log_submissions = (
-            supervisor is not None or fault_injector is not None
-        )
+        self._log_submissions = supervisor is not None
         if checkpoint_every is None and self._log_submissions:
             checkpoint_every = 64
         self.checkpoint_every = checkpoint_every
@@ -492,23 +505,15 @@ class ClusterService:
         merged cluster result.
 
         A degraded shard is not called and yields an empty result.  A
-        shard that fails its drain is supervised after the gather: one
-        recovery and a second drain, or the degrade policy.  Without a
-        supervisor the first failure, in shard order, is raised.
+        shard that fails its drain is recovered and drained again (see
+        :meth:`_fence`); a second failure is raised.
         """
         self.start()
         shards = [s for s in self.shards if s.index in self._activated]
-        degraded = self.degraded
-        fenced = [shard for shard in shards if shard.index not in degraded]
-        replies = dict(
-            zip([shard.index for shard in fenced], fan_out(fenced, "finish"))
-        )
         results = []
-        for shard in shards:
-            result = replies.get(shard.index)
+        for shard, result in zip(shards, self._fence(shards, "finish")):
             if isinstance(result, ShardFailedError):
-                self.supervise_failure(shard.index, self._now, result)
-                result = None if shard.index in degraded else shard.finish()
+                raise result
             results.append(
                 self._empty_result(shard) if result is None else result
             )
@@ -747,14 +752,16 @@ class ClusterService:
     def kill_shard(self, index: int) -> None:
         """Crash one shard: live engine/queue/scheduler state is lost."""
         self.shards[index].kill()
-        self._stats_cache = None
         if self.coordinator is not None:
             self.coordinator.invalidate()
         self.cluster_metrics.counter("faults_total").inc()
 
     def recover_shard(self, index: int, t: int) -> RecoveryEvent:
         """Restore a killed shard from its latest checkpoint and replay
-        the submission-log tail; returns the recovery report."""
+        the submission-log tail; returns the recovery report.
+
+        The restored shard holds exactly the state it had, so the
+        router's stats cache stays valid across the restart."""
         started = time.perf_counter()
         log_index, checkpoint = self._load_checkpoint(index)
         checkpoint_time = 0 if checkpoint is None else checkpoint.t
@@ -775,7 +782,6 @@ class ClusterService:
         tail = self.logs[index].entries[log_index:]
         for offset, (entry_t, spec) in enumerate(tail, start=log_index):
             shard.submit(spec, entry_t, key=self._submit_key(index, offset))
-        self._stats_cache = None
         if self.coordinator is not None:
             self.coordinator.invalidate()
         self.cluster_metrics.counter("recoveries_total").inc()
@@ -813,7 +819,6 @@ class ClusterService:
         if self.supervisor is None:
             raise exc
         self.breaker_router.breaker(index).record_failure(t)
-        self._stats_cache = None
         self.supervisor.handle_failure(self, index, t, reason=exc.reason)
 
     def supervised_shard_ids(self) -> set[int]:
@@ -1039,12 +1044,54 @@ class ClusterService:
     # ------------------------------------------------------------------
     # Stats and live telemetry
     # ------------------------------------------------------------------
+    def _fence(self, shards: Sequence[ShardHandle], op: str) -> list:
+        """Call the synchronous ``op`` on ``shards`` in one fan-out,
+        then hand each failure, in shard order, to
+        :meth:`supervise_failure` and call the recovered shard again.
+
+        Returns one entry per shard: the reply, ``None`` for a degraded
+        shard (never called), or the retry's
+        :class:`~repro.errors.ShardFailedError`.  Without a supervisor
+        the first failure is raised.  A healthy cluster pays one
+        fan-out.
+        """
+        degraded = self.degraded
+        replies = fan_out([s for s in shards if s.index not in degraded], op)
+        if degraded:
+            called = iter(replies)
+            replies = [
+                None if s.index in degraded else next(called) for s in shards
+            ]
+        for i, reply in enumerate(replies):
+            if isinstance(reply, ShardFailedError):
+                shard = shards[i]
+                self.supervise_failure(shard.index, self._now, reply)
+                replies[i] = (
+                    None
+                    if shard.index in degraded
+                    else fan_out([shard], op)[0]
+                )
+        return replies
+
     def _prefix_stats(self, k: Optional[int] = None) -> list[ShardStats]:
         """Stats for the first ``k`` units (default: the active prefix)
-        in one fan-out fence.  A dead, degraded or failing shard reports
-        as a dead placeholder rather than raising into a decision."""
+        in one fan-out fence.
+
+        Supervised, the fence recovers a dead or failing shard and reads
+        it again before any decision sees the stats, so a restart leaves
+        routing as the fault-free run had it.  A degraded shard, a shard
+        still failing, or any dead or failing shard of an unsupervised
+        cluster reports as a dead placeholder."""
         k = self.k_active if k is None else k
-        return gather_stats(self.shards[:k], skip=self.degraded)
+        shards = self.shards[:k]
+        if self.supervisor is None:
+            return gather_stats(shards)
+        return [
+            reply
+            if isinstance(reply, ShardStats)
+            else ShardStats(index=shard.index, m=shard.config.m, alive=False)
+            for shard, reply in zip(shards, self._fence(shards, "stats"))
+        ]
 
     def active_stats(self) -> list[ShardStats]:
         """Live stats for the active prefix (the autoscaler's input)."""
@@ -1102,7 +1149,8 @@ class ClusterService:
     # ------------------------------------------------------------------
     def _hooks(self, t: int) -> None:
         """Decision-point hooks, in recovery-safe order: checkpoint,
-        fire faults, migrate (migration re-checkpoints), heartbeat."""
+        fire chaos faults, migrate (migration re-checkpoints),
+        heartbeat."""
         if self.breaker_router is not None:
             self.breaker_router.now = t
         if (
@@ -1111,7 +1159,7 @@ class ClusterService:
             and t - self._last_checkpoint_t >= self.checkpoint_every
         ):
             self.checkpoint_all()
-        if self.fault_injector is not None:
+        if self.fault_injector:
             self.fault_injector.maybe_fire(self, t)
         if (
             self.migration is not None
@@ -1175,7 +1223,6 @@ class ClusterService:
     def inject_pipe_drop(self, index: int) -> None:
         """Sever one shard's command channel mid-run."""
         self.shards[index].drop_pipe()
-        self._stats_cache = None
         self.cluster_metrics.counter("faults_total").inc()
 
     def inject_corrupt_checkpoint(self, index: int) -> None:

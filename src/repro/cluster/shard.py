@@ -74,7 +74,7 @@ import os
 import pickle
 import time
 from dataclasses import dataclass, field
-from typing import Any, Collection, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from repro.cluster.config import ShardConfig
 from repro.cluster.router import ShardStats
@@ -992,27 +992,19 @@ def fan_out(shards: Sequence[ShardHandle], op: str, *args: Any) -> list:
     return replies
 
 
-def gather_stats(
-    shards: Sequence[ShardHandle],
-    skip: Collection[int] = (),
-    strict: bool = False,
-) -> list[ShardStats]:
+def gather_stats(shards: Sequence[ShardHandle]) -> list[ShardStats]:
     """Stats for ``shards`` in one :func:`fan_out` over the live ones.
 
-    A dead shard, or one whose index is in ``skip``, reports as a dead
-    placeholder without being called.  A shard that fails the fence
-    reports as dead too, unless ``strict``: then the first failure, in
-    shard order, is raised after the gather.
+    A dead shard reports as a dead placeholder without being called; a
+    shard that fails the fence reports as dead too.
     """
-    live = [s for s in shards if s.alive and s.index not in skip]
+    live = [s for s in shards if s.alive]
     stats = fan_out(live, "stats")
     if len(live) < len(shards):
         by_index = dict(zip([s.index for s in live], stats))
         stats = [by_index.get(s.index) for s in shards]
     for i, reply in enumerate(stats):
         if not isinstance(reply, ShardStats):
-            if strict and reply is not None:
-                raise reply
             shard = shards[i]
             stats[i] = ShardStats(index=shard.index, m=shard.config.m, alive=False)
     return stats

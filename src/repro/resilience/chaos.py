@@ -9,10 +9,10 @@ jobs lost or double-counted.  This module makes that claim executable:
   generated from a seed (:meth:`ChaosSchedule.generate`) or parsed from
   a compact spec string (:meth:`ChaosSchedule.parse`, e.g.
   ``"crash:0:200,hang:1:450"``);
-* :class:`ChaosInjector` -- duck-types the PR 3
-  :class:`~repro.cluster.faults.FaultInjector` interface
-  (``maybe_fire``), firing each scheduled fault through the cluster's
-  ``inject_*`` surface at its simulated time;
+* :class:`ChaosInjector` -- the cluster's one fault path: plugged into
+  ``ClusterService(fault_injector=...)`` (supervised clusters only), it
+  fires each scheduled fault through the cluster's ``inject_*`` surface
+  at its simulated time;
 * :func:`run_chaos` -- drives the same workload through a fault-free
   and a fault-injected supervised :class:`~repro.cluster.service.
   ClusterService` and diffs them into a :class:`ChaosReport`.
@@ -43,8 +43,10 @@ kind                      what it does
                           arrivals keep buffering (no-op offline)
 ========================  ==============================================
 
-The first five (:data:`CORE_FAULT_KINDS`) hold the PR 4 claim --
-bit-identity with the fault-free run -- on any supervised cluster.
+The first five (:data:`CORE_FAULT_KINDS`) hold the identity claim --
+bit-identity with the fault-free run -- on any supervised cluster,
+under every router: the cluster's supervised stats fence recovers a
+crashed shard before a routing decision reads it.
 The last four (:data:`COORDINATION_FAULT_KINDS`) target the
 coordinated/elastic stack, where the claim is the
 :mod:`~repro.resilience.audit` invariants plus a gated profit floor
@@ -103,6 +105,11 @@ class ChaosEvent:
             raise ClusterError(
                 f"unknown fault kind {self.kind!r}; known: {FAULT_KINDS}"
             )
+        if self.shard < 0 or self.at < 0:
+            raise ClusterError(
+                f"bad chaos event {self.kind}:{self.shard}:{self.at} "
+                "(shard and time must be >= 0)"
+            )
 
 
 @dataclass
@@ -149,11 +156,14 @@ class ChaosSchedule:
                 raise ClusterError(
                     f"bad chaos event {part!r} (want kind:shard:at)"
                 )
-            events.append(
-                ChaosEvent(
-                    kind=pieces[0], shard=int(pieces[1]), at=int(pieces[2])
-                )
-            )
+            try:
+                shard, at = int(pieces[1]), int(pieces[2])
+            except ValueError:
+                raise ClusterError(
+                    f"bad chaos event {part!r} (shard and at must be "
+                    "integers)"
+                ) from None
+            events.append(ChaosEvent(kind=pieces[0], shard=shard, at=at))
         return cls(sorted(events, key=lambda e: (e.at, e.shard, e.kind)))
 
     def spec(self) -> str:
@@ -164,9 +174,8 @@ class ChaosSchedule:
 class ChaosInjector:
     """Fires a :class:`ChaosSchedule` through a supervised cluster.
 
-    Duck-types the :class:`~repro.cluster.faults.FaultInjector`
-    interface the cluster's decision-point hooks call, so it plugs into
-    the ``fault_injector`` slot unchanged.
+    Pass it as ``ClusterService(fault_injector=...)``: the cluster's
+    decision-point hooks call :meth:`maybe_fire` with the cluster clock.
     """
 
     def __init__(

@@ -375,12 +375,6 @@ class ScenarioBuilder:
         spec = self.spec
         if spec.faults.kind == "none":
             return None
-        if spec.faults.kind == "kill":
-            from repro.cluster import FaultInjector
-
-            return FaultInjector().add(
-                shard=spec.faults.shard, at=spec.faults.at
-            )
         from repro.resilience.chaos import ChaosInjector, ChaosSchedule
 
         if spec.faults.kind != "chaos":
@@ -397,7 +391,7 @@ class ScenarioBuilder:
             )
             schedule = ChaosSchedule.generate(
                 int(spec.faults.chaos.split(":", 1)[1]),
-                k=spec.cluster.shards,
+                k=spec.shard_count(),
                 horizon=horizon,
             )
         else:

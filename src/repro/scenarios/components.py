@@ -218,10 +218,6 @@ def _install_faults() -> None:
         summary="Fault-free run (the default).",
     )
     REGISTRY.register(
-        "faults", "kill", _named("kill", {}),
-        summary="Kill one shard at a fixed time; recover from checkpoint.",
-    )
-    REGISTRY.register(
         "faults", "chaos", _named("chaos", {}),
         summary="Scripted or seeded chaos schedule (crash/hang/slow-rpc/...).",
     )

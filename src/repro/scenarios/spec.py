@@ -26,7 +26,7 @@ import tomllib
 from dataclasses import dataclass, field
 from typing import Any, Optional, Union
 
-from repro.errors import ScenarioError
+from repro.errors import ClusterError, ScenarioError
 from repro.scenarios.components import install_default_components
 from repro.scenarios.registry import REGISTRY
 
@@ -132,10 +132,9 @@ class ClusterSection:
 class FaultsSection:
     """Injected failures.
 
-    ``kind`` is ``"none"``, a single ``"kill"``, a ``"chaos"``
-    schedule, or any single chaos kind by name (``"crash"``,
-    ``"steal-interrupt"``, ...) fired once at ``shard``/``at`` over a
-    supervised cluster.
+    ``kind`` is ``"none"``, a ``"chaos"`` schedule, or any single
+    chaos kind by name (``"crash"``, ``"steal-interrupt"``, ...) fired
+    once at ``shard``/``at``.  Every fault supervises the cluster.
     """
 
     kind: str = "none"
@@ -234,15 +233,17 @@ class ScenarioSpec:
     def supervised(self) -> bool:
         """Whether the cluster runs under a shard supervisor.
 
-        Asked for by ``cluster.supervise``, or implied by the faults: a
-        chaos schedule or a single chaos kind supervises a cluster, and
-        in gateway mode so does a bare kill.
+        Asked for by ``cluster.supervise``, or implied by any fault.
         """
-        if self.cluster.supervise:
-            return True
+        return self.cluster.supervise or self.faults.kind != "none"
+
+    def shard_count(self) -> int:
+        """Shards the run's cluster has: ``gateway.shards_max`` in
+        gateway mode, else ``cluster.shards``.  Every fault targets one
+        of them."""
         if self.mode == "gateway":
-            return self.faults.kind != "none"
-        return self.faults.kind not in ("none", "kill")
+            return self.gateway.shards_max
+        return self.cluster.shards
 
     def router_name(self) -> str:
         """Resolve the ``""`` auto router for this mode."""
@@ -373,6 +374,13 @@ class ScenarioSpec:
         )
         if self.cluster.router:
             _check_component("cluster.router", "router", self.cluster.router)
+        if self.faults.kind == "kill":
+            raise ScenarioError(
+                "faults.kind = 'kill' was removed; a supervised 'crash' "
+                "kills and recovers a shard",
+                location="faults.kind",
+                suggestions=["crash"],
+            )
         _check_component("faults.kind", "faults", self.faults.kind)
         _check_component("gateway.clock", "clock", self.gateway.clock)
         if self.workload.kind and self.workload.kind not in (
@@ -409,13 +417,9 @@ class ScenarioSpec:
                     self.cluster.on_exhausted, ("raise", "degrade")
                 ),
             )
-        if self.faults.kind == "chaos" and not self.faults.chaos:
-            raise ScenarioError(
-                "faults.kind = 'chaos' needs faults.chaos "
-                "('kind:shard:at,...' or 'seed:N')",
-                location="faults.chaos",
-            )
         self._check_ranges()
+        if self.faults.kind == "chaos":
+            self._check_chaos()
         for key in ("wal_dir", "checkpoint_dir"):
             if getattr(self.cluster, key) and not (
                 self.mode in ("cluster", "gateway") and self.supervised()
@@ -432,14 +436,55 @@ class ScenarioSpec:
                 location="workload.kind",
             )
 
+    def _check_chaos(self) -> None:
+        """``faults.chaos`` must be ``seed:N`` or a schedule whose every
+        event names a known kind and one of the run's shards."""
+        text = self.faults.chaos
+        if not text:
+            raise ScenarioError(
+                "faults.kind = 'chaos' needs faults.chaos "
+                "('kind:shard:at,...' or 'seed:N')",
+                location="faults.chaos",
+            )
+        if text.startswith("seed:"):
+            try:
+                int(text.split(":", 1)[1])
+            except ValueError:
+                raise ScenarioError(
+                    f"faults.chaos = {text!r}: the seed must be an integer",
+                    location="faults.chaos",
+                ) from None
+            return
+        from repro.resilience.chaos import FAULT_KINDS, ChaosSchedule
+
+        try:
+            events = ChaosSchedule.parse(text).events
+        except ClusterError as exc:
+            kinds = [part.split(":")[0].strip() for part in text.split(",")]
+            unknown = [kind for kind in kinds if kind not in FAULT_KINDS]
+            raise ScenarioError(
+                f"faults.chaos: {exc}",
+                location="faults.chaos",
+                suggestions=_close(unknown[0], FAULT_KINDS) if unknown else [],
+            ) from None
+        shards = self.shard_count()
+        for event in events:
+            if event.shard >= shards:
+                raise ScenarioError(
+                    f"faults.chaos: event {event.kind}:{event.shard}:"
+                    f"{event.at} targets shard {event.shard}, but the "
+                    f"run has {shards} shard(s)",
+                    location="faults.chaos",
+                )
+
     def _check_ranges(self) -> None:
         """Numeric bounds: an out-of-range value fails here, naming its
         key, instead of deep inside the constructor it reaches."""
         w, e, c, f = self.workload, self.engine, self.cluster, self.faults
         g, a = self.gateway, self.autoscale
-        shards = g.shards_max if self.mode == "gateway" else c.shards
+        shards = self.shard_count()
         clustered = self.mode == "cluster"
-        targeted = f.kind not in ("none", "chaos")  # kill or one chaos kind
+        targeted = f.kind not in ("none", "chaos")  # one chaos kind
         slack = w.deadline_policy == "slack"
         # (location, value, least, most); most = None is unbounded
         for location, value, least, most in [

@@ -16,11 +16,12 @@ Example -- 10k jobs at 3x overload with density-aware shedding::
 With ``--shards K`` (K > 1) the same stream is served by a
 :class:`~repro.cluster.service.ClusterService`: ``K`` machine-pool
 shards (worker processes by default), jobs placed by ``--router``, and
--- with ``--fault-at T`` -- a shard killed mid-stream and recovered
-from its latest checkpoint plus submission-log replay::
+-- with ``--chaos crash:I:T`` -- shard ``I`` crashed at simulated time
+``T`` and recovered by the supervisor from its latest checkpoint plus
+submission-log replay::
 
     repro-serve --n-jobs 5000 --m 32 --shards 4 --router least-loaded \\
-        --fault-at 200 --fault-shard 1
+        --chaos crash:1:200
 
 Every flag that changes the result sets one dotted
 :class:`~repro.scenarios.spec.ScenarioSpec` path (``--help`` names it),
@@ -114,15 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
         cl, "--migrate-every", "cluster.migrate_every",
         "simulated steps between queued-job rebalances (0 = off)",
     )
-    cl.add_argument(
-        "--fault-at", type=int, default=None, metavar="T",
-        help="kill a shard at simulated time T and recover it "
-        "[faults.kind = 'kill', faults.at]",
-    )
-    cl.add_argument(
-        "--fault-shard", type=int, default=0, metavar="I",
-        help="which shard --fault-at kills [faults.shard]",
-    )
     spec_flag(
         cl, "--checkpoint-every", "cluster.checkpoint_every",
         "checkpoint interval of a cluster that logs submissions",
@@ -210,8 +202,8 @@ def _spec_from_args(args: argparse.Namespace) -> ScenarioSpec:
     """The :class:`ScenarioSpec` the flags describe.
 
     Spec-path flags map one to one; only the mode (from ``--shards``),
-    tracing (from ``--trace``) and faults (from ``--chaos`` /
-    ``--fault-at``) are derived here.
+    tracing (from ``--trace``) and faults (from ``--chaos``) are
+    derived here.
     """
     clustered = getattr(args, "cluster.shards") > 1
     overrides = {
@@ -223,14 +215,6 @@ def _spec_from_args(args: argparse.Namespace) -> ScenarioSpec:
     }
     if args.chaos is not None:
         overrides.update({"faults.kind": "chaos", "faults.chaos": args.chaos})
-    elif args.fault_at is not None:
-        overrides.update(
-            {
-                "faults.kind": "kill",
-                "faults.shard": args.fault_shard,
-                "faults.at": args.fault_at,
-            }
-        )
     return ScenarioSpec().with_overrides(overrides)
 
 
@@ -331,7 +315,6 @@ def _serve_cluster(builder: ScenarioBuilder, args: argparse.Namespace) -> int:
         f"repro-serve: {spec.workload.n_jobs} jobs, m={spec.workload.m}, "
         f"shards={c.shards}, mode={c.mode}, router={spec.router_name()}, "
         f"scheduler={spec.scheduler.name}, migrate_every={c.migrate_every}, "
-        f"fault_at={spec.faults.at if spec.faults.kind == 'kill' else None}, "
         f"coordinate={'yes' if c.coordinate else 'no'}, "
         f"resilient={'yes' if spec.supervised() else 'no'}",
         flush=True,

@@ -28,7 +28,7 @@ from repro.service import cli as serve_cli
 
 #: flags whose spec values the CLI derives by hand
 DERIVED = {
-    "repro-serve": {"--chaos", "--fault-at", "--fault-shard", "--trace"},
+    "repro-serve": {"--chaos", "--trace"},
     "repro-gateway": set(),
 }
 
@@ -246,7 +246,7 @@ class TestRangeErrors:
             {
                 "mode": "cluster",
                 "cluster.shards": 2,
-                "faults.kind": "kill",
+                "cluster.migrate_every": 5,
                 "cluster.checkpoint_dir": "C",
             },
         ],

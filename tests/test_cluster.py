@@ -19,7 +19,6 @@ from repro.cluster import (
     ClusterService,
     ConsistentHashRouter,
     DensityAwareRouter,
-    FaultInjector,
     LeastLoadedRouter,
     MigrationMove,
     QueueBalancer,

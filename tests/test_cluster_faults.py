@@ -1,25 +1,31 @@
 """Fault injection and recovery tests for repro.cluster.
 
-The load-bearing pin (ISSUE acceptance criterion): a fault-injected run
--- one shard killed mid-stream and restored from its latest JSON
-checkpoint plus submission-log replay -- loses zero admitted jobs and
-finishes with profit equal to the fault-free run on the same trace.
+The load-bearing pin: a supervised chaos ``crash`` -- one shard killed
+mid-stream and restored from its latest checkpoint plus submission-log
+replay -- loses zero admitted jobs and finishes with records and profit
+equal to the fault-free run on the same trace.
 """
 
 import pytest
 
 from repro.cluster import (
     ClusterService,
-    FaultInjector,
-    FaultPlan,
     QueueBalancer,
+    RecoveryEvent,
     Router,
     ShardConfig,
 )
 from repro.errors import ClusterError
+from repro.resilience import (
+    ChaosEvent,
+    ChaosInjector,
+    ChaosSchedule,
+    SupervisorConfig,
+)
 from repro.workloads import WorkloadConfig, generate_workload
 
 CFG = ShardConfig(m=1, scheduler="sns", scheduler_kwargs={"epsilon": 1.0})
+SUPERVISOR = SupervisorConfig(backoff_base=0.001, backoff_max=0.01)
 
 
 def workload(n_jobs=120, m=16, load=2.5, seed=3):
@@ -28,7 +34,18 @@ def workload(n_jobs=120, m=16, load=2.5, seed=3):
     )
 
 
-def run(specs, *, mode, injector=None, migration=None, migrate_every=0):
+def crashes(chaos):
+    """A supervised cluster's keywords for the chaos spec ``chaos``
+    (none for a fault-free, unsupervised run)."""
+    if chaos is None:
+        return {}
+    return dict(
+        supervisor=SUPERVISOR,
+        fault_injector=ChaosInjector(ChaosSchedule.parse(chaos)),
+    )
+
+
+def run(specs, *, mode, chaos=None, migration=None, migrate_every=0):
     cluster = ClusterService(
         16,
         4,
@@ -37,8 +54,7 @@ def run(specs, *, mode, injector=None, migration=None, migrate_every=0):
         mode=mode,
         migration=migration,
         migrate_every=migrate_every,
-        fault_injector=injector,
-        checkpoint_every=64 if injector else None,
+        **crashes(chaos),
     )
     return cluster.run_stream(specs)
 
@@ -48,51 +64,51 @@ def mid_stream_time(specs):
     return arrivals[len(arrivals) // 2]
 
 
-class TestFaultInjector:
-    def test_add_chains(self):
-        injector = FaultInjector().add(shard=1, at=50).add(shard=0, at=10)
-        assert injector.plans == [
-            FaultPlan(shard=1, at=50),
-            FaultPlan(shard=0, at=10),
-        ]
-        assert injector.pending == 2
-
+class TestOneEventCrash:
     def test_rejects_negative_time(self):
         with pytest.raises(ClusterError):
-            FaultInjector().add(shard=0, at=-1)
+            ChaosEvent(kind="crash", shard=0, at=-1)
 
     def test_fires_once(self):
         specs = workload(n_jobs=40)
-        injector = FaultInjector().add(shard=0, at=mid_stream_time(specs))
-        run(specs, mode="inprocess", injector=injector)
-        assert len(injector.events) == 1
-        assert injector.pending == 0
+        kw = crashes(f"crash:0:{mid_stream_time(specs)}")
+        cluster = ClusterService(16, 4, config=CFG, **kw)
+        result = cluster.run_stream(specs)
+        assert kw["fault_injector"].fired == [
+            ChaosEvent("crash", 0, mid_stream_time(specs))
+        ]
+        assert len(result.recoveries) == 1
+
+    def test_fault_injector_needs_a_supervisor(self):
+        injector = ChaosInjector(ChaosSchedule.parse("crash:0:10"))
+        with pytest.raises(ClusterError, match="supervisor"):
+            ClusterService(16, 4, config=CFG, fault_injector=injector)
 
 
 class TestRecoveryPin:
     @pytest.mark.parametrize("mode", ["inprocess", "process"])
     def test_fault_free_equality(self, mode):
-        """THE pin: kill + checkpoint/replay recovery loses nothing."""
+        """THE pin: crash + checkpoint/replay recovery loses nothing."""
         specs = workload()
         at = mid_stream_time(specs)
         clean = run(specs, mode=mode)
-        injector = FaultInjector().add(shard=1, at=at)
-        faulted = run(specs, mode=mode, injector=injector)
+        faulted = run(specs, mode=mode, chaos=f"crash:1:{at}")
 
-        assert len(injector.events) == 1
-        event = injector.events[0]
+        assert len(faulted.recoveries) == 1
+        event = faulted.recoveries[0]
+        assert isinstance(event, RecoveryEvent)
         assert event.shard == 1
         assert event.time >= at
         assert faulted.records == clean.records  # zero admitted jobs lost
         assert faulted.total_profit == clean.total_profit
-        assert faulted.recoveries == injector.events
         assert event.wall_seconds >= 0.0
 
     def test_recovery_replays_log_tail(self):
         specs = workload()
-        injector = FaultInjector().add(shard=1, at=mid_stream_time(specs))
-        run(specs, mode="inprocess", injector=injector)
-        event = injector.events[0]
+        faulted = run(
+            specs, mode="inprocess", chaos=f"crash:1:{mid_stream_time(specs)}"
+        )
+        event = faulted.recoveries[0]
         # checkpoint predates the fault; replay covers the gap
         assert event.checkpoint_time <= event.time
         assert event.replayed >= 0
@@ -101,9 +117,10 @@ class TestRecoveryPin:
         specs = workload()
         at = mid_stream_time(specs)
         clean = run(specs, mode="inprocess")
-        injector = FaultInjector().add(shard=0, at=at).add(shard=2, at=at + 20)
-        faulted = run(specs, mode="inprocess", injector=injector)
-        assert len(injector.events) == 2
+        faulted = run(
+            specs, mode="inprocess", chaos=f"crash:0:{at},crash:2:{at + 20}"
+        )
+        assert len(faulted.recoveries) == 2
         assert faulted.records == clean.records
         assert faulted.total_profit == clean.total_profit
 
@@ -128,7 +145,7 @@ class TestRecoveryPin:
             max_in_flight=8,
         )
 
-        def migrated_run(injector):
+        def migrated_run(chaos):
             cluster = ClusterService(
                 16,
                 4,
@@ -137,15 +154,13 @@ class TestRecoveryPin:
                 mode="inprocess",
                 migration=QueueBalancer(),
                 migrate_every=2,
-                fault_injector=injector,
-                checkpoint_every=64 if injector else None,
+                **crashes(chaos),
             )
             return cluster.run_stream(specs)
 
         clean = migrated_run(None)
-        injector = FaultInjector().add(shard=0, at=at)
-        faulted = migrated_run(injector)
-        assert len(injector.events) == 1
+        faulted = migrated_run(f"crash:0:{at}")
+        assert len(faulted.recoveries) == 1
         assert faulted.records == clean.records
         assert faulted.total_profit == clean.total_profit
 

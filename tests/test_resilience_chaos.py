@@ -1,5 +1,7 @@
 """Chaos harness tests: every fault class preserves bit-identity."""
 
+import functools
+
 import pytest
 
 from repro.cluster import ClusterService, ShardConfig
@@ -55,6 +57,18 @@ class TestSchedule:
         with pytest.raises(ClusterError):
             ChaosSchedule.parse("meteor:0:10")
 
+    @pytest.mark.parametrize(
+        "text", ["crash:-1:-5", "crash:-1:5", "crash:0:-5"]
+    )
+    def test_parse_rejects_negative_shard_or_time(self, text):
+        with pytest.raises(ClusterError, match=text):
+            ChaosSchedule.parse(text)
+
+    @pytest.mark.parametrize("text", ["crash:x:5", "crash:0:soon"])
+    def test_parse_names_the_event_with_a_non_integer(self, text):
+        with pytest.raises(ClusterError, match=text):
+            ChaosSchedule.parse(f"hang:0:1,{text}")
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ClusterError):
             ChaosEvent(kind="flood", shard=0, at=1)
@@ -64,10 +78,40 @@ class TestSchedule:
         assert [e.at for e in schedule.events] == [200, 450]
 
 
-@pytest.mark.parametrize("mode", ["inprocess", "process"])
-@pytest.mark.parametrize("kind", FAULT_KINDS)
+#: the routers the identity claim covers: the stats-blind and the
+#: stats-reading ones (least-loaded and density-aware read every shard)
+IDENTITY_ROUTERS = [
+    "consistent-hash", "round-robin", "least-loaded", "density-aware",
+]
+
+
+def _cell_id(kind, mode, router):
+    # the cluster's default router is the unsuffixed cell
+    suffix = "" if router == "consistent-hash" else f"-{router}"
+    return f"{kind}-{mode}{suffix}"
+
+
+@pytest.mark.parametrize(
+    "kind, mode, router",
+    [
+        pytest.param(kind, mode, router, id=_cell_id(kind, mode, router))
+        for router in IDENTITY_ROUTERS
+        for mode in ("inprocess", "process")
+        for kind in FAULT_KINDS
+    ],
+)
 class TestIdentityPerFault:
-    def test_single_fault_preserves_identity(self, mode, kind, tmp_path):
+    def test_single_fault_preserves_identity(
+        self, mode, kind, router, tmp_path, monkeypatch
+    ):
+        import repro.cluster.service as cluster_service
+
+        # run_chaos builds both of its clusters through this name
+        monkeypatch.setattr(
+            cluster_service,
+            "ClusterService",
+            functools.partial(cluster_service.ClusterService, router=router),
+        )
         specs = workload()
         schedule = ChaosSchedule.parse(f"{kind}:0:{mid_time(specs)}")
         report = run_chaos(
@@ -80,7 +124,8 @@ class TestIdentityPerFault:
         )
         assert report.faults_fired == 1
         assert report.identical_records, (
-            f"{kind}/{mode}: lost={report.lost_jobs} extra={report.extra_jobs}"
+            f"{kind}/{mode}/{router}: lost={report.lost_jobs} "
+            f"extra={report.extra_jobs}"
         )
         assert report.chaos_profit == report.clean_profit
         assert report.unaccounted == []
