@@ -108,6 +108,9 @@ from repro.sim._legacy_engine import LegacySimulator  # noqa: E402
 from repro.sim.jobs import JobSpec  # noqa: E402
 from repro.workloads import WorkloadConfig, generate_workload  # noqa: E402
 
+#: the shipped scenario specs the chaos gates start from
+SCENARIOS = Path(__file__).resolve().parent.parent / "examples" / "scenarios"
+
 #: (n_jobs, m) engine-scale configs; the last is the acceptance config.
 SCALE_CONFIGS = [(50, 8), (100, 16), (200, 32), (400, 64), (800, 64)]
 QUICK_SCALE_CONFIGS = [(50, 8), (100, 16)]
@@ -720,19 +723,17 @@ def bench_resilience_detection(quick: bool) -> dict:
 def bench_resilience_chaos(quick: bool) -> dict:
     """Seeded crash schedule: bit-identity with the fault-free run."""
     from repro.resilience import ChaosSchedule, run_chaos
+    from repro.scenarios import build_workload, load_spec
 
     n_jobs = 150 if quick else 600
-    m = 8
-    specs = generate_workload(
-        WorkloadConfig(
-            n_jobs=n_jobs, m=m, load=2.5, family="mixed", epsilon=1.0, seed=7
-        )
+    spec = load_spec(SCENARIOS / "chaos_cluster.toml").with_overrides(
+        {"seed": 7, "workload.n_jobs": n_jobs, "workload.load": 2.5}
     )
-    horizon = max(s.arrival for s in specs)
+    horizon = max(s.arrival for s in build_workload(spec))
     schedule = ChaosSchedule.generate(
         7, k=2, horizon=horizon, n_events=3, kinds=("crash", "pipe-drop")
     )
-    report = run_chaos(specs, m=m, k=2, schedule=schedule, mode="inprocess")
+    report = run_chaos(spec.with_overrides({"faults.chaos": schedule.spec()}))
     return {
         "n_jobs": n_jobs,
         "schedule": report.schedule,
@@ -820,26 +821,21 @@ def bench_resilience_coordinated(quick: bool) -> dict:
         RetryQueue,
         VirtualClock,
     )
-    from repro.resilience import (
-        DEFAULT_RPC_POLICY,
-        ChaosSchedule,
-        SupervisorConfig,
-        run_gateway_chaos,
-    )
+    from repro.resilience import DEFAULT_RPC_POLICY, SupervisorConfig, run_chaos
+    from repro.scenarios import load_spec
 
     n_jobs = 96 if quick else 240
-    schedule = ChaosSchedule.parse(
-        "ledger-partition:2:120,steal-interrupt:0:340,crash:1:420"
+    spec = load_spec(SCENARIOS / "chaos_gateway.toml").with_overrides(
+        {
+            "seed": 5,
+            "workload.n_jobs": n_jobs,
+            "faults.chaos": (
+                "ledger-partition:2:120,steal-interrupt:0:340,crash:1:420"
+            ),
+        }
     )
     with tempfile.TemporaryDirectory(prefix="repro-bench-gw-") as workdir:
-        report = run_gateway_chaos(
-            seed=5,
-            schedule=schedule,
-            n_jobs=n_jobs,
-            m=8,
-            k_max=4,
-            workdir=workdir,
-        )
+        report = run_chaos(spec, workdir=workdir)
 
     config = ShardConfig(m=1, scheduler="sns", scheduler_kwargs={"epsilon": 1.0})
 

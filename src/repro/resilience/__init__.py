@@ -42,8 +42,9 @@ Modules
 :mod:`~repro.resilience.audit`
     Post-run invariant auditing for chaos and gateway runs.
 :mod:`~repro.resilience.chaos`
-    Deterministic fault schedules, the identity-checking harness, and
-    the audited end-to-end gateway chaos gate.
+    Deterministic fault schedules and the chaos harness: a faulted
+    scenario against its fault-free twin, identity-checked for a
+    cluster and audited for a gateway.
 """
 
 # repro.cluster.service builds on the modules below: load the cluster
@@ -69,9 +70,7 @@ from repro.resilience.chaos import (
     ChaosInjector,
     ChaosReport,
     ChaosSchedule,
-    GatewayChaosReport,
     run_chaos,
-    run_gateway_chaos,
 )
 from repro.resilience.checkpoints import CheckpointStore
 from repro.resilience.cluster import ResilientClusterService
@@ -106,9 +105,7 @@ __all__ = [
     "ChaosInjector",
     "ChaosReport",
     "ChaosSchedule",
-    "GatewayChaosReport",
     "run_chaos",
-    "run_gateway_chaos",
     "CheckpointStore",
     "ResilientClusterService",
     "DEFAULT_RPC_POLICY",

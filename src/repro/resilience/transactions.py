@@ -470,8 +470,9 @@ def reconcile_shard(
     the authoritative location is the journal's verdict -- committed =>
     ``dst``, aborted => ``src`` -- and this pass removes resurrected
     copies and re-injects lost ones (from the journaled payload) until
-    the shard agrees.  Pending transactions are handled separately by
-    :func:`resolve_pending`.
+    the shard agrees.  Pending transactions are placed separately by
+    :func:`resolve_pending`; this pass only drops a resurrected donor
+    copy of one whose payload is already journaled.
 
     ``since_seq`` is the journal sequence the restored checkpoint was
     taken at: transactions settled at or before it are already baked
@@ -490,8 +491,17 @@ def reconcile_shard(
     for txn in journal.txns.values():
         latest[txn.job_id] = txn
     for job_id, txn in latest.items():
-        if txn.state not in ("committed", "aborted"):
-            continue  # pending: resolve_pending owns it
+        if txn.pending:
+            # resolve_pending places the job; but once its payload is
+            # journaled it has durably left the donor, so a copy on the
+            # restored donor is a replay resurrection.  Drop it now: a
+            # steal tick still in flight commits the move without
+            # looking at the donor again.
+            if txn.payload is not None and txn.src == index:
+                action = _discard(shard, job_id, t)
+                if action is not None:
+                    actions.append({"job": job_id, "action": action})
+            continue
         if txn.settled_seq <= since_seq:
             continue  # checkpoint already reflects this move
         home = txn.dst if txn.state == "committed" else txn.src
@@ -517,11 +527,19 @@ def reconcile_shard(
         else:
             # restored copy of a job that settled elsewhere: discard it
             # (its single terminal record belongs to its home shard)
-            stray = _probe_active(shard, job_id)
-            if stray is not None:
-                actions.append({"job": job_id, "action": "discarded"})
-            elif _purge_queued(shard, job_id, t):
-                actions.append({"job": job_id, "action": "purged-queued"})
-            elif _forget_pending(shard, job_id) is not None:
-                actions.append({"job": job_id, "action": "purged-pending"})
+            action = _discard(shard, job_id, t)
+            if action is not None:
+                actions.append({"job": job_id, "action": action})
     return actions
+
+
+def _discard(shard, job_id: int, t: int) -> Optional[str]:
+    """Remove every copy of ``job_id`` from ``shard`` -- live, queued or
+    replay-pending -- and name what was found (``None``: nothing)."""
+    if _probe_active(shard, job_id) is not None:
+        return "discarded"
+    if _purge_queued(shard, job_id, t):
+        return "purged-queued"
+    if _forget_pending(shard, job_id) is not None:
+        return "purged-pending"
+    return None

@@ -1,4 +1,4 @@
-"""``repro-scenario``: run, validate, list and matrix-expand scenario specs.
+"""``repro-scenario``: run, chaos-test, validate, list and matrix-expand specs.
 
 Subcommands:
 
@@ -7,6 +7,14 @@ Subcommands:
     fingerprint.  ``--set section.key=value`` applies dotted overrides
     before running; ``--dump-scenario`` prints the canonical TOML
     (post-override) instead of running.
+
+``chaos SPEC``
+    Run a faulted cluster or gateway spec and its fault-free twin
+    (:func:`~repro.resilience.chaos.run_chaos`), print the JSON
+    report, and exit 0 iff the resilience claim holds, 1 if it fails
+    (2 on a spec error, a spec without faults included).  The faulted
+    run keeps its WAL and checkpoints in a temporary directory unless
+    the spec names ``cluster.wal_dir`` or ``cluster.checkpoint_dir``.
 
 ``validate SPEC...``
     Parse + validate specs without running anything.  Exit 0 iff all
@@ -190,6 +198,25 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_chaos(args: argparse.Namespace) -> int:
+    import tempfile
+
+    from repro.resilience.chaos import run_chaos
+
+    spec = _load(args.spec, parse_sets(args.set))
+    if spec.cluster.wal_dir or spec.cluster.checkpoint_dir:
+        report = run_chaos(spec)
+    else:
+        with tempfile.TemporaryDirectory(prefix="repro-chaos-") as workdir:
+            report = run_chaos(spec, workdir=workdir)
+    text = json.dumps(report.to_dict(), indent=2) + "\n"
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    sys.stdout.write(text)
+    return 0 if report.ok else 1
+
+
 def _cmd_validate(args: argparse.Namespace) -> int:
     from repro.scenarios.spec import load_spec
 
@@ -261,7 +288,8 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
 # Entry point
 # ----------------------------------------------------------------------
 def build_parser() -> argparse.ArgumentParser:
-    """The ``repro-scenario`` argument parser (run/validate/list/matrix)."""
+    """The ``repro-scenario`` argument parser
+    (run/chaos/validate/list/matrix)."""
     parser = argparse.ArgumentParser(
         prog="repro-scenario",
         description="Declarative scenario runner for the SNS reproduction.",
@@ -284,6 +312,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("-o", "--output", help="write the result summary JSON here")
     run.set_defaults(fn=_cmd_run)
+
+    chaos = sub.add_parser(
+        "chaos",
+        help="run a faulted spec and its fault-free twin; exit 0 iff "
+        "the resilience claim holds",
+    )
+    chaos.add_argument("spec", help="cluster or gateway spec with faults")
+    chaos.add_argument(
+        "--set",
+        action="append",
+        default=[],
+        metavar="SECTION.KEY=VALUE",
+        help="override a spec value (repeatable)",
+    )
+    chaos.add_argument("-o", "--output", help="write the report JSON here")
+    chaos.set_defaults(fn=_cmd_chaos)
 
     validate = sub.add_parser("validate", help="validate spec files")
     validate.add_argument("specs", nargs="+", help="spec files to check")

@@ -11,8 +11,7 @@ supervised cluster without a fault injector included.
 import pytest
 
 from repro.cluster import ClusterService, QueueBalancer, ShardConfig
-from repro.resilience import SupervisorConfig
-from repro.resilience.chaos import _accounting
+from repro.resilience import SupervisorConfig, audit_run
 from repro.workloads import WorkloadConfig, generate_workload
 
 
@@ -57,10 +56,10 @@ class TestMigrationThenCrash:
     def test_no_job_is_accounted_twice(self):
         result, specs = _run(crash_shard=1)
         assert result.recoveries
-        assert _accounting(result, specs) == []
+        assert audit_run(result, specs).violations == []
 
     @pytest.mark.parametrize("shard", [0, 1])
     @pytest.mark.parametrize("nth", [1, 2, 3])
     def test_crash_after_any_migration_accounts_cleanly(self, shard, nth):
         result, specs = _run(crash_shard=shard, crash_after_migration=nth)
-        assert _accounting(result, specs) == []
+        assert audit_run(result, specs).violations == []

@@ -106,6 +106,8 @@ class TestScenarioExamples:
         "overload_vs_rivals.toml",
         "coordinated_flash_crowd.toml",
         "chaos_under_tracing.toml",
+        "chaos_cluster.toml",
+        "chaos_gateway.toml",
     ]
 
     def test_all_specs_validate(self):

@@ -9,6 +9,7 @@ settled -- plus the run itself must be bit-identical when repeated.
 
 import http.client
 import json
+import pathlib
 from types import SimpleNamespace
 
 import pytest
@@ -26,20 +27,28 @@ from repro.resilience.chaos import (
     COORDINATION_FAULT_KINDS,
     CORE_FAULT_KINDS,
     FAULT_KINDS,
-    ChaosSchedule,
-    run_gateway_chaos,
+    run_chaos,
 )
 from repro.resilience.rpc import DEFAULT_RPC_POLICY
 from repro.resilience.supervisor import SupervisorConfig
+from repro.scenarios import load_spec
+
+GATEWAY_SPEC = (
+    pathlib.Path(__file__).resolve().parents[1]
+    / "examples/scenarios/chaos_gateway.toml"
+)
 
 
-def run_chaos(seed, schedule=None, tmp_path=None, **kwargs):
-    kwargs.setdefault("n_jobs", 96)
-    return run_gateway_chaos(
-        seed=seed,
-        schedule=schedule,
-        workdir=None if tmp_path is None else str(tmp_path),
-        **kwargs,
+def gateway_chaos(seed, schedule=None, tmp_path=None, n_jobs=96):
+    """The shipped gateway chaos spec at ``seed`` (schedule ``seed:N``
+    unless given), judged against its fault-free twin."""
+    spec = load_spec(GATEWAY_SPEC).with_overrides({
+        "seed": seed,
+        "workload.n_jobs": n_jobs,
+        "faults.chaos": schedule or f"seed:{seed}",
+    })
+    return run_chaos(
+        spec, workdir=None if tmp_path is None else str(tmp_path)
     )
 
 
@@ -62,8 +71,8 @@ class TestRunGatewayChaos:
     def test_seeded_run_audits_clean_and_repeats_bit_identical(
         self, tmp_path
     ):
-        a = run_chaos(3, tmp_path=tmp_path / "a")
-        b = run_chaos(3, tmp_path=tmp_path / "b")
+        a = gateway_chaos(3, tmp_path=tmp_path / "a")
+        b = gateway_chaos(3, tmp_path=tmp_path / "b")
         assert a.ok and a.audit.ok
         assert a.faults_fired >= 1
         assert a.schedule == b.schedule
@@ -72,11 +81,9 @@ class TestRunGatewayChaos:
         assert a.chaos_profit == b.chaos_profit
 
     def test_steal_interrupt_schedule_settles_exactly_once(self, tmp_path):
-        report = run_chaos(
+        report = gateway_chaos(
             5,
-            schedule=ChaosSchedule.parse(
-                "ledger-partition:2:120,steal-interrupt:0:340,crash:1:420"
-            ),
+            schedule="ledger-partition:2:120,steal-interrupt:0:340,crash:1:420",
             tmp_path=tmp_path,
             n_jobs=120,
         )
@@ -86,7 +93,7 @@ class TestRunGatewayChaos:
         assert txns["ok"] is True
 
     def test_report_to_dict_carries_nested_audit(self, tmp_path):
-        report = run_chaos(4, tmp_path=tmp_path)
+        report = gateway_chaos(4, tmp_path=tmp_path)
         data = report.to_dict()
         assert data["ok"] == report.ok
         assert data["schedule"] == report.schedule
@@ -111,9 +118,8 @@ class TestSupervisorAutoscaleRace:
         ],
     )
     def test_both_orderings_audit_clean_and_repeat(self, schedule, tmp_path):
-        parsed = ChaosSchedule.parse(schedule)
-        a = run_chaos(13, schedule=parsed, tmp_path=tmp_path / "a")
-        b = run_chaos(13, schedule=parsed, tmp_path=tmp_path / "b")
+        a = gateway_chaos(13, schedule=schedule, tmp_path=tmp_path / "a")
+        b = gateway_chaos(13, schedule=schedule, tmp_path=tmp_path / "b")
         assert a.ok, [str(v) for v in a.audit.violations]
         assert a.faults_fired == 2
         assert a.chaos_fingerprint == b.chaos_fingerprint

@@ -12,10 +12,11 @@ Pinned here:
   ``None`` for every roll-up field instead of zeros;
 * ``repro-gateway --kpi`` writes every published snapshot, not only the
   feed's bounded history;
-* the chaos CLI's ``--gateway`` run honours ``--mode``.
+* ``repro-scenario chaos`` on a gateway spec honours ``cluster.mode``.
 """
 
 import json
+import pathlib
 from collections import deque
 
 import pytest
@@ -31,13 +32,19 @@ from repro.gateway.cli import _report, main as gateway_main
 from repro.gateway.kpi import ROLLUP_FIELDS
 from repro.observability.metrics import RingHistogram, merged_summary, tail_window
 from repro.resilience.chaos import ChaosInjector, ChaosSchedule
-from repro.resilience.chaos import main as chaos_main
 from repro.resilience.supervisor import SupervisorConfig
 from repro.scenarios.builder import ScenarioBuilder
+from repro.scenarios.cli import main as scenario_main
 from repro.scenarios.spec import ScenarioSpec
 from repro.service import SchedulingService
 from repro.service.service import SYNCED_GAUGES
 from repro.service.telemetry import MetricsRegistry
+
+
+GATEWAY_SPEC = (
+    pathlib.Path(__file__).resolve().parents[1]
+    / "examples/scenarios/chaos_gateway.toml"
+)
 
 
 class _MergedKpi:
@@ -320,9 +327,9 @@ class TestChaosGatewayMode:
 
         monkeypatch.setattr(ClusterService, "start", recording_start)
         out = tmp_path / "report.json"
-        code = chaos_main([
-            "--gateway", "--mode", "process", "--seed", "3",
-            "--out", str(out),
+        code = scenario_main([
+            "chaos", str(GATEWAY_SPEC), "--set", "cluster.mode=process",
+            "-o", str(out),
         ])
         assert code == 0
         assert json.loads(out.read_text())["ok"] is True

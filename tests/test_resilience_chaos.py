@@ -1,6 +1,9 @@
 """Chaos harness tests: every fault class preserves bit-identity."""
 
-import functools
+import json
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -17,11 +20,14 @@ from repro.observability import (
 )
 from repro.resilience import (
     ChaosEvent,
+    ChaosInjector,
     ChaosSchedule,
     SupervisorConfig,
     run_chaos,
 )
 from repro.resilience.chaos import FAULT_KINDS
+from repro.scenarios import load_spec
+from repro.scenarios.cli import main as scenario_main
 from repro.workloads import WorkloadConfig, generate_workload
 
 
@@ -78,6 +84,18 @@ class TestSchedule:
         assert [e.at for e in schedule.events] == [200, 450]
 
 
+#: the shipped chaos specs every harness test starts from
+SCENARIOS = pathlib.Path(__file__).resolve().parents[1] / "examples/scenarios"
+CLUSTER_SPEC = SCENARIOS / "chaos_cluster.toml"
+GATEWAY_SPEC = SCENARIOS / "chaos_gateway.toml"
+
+
+def cluster_spec(**overrides):
+    """The shipped cluster chaos spec on :func:`workload`'s jobs."""
+    base = {"seed": 11, "workload.n_jobs": 60, "workload.load": 2.5}
+    return load_spec(CLUSTER_SPEC).with_overrides({**base, **overrides})
+
+
 #: the routers the identity claim covers: the stats-blind and the
 #: stats-reading ones (least-loaded and density-aware read every shard)
 IDENTITY_ROUTERS = [
@@ -102,46 +120,34 @@ def _cell_id(kind, mode, router):
 )
 class TestIdentityPerFault:
     def test_single_fault_preserves_identity(
-        self, mode, kind, router, tmp_path, monkeypatch
+        self, mode, kind, router, tmp_path
     ):
-        import repro.cluster.service as cluster_service
-
-        # run_chaos builds both of its clusters through this name
-        monkeypatch.setattr(
-            cluster_service,
-            "ClusterService",
-            functools.partial(cluster_service.ClusterService, router=router),
-        )
-        specs = workload()
-        schedule = ChaosSchedule.parse(f"{kind}:0:{mid_time(specs)}")
-        report = run_chaos(
-            specs,
-            m=8,
-            k=2,
-            schedule=schedule,
-            mode=mode,
-            workdir=str(tmp_path),
-        )
+        spec = cluster_spec(**{
+            "cluster.mode": mode,
+            "cluster.router": router,
+            "faults.kind": kind,
+            "faults.shard": 0,
+            "faults.at": mid_time(workload()),
+        })
+        report = run_chaos(spec, workdir=str(tmp_path))
         assert report.faults_fired == 1
-        assert report.identical_records, (
-            f"{kind}/{mode}/{router}: lost={report.lost_jobs} "
-            f"extra={report.extra_jobs}"
+        assert report.identical, (
+            f"{kind}/{mode}/{router}: diverged={report.diverged_jobs}"
         )
         assert report.chaos_profit == report.clean_profit
-        assert report.unaccounted == []
+        assert report.audit.ok and report.clean_audit.ok
         assert report.ok
 
 
 class TestMultiFault:
     @pytest.mark.parametrize("mode", ["inprocess", "process"])
     def test_seeded_schedule_preserves_identity(self, mode, tmp_path):
-        specs = workload(n_jobs=80)
-        horizon = max(sp.arrival for sp in specs)
-        schedule = ChaosSchedule.generate(3, k=2, horizon=horizon, n_events=3)
-        report = run_chaos(
-            specs, m=8, k=2, schedule=schedule, mode=mode,
-            workdir=str(tmp_path),
-        )
+        spec = cluster_spec(**{
+            "workload.n_jobs": 80,
+            "cluster.mode": mode,
+            "faults.chaos": "seed:3",
+        })
+        report = run_chaos(spec, workdir=str(tmp_path))
         assert report.ok, report.to_dict()
         assert report.faults_fired == 3
 
@@ -152,26 +158,167 @@ class TestMultiFault:
             f"crash:0:{times[i]}" for i in (len(times) // 4, len(times) // 2,
                                             3 * len(times) // 4)
         )
-        report = run_chaos(
-            specs, m=8, k=2, schedule=ChaosSchedule.parse(hits),
-            mode="inprocess", workdir=str(tmp_path),
-        )
+        spec = cluster_spec(**{"workload.n_jobs": 80, "faults.chaos": hits})
+        report = run_chaos(spec, workdir=str(tmp_path))
         assert report.ok, report.to_dict()
         assert report.recoveries >= 3
 
-    def test_report_dict_shape(self, tmp_path):
-        specs = workload(n_jobs=40)
-        report = run_chaos(
-            specs, m=8, k=2,
-            schedule=ChaosSchedule.parse(f"crash:1:{mid_time(specs)}"),
-            mode="inprocess",
-        )
-        payload = report.to_dict()
+    def test_report_dict_shape(self):
+        spec = cluster_spec(**{
+            "workload.n_jobs": 40,
+            "faults.chaos": f"crash:1:{mid_time(workload(n_jobs=40))}",
+        })
+        payload = run_chaos(spec).to_dict()
         assert payload["ok"] is True
         assert set(payload) >= {
             "schedule", "mode", "clean_profit", "chaos_profit",
-            "identical_records", "lost_jobs", "recoveries",
+            "identical", "diverged_jobs", "recoveries", "audit",
+            "clean_audit",
         }
+        json.dumps(payload)  # the CI artifact must be JSON-clean
+
+
+class TestOutOfRangeShard:
+    def test_event_beyond_k_raises_before_any_job_is_served(self):
+        cluster = ClusterService(
+            8, 2,
+            supervisor=SupervisorConfig(),
+            fault_injector=ChaosInjector(ChaosSchedule.parse("crash:5:100")),
+        )
+        with pytest.raises(ClusterError, match=r"crash:5:100.*k=2"):
+            cluster.run_stream(workload())
+        assert not cluster.recoveries
+        assert all(len(log) == 0 for log in cluster.logs)
+
+
+#: the CI chaos gates, pinned at the values the hand-built harness
+#: produced before it moved onto scenario specs
+CLUSTER_PINS = [
+    pytest.param(1, "inprocess", 59.835983400417035, id="seed1-inprocess"),
+    pytest.param(2, "inprocess", 55.33071903663699, id="seed2-inprocess"),
+    pytest.param(3, "process", 55.88965212351816, id="seed3-process"),
+]
+GATEWAY_PINS = [
+    pytest.param(
+        3, "",
+        "1449e34ab2924172946a1a3efd9a4bbbe5de94de865311f94bd25a492dd21986",
+        "62f1cedf896dc0e51cba50291ec4e9e52fb6142288dc9445140e91dc3f78b47e",
+        id="seed3",
+    ),
+    pytest.param(
+        5, "ledger-partition:2:120,steal-interrupt:0:340,crash:1:420",
+        "f7610f7cd1935b6376660a6c2f0c939aef5d936252f529d34e2ed7ea89748f2e",
+        "62b4be13fa5991c5bec8020bea4fbebd2bedbb6f95916b8d7f4272f57da90a74",
+        id="steal",
+    ),
+    pytest.param(
+        13, "scale-during-crash:0:180,crash:1:320",
+        "ea81155f5bc6e92a3ff4b76e9673d8c6861032ee07405315f7fff02511ae5adf",
+        "185d24a8a4cac5b5cf12ccb2a0d48d319c12add7e2679f7f5b08da7d5309c1d0",
+        id="scale",
+    ),
+]
+
+
+class TestPinnedCiRuns:
+    @pytest.mark.parametrize("seed, mode, clean_profit", CLUSTER_PINS)
+    def test_cluster_gate(self, seed, mode, clean_profit, tmp_path):
+        spec = load_spec(CLUSTER_SPEC).with_overrides({
+            "seed": seed,
+            "faults.chaos": f"seed:{seed}",
+            "cluster.mode": mode,
+        })
+        report = run_chaos(spec, workdir=str(tmp_path))
+        assert report.ok, report.to_dict()
+        assert report.faults_fired == 3
+        assert report.clean_profit == clean_profit
+        assert report.chaos_profit == clean_profit
+
+    @pytest.mark.parametrize("seed, schedule, clean, chaos", GATEWAY_PINS)
+    def test_gateway_gate(self, seed, schedule, clean, chaos, tmp_path):
+        spec = load_spec(GATEWAY_SPEC).with_overrides({
+            "seed": seed,
+            "faults.chaos": schedule or f"seed:{seed}",
+        })
+        report = run_chaos(spec, workdir=str(tmp_path))
+        assert report.ok, [str(v) for v in report.audit.violations]
+        assert report.clean_fingerprint == clean
+        assert report.chaos_fingerprint == chaos
+
+
+class TestInterruptedStealReplay:
+    def test_replayed_donor_copy_of_a_committed_steal_is_dropped(
+        self, tmp_path
+    ):
+        """Shard 0 crashes mid-steal after job 107's extraction; the
+        recovered donor replays 107's submission from its WAL tail
+        while the steal tick still commits 107 to shard 1.  The replay
+        copy must go, or 107 ends with two completion records."""
+        spec = load_spec(GATEWAY_SPEC).with_overrides({
+            "workload.n_jobs": 160,
+            "faults.chaos": "steal-interrupt:0:340,crash:1:420",
+        })
+        report = run_chaos(spec, workdir=str(tmp_path))
+        assert report.audit.ok, [str(v) for v in report.audit.violations]
+        assert report.ok and report.faults_fired == 2
+
+
+def _cli(*args, flags=()):
+    return subprocess.run(
+        [sys.executable, *flags, "-m", *args],
+        capture_output=True, text=True, timeout=600,
+    )
+
+
+class TestChaosCli:
+    SMALL = ("--set", "workload.n_jobs=40")
+
+    def test_broken_claim_exits_1(self, capsys):
+        # a spent restart budget degrades the crashed shard: its jobs
+        # no longer finish as in the fault-free twin
+        code = scenario_main([
+            "chaos", str(CLUSTER_SPEC), *self.SMALL,
+            "--set", "faults.chaos=crash:1:20",
+            "--set", "cluster.max_restarts=0",
+            "--set", "cluster.on_exhausted=degrade",
+        ])
+        assert code == 1
+        assert json.loads(capsys.readouterr().out)["ok"] is False
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            pytest.param(
+                (str(CLUSTER_SPEC), "--set", "faults.kind=none"),
+                id="no-faults",
+            ),
+            pytest.param(
+                (str(SCENARIOS / "overload_vs_rivals.toml"),), id="service",
+            ),
+            pytest.param(
+                (str(CLUSTER_SPEC), "--set", "faults.chaos=crash:5:10"),
+                id="shard-out-of-range",
+            ),
+        ],
+    )
+    def test_bad_spec_exits_2(self, args):
+        assert scenario_main(["chaos", *args]) == 2
+
+    def test_claim_holds_exits_0_without_runtime_warning(self, tmp_path):
+        out = tmp_path / "report.json"
+        proc = _cli(
+            "repro.scenarios.cli", "chaos", str(CLUSTER_SPEC), *self.SMALL,
+            "-o", str(out), flags=("-W", "error::RuntimeWarning"),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        report = json.loads(out.read_text())
+        assert report["ok"] is True and report["identical"] is True
+
+    def test_old_module_entry_point_exits_2_naming_the_command(self):
+        proc = _cli("repro.resilience.chaos", "--seed", "1")
+        assert proc.returncode == 2
+        assert "repro-scenario chaos" in proc.stderr
 
 
 class TestChaosUnderTracing:
