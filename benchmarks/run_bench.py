@@ -807,8 +807,8 @@ def bench_resilience_coordinated(quick: bool) -> dict:
     interrupted steal, shard crash) over the autoscaled gateway must
     pass the post-run invariant audit with >= 70% of the fault-free
     profit.  And with no faults at all, the whole resilience stack --
-    supervision, journaled steals, retry queue -- must be invisible:
-    the supervised run's fingerprint must equal the plain elastic one.
+    supervision, journaled steals -- must be invisible: the supervised
+    run's fingerprint must equal the plain elastic one.
     """
     import tempfile
 
@@ -818,7 +818,6 @@ def bench_resilience_coordinated(quick: bool) -> dict:
         Gateway,
         LoadConfig,
         LoadGenerator,
-        RetryQueue,
         VirtualClock,
     )
     from repro.resilience import DEFAULT_RPC_POLICY, SupervisorConfig, run_chaos
@@ -856,7 +855,6 @@ def bench_resilience_coordinated(quick: bool) -> dict:
             steps_per_tick=20,
             buffer_capacity=512,
             autoscaler=Autoscaler(k_min=1, k_max=4),
-            retry=RetryQueue(seed=42) if supervised else None,
         )
         return gateway.run().fingerprint()
 

@@ -238,10 +238,11 @@ class ClusterService:
         process-mode shard (``None`` keeps blocking RPC).
     wal_dir, checkpoint_dir:
         Directories for durable per-shard write-ahead logs (plus the
-        steal journal) and the digest-verified checkpoint store; need
-        a supervisor.  ``None`` keeps both in memory.
-    checkpoint_keep, wal_fsync_every:
-        Checkpoint generations kept per shard; WAL records per fsync.
+        steal journal) and the digest-verified checkpoint store (which
+        keeps two generations per shard); need a supervisor.  ``None``
+        keeps both in memory.
+    wal_fsync_every:
+        WAL records per fsync.
     tracer:
         Optional cluster-level
         :class:`~repro.observability.recorder.TraceRecorder`.  The
@@ -273,7 +274,6 @@ class ClusterService:
         rpc: Optional[RpcPolicy] = None,
         wal_dir: Optional[str] = None,
         checkpoint_dir: Optional[str] = None,
-        checkpoint_keep: int = 2,
         wal_fsync_every: int = 8,
         tracer: Optional[Any] = None,
     ) -> None:
@@ -335,7 +335,7 @@ class ClusterService:
         #: the record stays encoded until a recovery restores from it
         self.checkpoints: dict[int, tuple[int, ShardCheckpoint]] = {}
         self.store: Optional[CheckpointStore] = (
-            CheckpointStore(checkpoint_dir, keep=checkpoint_keep)
+            CheckpointStore(checkpoint_dir)
             if checkpoint_dir
             else None
         )

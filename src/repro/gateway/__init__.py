@@ -17,8 +17,7 @@ Package map
 -----------
 * :mod:`repro.gateway.clock` -- the wall/virtual time seam.
 * :mod:`repro.gateway.load` -- seeded open-loop traffic generation.
-* :mod:`repro.gateway.ingest` -- bounded front-door buffering and
-  deadline-aware retry with seeded backoff jitter.
+* :mod:`repro.gateway.ingest` -- bounded front-door buffering.
 * :mod:`repro.gateway.autoscale` -- hysteresis shard-count control.
 * :mod:`repro.gateway.kpi` -- KPI snapshots and the fan-out feed.
 * :mod:`repro.gateway.server` -- stdlib HTTP/SSE serving of the feed.
@@ -28,8 +27,8 @@ Package map
 
 from repro.gateway.autoscale import Autoscaler, ScaleDecision
 from repro.gateway.clock import Clock, VirtualClock, WallClock
-from repro.gateway.gateway import DegradationLadder, Gateway, GatewayResult
-from repro.gateway.ingest import DroppedSubmission, IngestBuffer, RetryQueue
+from repro.gateway.gateway import Gateway, GatewayResult
+from repro.gateway.ingest import DroppedSubmission, IngestBuffer
 from repro.gateway.kpi import KpiAggregator, KpiFeed
 from repro.gateway.load import (
     ARRIVAL_PROCESSES,
@@ -42,7 +41,6 @@ __all__ = [
     "ARRIVAL_PROCESSES",
     "Autoscaler",
     "Clock",
-    "DegradationLadder",
     "DroppedSubmission",
     "Gateway",
     "GatewayResult",
@@ -52,7 +50,6 @@ __all__ = [
     "KpiServer",
     "LoadConfig",
     "LoadGenerator",
-    "RetryQueue",
     "ScaleDecision",
     "VirtualClock",
     "WallClock",

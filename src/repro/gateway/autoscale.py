@@ -30,6 +30,11 @@ from typing import Sequence
 from repro.cluster.router import ShardStats
 from repro.errors import GatewayError
 
+#: Cost per unit of per-shard backlog above ``high_water``.
+OVERLOAD_WEIGHT = 100.0
+#: Cost per active shard -- the pressure to shrink when idle.
+SHARD_RENT = 1.0
+
 
 @dataclass(frozen=True)
 class ScaleDecision:
@@ -55,9 +60,9 @@ class Autoscaler:
         Inclusive bounds on the active shard count.
     high_water:
         Per-shard backlog above which a candidate pays steep overload
-        cost.  Tune to a few ticks' worth of drain capacity.
-    shard_rent:
-        Cost per active shard -- the pressure to shrink when idle.
+        cost (:data:`OVERLOAD_WEIGHT` per job; each active shard costs
+        :data:`SHARD_RENT`).  Tune to a few ticks' worth of drain
+        capacity.
     up_patience, down_patience:
         Consecutive same-direction votes required before committing.
         The defaults react up within one tick but shrink only after a
@@ -73,23 +78,19 @@ class Autoscaler:
         k_max: int = 4,
         *,
         high_water: float = 2.0,
-        shard_rent: float = 1.0,
-        overload_weight: float = 100.0,
         up_patience: int = 1,
         down_patience: int = 60,
         cooldown: int = 20,
     ) -> None:
         if not 1 <= k_min <= k_max:
             raise GatewayError("need 1 <= k_min <= k_max")
-        if high_water <= 0 or shard_rent < 0 or overload_weight <= 0:
-            raise GatewayError("autoscaler weights must be positive")
+        if high_water <= 0:
+            raise GatewayError("high_water must be positive")
         if up_patience < 1 or down_patience < 1 or cooldown < 0:
             raise GatewayError("patience must be >= 1 and cooldown >= 0")
         self.k_min = k_min
         self.k_max = k_max
         self.high_water = high_water
-        self.shard_rent = shard_rent
-        self.overload_weight = overload_weight
         self.up_patience = up_patience
         self.down_patience = down_patience
         self.cooldown = cooldown
@@ -112,7 +113,7 @@ class Autoscaler:
         """
         backlog = pressure / max(1, k_candidate - dead)
         overload = max(0.0, backlog - self.high_water)
-        return overload * self.overload_weight + k_candidate * self.shard_rent
+        return overload * OVERLOAD_WEIGHT + k_candidate * SHARD_RENT
 
     @staticmethod
     def _pressure(stats: Sequence[ShardStats]) -> int:

@@ -35,13 +35,12 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.cluster.service import ClusterResult, ClusterService, ScaleEvent
-from repro.errors import GatewayError, ShardFailedError, ShardTimeoutError
+from repro.errors import GatewayError
 from repro.gateway.autoscale import Autoscaler
 from repro.gateway.clock import Clock, WallClock
-from repro.gateway.ingest import DroppedSubmission, IngestBuffer, RetryQueue
+from repro.gateway.ingest import DroppedSubmission, IngestBuffer
 from repro.gateway.kpi import KpiAggregator, KpiFeed
 from repro.gateway.load import LoadGenerator
-from repro.sim.jobs import JobSpec
 
 
 @dataclass
@@ -69,8 +68,6 @@ class GatewayResult:
     kpis: list[dict[str, Any]] = field(default_factory=list)
     #: ticks that overran their wall deadline (wall clock only)
     late_ticks: int = 0
-    #: submissions redelivered through the retry queue (0 without one)
-    retried: int = 0
 
     @property
     def total_profit(self) -> float:
@@ -140,98 +137,8 @@ class GatewayResult:
             "admission_latency_p99": latency.get("p99"),
             "scale_events": len(self.scale_events),
             "late_ticks": self.late_ticks,
-            "retried": self.retried,
             "fingerprint": self.fingerprint(),
         }
-
-
-class DegradationLadder:
-    """Graceful-degradation policy under sustained ingest overload.
-
-    The ladder watches the ingest buffer's fill fraction each tick and
-    climbs one rung at a time when it stays above ``enter_fraction``
-    for ``patience`` consecutive ticks -- shedding progressively more
-    to keep the loop serving -- and steps back down after ``relief``
-    consecutive ticks at or below ``exit_fraction``:
-
-    ======  ====================  ======================================
-    level   name                  effect
-    ======  ====================  ======================================
-    0       ``normal``            full service
-    1       ``no-tracing``        live tracing paused (observability is
-                                  the cheapest thing to shed)
-    2       ``shed-low-density``  buffer overflow evicts the lowest-
-                                  density job instead of refusing the
-                                  newest (the paper's shed order at the
-                                  front door)
-    3       ``reject``            arrivals refused outright
-    ======  ====================  ======================================
-
-    Every transition is traced (the trace is re-enabled just long
-    enough when paused) and counted, so post-mortems can reconstruct
-    exactly when and why the gateway shed what it shed.  The policy is
-    a pure function of the fill-fraction sequence -- seeded runs remain
-    bit-reproducible.
-    """
-
-    LEVELS = ("normal", "no-tracing", "shed-low-density", "reject")
-
-    def __init__(
-        self,
-        *,
-        enter_fraction: float = 0.75,
-        exit_fraction: float = 0.25,
-        patience: int = 3,
-        relief: int = 10,
-    ) -> None:
-        if not 0.0 <= exit_fraction < enter_fraction <= 1.0:
-            raise GatewayError("need 0 <= exit_fraction < enter_fraction <= 1")
-        if patience < 1 or relief < 1:
-            raise GatewayError("patience and relief must be >= 1")
-        self.enter_fraction = float(enter_fraction)
-        self.exit_fraction = float(exit_fraction)
-        self.patience = int(patience)
-        self.relief = int(relief)
-        self.level = 0
-        #: (tick, from_level, to_level) per applied transition
-        self.transitions: list[tuple[int, int, int]] = []
-        self._hot = 0
-        self._cool = 0
-
-    @property
-    def name(self) -> str:
-        """Current rung's name (KPI surface)."""
-        return self.LEVELS[self.level]
-
-    def observe(self, fraction: float, tick: int) -> Optional[tuple[int, int]]:
-        """Feed one tick's buffer fill fraction; returns the
-        ``(from_level, to_level)`` transition it triggered, if any."""
-        if fraction >= self.enter_fraction:
-            self._hot += 1
-            self._cool = 0
-        elif fraction <= self.exit_fraction:
-            self._cool += 1
-            self._hot = 0
-        else:
-            self._hot = 0
-            self._cool = 0
-        if self._hot >= self.patience and self.level < len(self.LEVELS) - 1:
-            old, self.level = self.level, self.level + 1
-            self._hot = 0
-            self.transitions.append((tick, old, self.level))
-            return (old, self.level)
-        if self._cool >= self.relief and self.level > 0:
-            old, self.level = self.level, self.level - 1
-            self._cool = 0
-            self.transitions.append((tick, old, self.level))
-            return (old, self.level)
-        return None
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"DegradationLadder(level={self.name!r}, "
-            f"transitions={len(self.transitions)})"
-        )
 
 
 class Gateway:
@@ -265,18 +172,8 @@ class Gateway:
     feed:
         Optional :class:`KpiFeed` to publish snapshots on (the SSE
         server consumes this).
-    kpi_window, kpi_every:
-        Rolling-rate window (snapshots) and publish cadence (ticks).
-    retry:
-        Optional :class:`~repro.gateway.ingest.RetryQueue`: submissions
-        the cluster cannot take (every shard down, or a delivery raises
-        mid-failover) are parked and redelivered with deadline-aware
-        exponential backoff instead of shed.  ``None`` (default) keeps
-        the PR 7 behaviour bit-identical.
-    degradation:
-        Optional :class:`DegradationLadder` driving graceful
-        degradation off the buffer fill fraction.  ``None`` (default)
-        disables the ladder.
+    kpi_every:
+        KPI publish cadence (ticks).
     """
 
     def __init__(
@@ -291,10 +188,7 @@ class Gateway:
         max_dispatch_per_tick: Optional[int] = None,
         autoscaler: Optional[Autoscaler] = None,
         feed: Optional[KpiFeed] = None,
-        kpi_window: int = 20,
         kpi_every: int = 1,
-        retry: Optional[RetryQueue] = None,
-        degradation: Optional[DegradationLadder] = None,
     ) -> None:
         if tick_seconds <= 0:
             raise GatewayError("tick_seconds must be positive")
@@ -313,13 +207,8 @@ class Gateway:
         self.max_dispatch_per_tick = max_dispatch_per_tick
         self.autoscaler = autoscaler
         self.feed = feed
-        self.kpi = KpiAggregator(window=kpi_window)
+        self.kpi = KpiAggregator()
         self.kpi_every = int(kpi_every)
-        self.retry = retry
-        self.degradation = degradation
-        #: tracer.enabled before the ladder first paused it
-        self._trace_baseline: Optional[bool] = None
-        self._dropped: list[DroppedSubmission] = []
 
     # ------------------------------------------------------------------
     def run(self, max_ticks: Optional[int] = None) -> GatewayResult:
@@ -337,7 +226,6 @@ class Gateway:
         pending = next(specs, None)
 
         dropped: list[DroppedSubmission] = []
-        self._dropped = dropped  # _submit appends retry-expiry drops
         submissions: list[tuple[int, int, int]] = []
         kpis: list[dict[str, Any]] = []
         generated = 0
@@ -349,12 +237,7 @@ class Gateway:
         while True:
             if max_ticks is not None and tick >= max_ticks:
                 break
-            if (
-                pending is None
-                and len(self.buffer) == 0
-                and (self.retry is None or len(self.retry) == 0)
-                and tick > 0
-            ):
+            if pending is None and len(self.buffer) == 0 and tick > 0:
                 break
             tick += 1
             deadline = start_wall + tick * self.tick_seconds
@@ -363,30 +246,20 @@ class Gateway:
                 late_ticks += 1
             boundary = tick * self.steps_per_tick
 
-            # ingest every arrival due strictly before the new boundary
+            # ingest every arrival due strictly before the new boundary;
+            # a full buffer refuses the newcomer
             while pending is not None and pending.arrival < boundary:
                 generated += 1
-                drop = self._offer(pending, tick)
-                if drop is not None:
-                    dropped.append(drop)
+                if not self.buffer.offer(pending):
+                    dropped.append(
+                        DroppedSubmission(
+                            job_id=pending.job_id,
+                            arrival=pending.arrival,
+                            tick=tick,
+                            profit=pending.profit,
+                        )
+                    )
                 pending = next(specs, None)
-
-            # parked retries whose backoff elapsed re-enter the buffer
-            # ahead of this tick's dispatch; expiries become drops
-            if self.retry is not None:
-                ready, expired = self.retry.due(tick, boundary)
-                dropped.extend(expired)
-                for spec in ready:
-                    drop = self._offer(spec, tick)
-                    if drop is not None:
-                        dropped.append(drop)
-
-            if self.degradation is not None:
-                change = self.degradation.observe(
-                    len(self.buffer) / self.buffer.capacity, tick
-                )
-                if change is not None:
-                    self._apply_degradation(change, tick, boundary)
 
             # an injected tick stall freezes dispatch and scheduling for
             # this tick while arrivals keep buffering -- the loop itself
@@ -397,9 +270,7 @@ class Gateway:
             # dispatch a batch; each job keeps its intended arrival time
             # (the cluster clamps to its own clock, so order holds)
             for spec in self.buffer.drain(self.max_dispatch_per_tick):
-                shard = self._submit(spec, tick, boundary)
-                if shard is None:
-                    continue  # parked for retry (or dropped)
+                shard = cluster.submit(spec, t=spec.arrival)
                 submissions.append((tick, spec.job_id, shard))
                 delivered += 1
 
@@ -434,7 +305,6 @@ class Gateway:
             scale_events=list(cluster.scale_events),
             kpis=kpis,
             late_ticks=late_ticks,
-            retried=self.retry.retried_total if self.retry is not None else 0,
         )
         if self.feed is not None:
             final = dict(kpis[-1]) if kpis else {}
@@ -443,106 +313,6 @@ class Gateway:
             self.feed.publish(final)
             self.feed.close()
         return gateway_result
-
-    # ------------------------------------------------------------------
-    def _submit(
-        self, spec: JobSpec, tick: int, boundary: int
-    ) -> Optional[int]:
-        """Deliver one drained job; park it for retry on cluster failure.
-
-        Returns the shard index on success, ``None`` when the job went
-        to the retry queue (or straight to a drop record) instead.
-        Without a retry queue this is exactly ``cluster.submit`` -- the
-        PR 7 delivery path, failures and all.
-        """
-        if self.retry is None:
-            return self.cluster.submit(spec, t=spec.arrival)
-        if not self._cluster_available():
-            # park *before* submit: a supervised cluster's own
-            # no-healthy-shard path sheds with prejudice, and a shed
-            # plus a retry would double-account the job
-            drop = self.retry.push(spec, tick, boundary)
-            if drop is not None:
-                self._dropped.append(drop)
-            return None
-        try:
-            return self.cluster.submit(spec, t=spec.arrival)
-        except (ShardFailedError, ShardTimeoutError):
-            drop = self.retry.push(spec, tick, boundary)
-            if drop is not None:
-                self._dropped.append(drop)
-            return None
-
-    def _cluster_available(self) -> bool:
-        """Whether any active shard can take a delivery right now."""
-        return any(s.alive for s in self.cluster.active_stats())
-
-    def _offer(self, spec: JobSpec, tick: int) -> Optional[DroppedSubmission]:
-        """Buffer one due arrival under the current degradation rung.
-
-        Returns the drop record when the front door refused someone --
-        the newcomer (overflow / reject) or a displaced buffered job
-        (shed-low-density) -- and ``None`` when everything fit.
-        """
-        level = self.degradation.level if self.degradation is not None else 0
-        if level >= 3:
-            self.buffer.rejected += 1
-            return DroppedSubmission(
-                job_id=spec.job_id,
-                arrival=spec.arrival,
-                tick=tick,
-                profit=spec.profit,
-                reason="degradation-reject",
-            )
-        if level >= 2:
-            evicted = self.buffer.offer_displacing(spec, self.cluster.density)
-            if evicted is None:
-                return None
-            return DroppedSubmission(
-                job_id=evicted.job_id,
-                arrival=evicted.arrival,
-                tick=tick,
-                profit=evicted.profit,
-                reason="degradation-shed",
-            )
-        if self.buffer.offer(spec):
-            return None
-        return DroppedSubmission(
-            job_id=spec.job_id,
-            arrival=spec.arrival,
-            tick=tick,
-            profit=spec.profit,
-        )
-
-    def _apply_degradation(
-        self, change: tuple[int, int], tick: int, boundary: int
-    ) -> None:
-        """Enact one ladder transition: trace it, and pause or resume
-        live tracing as the rung demands (the ladder itself records
-        the transition)."""
-        old, new = change
-        tracer = self.cluster.tracer
-        if tracer is not None:
-            if self._trace_baseline is None:
-                self._trace_baseline = bool(tracer.enabled)
-            # re-enable just long enough that the transition itself is
-            # always on the record, even while tracing is shed
-            try:
-                tracer.enabled = True
-            except AttributeError:  # NullRecorder: stays off
-                tracer = None
-            if tracer is not None:
-                tracer.event(
-                    boundary,
-                    "degradation",
-                    None,
-                    {
-                        "from": DegradationLadder.LEVELS[old],
-                        "to": DegradationLadder.LEVELS[new],
-                        "tick": tick,
-                    },
-                )
-                tracer.enabled = self._trace_baseline and new < 1
 
     # ------------------------------------------------------------------
     def _snapshot(
@@ -555,9 +325,6 @@ class Gateway:
     ) -> dict[str, Any]:
         cluster = self.cluster
         stats = cluster.active_stats()
-        level = (
-            self.degradation.name if self.degradation is not None else "normal"
-        )
         # process shards keep their registries worker-side: a roll-up
         # without them would publish zeros, not the cluster's totals
         registries = (
@@ -575,5 +342,4 @@ class Gateway:
             gateway_shed=gateway_shed,
             buffer_depth=len(self.buffer),
             degraded_shards=len(cluster.degraded),
-            degradation=level,
         )

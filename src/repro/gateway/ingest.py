@@ -14,10 +14,9 @@ declined unprofitable work".
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.errors import GatewayError
 from repro.sim.jobs import JobSpec
@@ -25,7 +24,7 @@ from repro.sim.jobs import JobSpec
 
 @dataclass(frozen=True)
 class DroppedSubmission:
-    """One job refused at the gateway's front door."""
+    """One job the full ingest buffer refused at the front door."""
 
     job_id: int
     #: the job's intended arrival time (simulated steps)
@@ -34,12 +33,6 @@ class DroppedSubmission:
     tick: int
     #: forgone profit
     profit: float
-    #: why the front door refused: ``"buffer-overflow"`` (bounded
-    #: ingest), ``"retry-expired"`` (deadline or attempt budget spent
-    #: while the cluster was unavailable), ``"degradation-shed"``
-    #: (lowest-density displacement under overload) or
-    #: ``"degradation-reject"`` (ladder's last rung)
-    reason: str = "buffer-overflow"
 
 
 class IngestBuffer:
@@ -55,12 +48,6 @@ class IngestBuffer:
             raise GatewayError("ingest buffer capacity must be >= 1")
         self.capacity = capacity
         self._queue: deque[JobSpec] = deque()
-        #: lifetime accepted submissions
-        self.accepted = 0
-        #: lifetime refused submissions
-        self.rejected = 0
-        #: high-water mark of buffered depth
-        self.peak_depth = 0
 
     @property
     def depth(self) -> int:
@@ -70,45 +57,9 @@ class IngestBuffer:
     def offer(self, spec: JobSpec) -> bool:
         """Accept ``spec`` if there is room; return ``False`` on overflow."""
         if len(self._queue) >= self.capacity:
-            self.rejected += 1
             return False
         self._queue.append(spec)
-        self.accepted += 1
-        if len(self._queue) > self.peak_depth:
-            self.peak_depth = len(self._queue)
         return True
-
-    def offer_displacing(
-        self, spec: JobSpec, key: Callable[[JobSpec], float]
-    ) -> Optional[JobSpec]:
-        """Offer with lowest-``key`` displacement (degradation rung 2).
-
-        With room the job is simply accepted (returns ``None``).  On
-        overflow the *lowest-key* job loses -- the paper's shed order
-        applied at the front door: if the incoming job keys at or below
-        every buffered job it is refused itself; otherwise the cheapest
-        buffered job is evicted to make room.  Returns whichever job
-        was dropped.  Ties break toward the lower ``job_id``
-        (deterministic).
-        """
-        if len(self._queue) < self.capacity:
-            self._queue.append(spec)
-            self.accepted += 1
-            if len(self._queue) > self.peak_depth:
-                self.peak_depth = len(self._queue)
-            return None
-        victim_at = min(
-            range(len(self._queue)),
-            key=lambda i: (key(self._queue[i]), self._queue[i].job_id),
-        )
-        victim = self._queue[victim_at]
-        self.rejected += 1
-        if (key(spec), spec.job_id) <= (key(victim), victim.job_id):
-            return spec
-        del self._queue[victim_at]
-        self._queue.append(spec)
-        self.accepted += 1
-        return victim
 
     def drain(self, max_n: Optional[int] = None) -> list[JobSpec]:
         """Pop up to ``max_n`` buffered jobs in FIFO order (all if None)."""
@@ -119,118 +70,4 @@ class IngestBuffer:
         return len(self._queue)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"IngestBuffer(depth={self.depth}/{self.capacity}, "
-            f"accepted={self.accepted}, rejected={self.rejected})"
-        )
-
-
-class RetryQueue:
-    """Deadline-aware redelivery of submissions the cluster refused.
-
-    When every shard is down (or a delivery raises mid-failover), the
-    gateway parks the job here instead of shedding it.  Each job gets
-    exponential backoff in *ticks* with seeded multiplicative jitter --
-    ``min(max_ticks, base_ticks * 2**attempts) * (1 + U(0, jitter))``
-    -- so redelivery does not hammer a recovering cluster in lockstep,
-    yet two runs with the same seed retry on identical ticks.  A retry
-    is abandoned (a ``"retry-expired"`` :class:`DroppedSubmission`)
-    once the job's deadline has passed in simulated time -- redelivering
-    it could only produce an expiry -- or its attempt budget is spent.
-    """
-
-    def __init__(
-        self,
-        *,
-        base_ticks: int = 1,
-        max_ticks: int = 64,
-        jitter: float = 0.5,
-        max_attempts: int = 8,
-        seed: int = 0,
-    ) -> None:
-        if base_ticks < 1 or max_ticks < base_ticks:
-            raise GatewayError("need 1 <= base_ticks <= max_ticks")
-        if jitter < 0:
-            raise GatewayError("jitter must be >= 0")
-        if max_attempts < 1:
-            raise GatewayError("max_attempts must be >= 1")
-        self.base_ticks = int(base_ticks)
-        self.max_ticks = int(max_ticks)
-        self.jitter = float(jitter)
-        self.max_attempts = int(max_attempts)
-        self._rng = random.Random(seed)
-        # (due_tick, insertion order, spec) -- order keeps sorting total
-        self._items: list[tuple[int, int, JobSpec]] = []
-        self._order = 0
-        self._attempts: dict[int, int] = {}
-        #: lifetime jobs handed back for redelivery
-        self.retried_total = 0
-        #: lifetime jobs abandoned (deadline/attempts)
-        self.expired_total = 0
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def push(
-        self, spec: JobSpec, tick: int, sim_t: int
-    ) -> Optional[DroppedSubmission]:
-        """Park one refused submission; returns a drop record when the
-        job is abandoned instead (deadline passed or budget spent)."""
-        attempts = self._attempts.get(spec.job_id, 0)
-        if attempts >= self.max_attempts or self._expired(spec, sim_t):
-            self._attempts.pop(spec.job_id, None)
-            self.expired_total += 1
-            return DroppedSubmission(
-                job_id=spec.job_id,
-                arrival=spec.arrival,
-                tick=tick,
-                profit=spec.profit,
-                reason="retry-expired",
-            )
-        self._attempts[spec.job_id] = attempts + 1
-        backoff = min(self.max_ticks, self.base_ticks * (2**attempts))
-        backoff *= 1.0 + self._rng.random() * self.jitter
-        due = tick + max(1, int(backoff))
-        self._items.append((due, self._order, spec))
-        self._order += 1
-        return None
-
-    def due(
-        self, tick: int, sim_t: int
-    ) -> tuple[list[JobSpec], list[DroppedSubmission]]:
-        """Jobs whose backoff elapsed by ``tick``: ready for redelivery,
-        plus the ones whose deadline expired while parked."""
-        ready: list[JobSpec] = []
-        expired: list[DroppedSubmission] = []
-        keep: list[tuple[int, int, JobSpec]] = []
-        for item in sorted(self._items):
-            duetick, _, spec = item
-            if duetick > tick:
-                keep.append(item)
-            elif self._expired(spec, sim_t):
-                self._attempts.pop(spec.job_id, None)
-                self.expired_total += 1
-                expired.append(
-                    DroppedSubmission(
-                        job_id=spec.job_id,
-                        arrival=spec.arrival,
-                        tick=tick,
-                        profit=spec.profit,
-                        reason="retry-expired",
-                    )
-                )
-            else:
-                self.retried_total += 1
-                ready.append(spec)
-        self._items = keep
-        return ready, expired
-
-    @staticmethod
-    def _expired(spec: JobSpec, sim_t: int) -> bool:
-        return spec.deadline is not None and sim_t >= spec.deadline
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"RetryQueue(pending={len(self._items)}, "
-            f"retried={self.retried_total}, expired={self.expired_total})"
-        )
+        return f"IngestBuffer(depth={self.depth}/{self.capacity})"

@@ -44,6 +44,9 @@ ROLLUP_FIELDS: tuple[str, ...] = (
     "admission_latency_mean",
 )
 
+#: Snapshots a rolling rate spans (``profit_rate``, ``arrival_rate``).
+RATE_WINDOW = 20
+
 
 def _total(registries: Sequence[MetricsRegistry], name: str) -> float:
     """``merge_registries(registries).values().get(name, 0.0)`` for a
@@ -58,18 +61,17 @@ class KpiAggregator:
     """Windowed KPI computation over cumulative cluster metrics.
 
     Rates (``profit_rate``, ``arrival_rate``) are computed over a
-    rolling window of the last ``window`` snapshots by differencing the
-    cumulative totals, so the feed shows "profit per simulated step
-    *lately*", not a lifetime average that flattens every transient the
-    gateway exists to surface.
+    rolling window of the last :data:`RATE_WINDOW` snapshots by
+    differencing the cumulative totals, so the feed shows "profit per
+    simulated step *lately*", not a lifetime average that flattens
+    every transient the gateway exists to surface.
     """
 
-    def __init__(self, window: int = 20) -> None:
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        self.window = window
+    def __init__(self) -> None:
         # (sim_t, profit_total, offered_total) marks, oldest first
-        self._marks: deque[tuple[int, float, float]] = deque(maxlen=window)
+        self._marks: deque[tuple[int, float, float]] = deque(
+            maxlen=RATE_WINDOW
+        )
 
     def snapshot(
         self,
@@ -85,7 +87,6 @@ class KpiAggregator:
         gateway_shed: int,
         buffer_depth: int,
         degraded_shards: int = 0,
-        degradation: str = "normal",
     ) -> dict[str, Any]:
         """Build one KPI snapshot dict from this tick's state.
 
@@ -137,7 +138,6 @@ class KpiAggregator:
             "admission_latency_p99": latency.get("p99"),
             "admission_latency_mean": latency.get("mean"),
             "degraded_shards": int(degraded_shards),
-            "degradation": str(degradation),
         }
 
 

@@ -10,8 +10,8 @@ routes is all a live dashboard, a ``curl`` tail, or a test needs.
   semantics work for free.  The stream ends when the feed closes.
 * ``GET /kpi.jsonl`` -- the retained history as JSON lines (poll-style
   consumption, and trivially ``pandas.read_json(..., lines=True)``-able).
-* ``GET /healthz`` -- liveness plus the current sequence number, the
-  latest snapshot's degraded-shard count and the degradation rung.
+* ``GET /healthz`` -- liveness plus the current sequence number and
+  the latest snapshot's degraded-shard count.
 
 The server thread only ever *reads* the feed; the gateway loop stays
 the sole producer, so serving never perturbs the run -- a virtual-clock
@@ -72,9 +72,6 @@ class KpiServer:
                             "closed": server.feed.closed,
                             "degraded_shards": latest.get(
                                 "degraded_shards", 0
-                            ),
-                            "degradation": latest.get(
-                                "degradation", "normal"
                             ),
                         }
                     )

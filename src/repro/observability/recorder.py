@@ -68,7 +68,6 @@ EVENT_KINDS: tuple[str, ...] = (
     "candidate-commit", # candidate trial committed to its best schedule
     "steal-resolve",    # pending steal transaction settled after a crash
     "steal-reconcile",  # restored shard reconciled against the journal
-    "degradation",      # the gateway's overload ladder changed rung
 )
 
 
@@ -186,9 +185,7 @@ class TraceRecorder:
         #: recorded events, in append order
         self.events: list[tuple] = []
         self._seq = 0
-        #: hot paths read this before each emit; the gateway's
-        #: degradation ladder flips it live to shed tracing overhead
-        #: under sustained overload
+        #: hot paths read this before each emit
         self.enabled = True
 
     def __len__(self) -> int:

@@ -213,7 +213,7 @@ def audit_run(
     for shed_rec in cluster_shed:
         note(shed_rec.job_id, "cluster-shed")
     for drop in dropped:
-        note(drop.job_id, f"dropped:{getattr(drop, 'reason', 'overflow')}")
+        note(drop.job_id, "dropped")
 
     submitted_set = set(submitted_ids)
     for job_id in submitted_ids:

@@ -41,6 +41,9 @@ from typing import Optional
 from repro.cluster.shard import fan_out
 from repro.errors import ClusterError, RestartBudgetExhausted, ShardFailedError
 
+#: Restart backoff jitter: each backoff is scaled by ``1 + U(0, JITTER)``.
+JITTER = 0.25
+
 
 @dataclass(frozen=True)
 class SupervisorConfig:
@@ -55,10 +58,8 @@ class SupervisorConfig:
     max_restarts: int = 5
     #: seconds slept before the first restart
     backoff_base: float = 0.01
-    #: cap on the per-restart backoff
+    #: cap on the per-restart backoff (before :data:`JITTER`)
     backoff_max: float = 0.5
-    #: jitter fraction: the backoff is scaled by ``1 + U(0, jitter)``
-    jitter: float = 0.25
     #: seed for the jitter stream (determinism)
     seed: int = 0
     #: ``"raise"`` (propagate RestartBudgetExhausted) or ``"degrade"``
@@ -174,7 +175,7 @@ class ShardSupervisor:
         backoff = min(
             self.config.backoff_max, self.config.backoff_base * (2**spent)
         )
-        backoff *= 1.0 + self._rng.random() * self.config.jitter
+        backoff *= 1.0 + self._rng.random() * JITTER
         time.sleep(backoff)
         restart_started = time.perf_counter()
         # a hung/half-dead worker must be torn down before restore;

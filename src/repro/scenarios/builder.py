@@ -419,54 +419,57 @@ class ScenarioBuilder:
             checkpoint_dir=c.checkpoint_dir or None,
         )
 
-    def _setup_cluster(self) -> None:
-        from repro.cluster import ClusterService, QueueBalancer, coordinate
+    def _build_cluster(self, k: int, **kwargs: Any) -> Any:
+        """The run's ``ClusterService`` over ``k`` shards, coordinated
+        when the spec asks.  Cluster and gateway modes both build here,
+        so every ``[cluster]`` knob reaches either shape; ``kwargs``
+        carry the shape's own (elasticity, migration)."""
+        from repro.cluster import ClusterService, coordinate
 
-        spec = self.spec
-        self.runnable = ClusterService(
-            spec.workload.m,
-            spec.cluster.shards,
+        c = self.spec.cluster
+        cluster = ClusterService(
+            self.spec.workload.m,
+            k,
             config=self._shard_config(),
-            router=spec.router_name(),
-            mode=spec.cluster.mode,
-            migration=QueueBalancer() if spec.cluster.migrate_every else None,
-            migrate_every=spec.cluster.migrate_every,
+            router=self.spec.router_name(),
+            mode=c.mode,
             fault_injector=self._fault_injector(),
-            checkpoint_every=spec.cluster.checkpoint_every,
-            stats_refresh=spec.cluster.stats_refresh,
+            checkpoint_every=c.checkpoint_every,
+            stats_refresh=c.stats_refresh,
             tracer=self.tracer,
+            **kwargs,
             **self._supervision(),
         )
-        if spec.cluster.coordinate:
+        if c.coordinate:
             coordinate(
-                self.runnable,
-                refresh_every=spec.cluster.coordinate_every,
-                steal_batch=spec.cluster.steal_batch,
-                steal_margin=spec.cluster.steal_margin,
-                max_displaced=spec.cluster.max_displaced,
-                max_moves_per_job=spec.cluster.max_moves_per_job,
+                cluster,
+                refresh_every=c.coordinate_every,
+                steal_batch=c.steal_batch,
+                steal_margin=c.steal_margin,
+                max_displaced=c.max_displaced,
+                max_moves_per_job=c.max_moves_per_job,
             )
+        return cluster
+
+    def _setup_cluster(self) -> None:
+        from repro.cluster import QueueBalancer
+
+        c = self.spec.cluster
+        self.runnable = self._build_cluster(
+            c.shards,
+            migration=QueueBalancer() if c.migrate_every else None,
+            migrate_every=c.migrate_every,
+        )
 
     def _setup_gateway(self) -> None:
-        from repro.cluster import ClusterService, coordinate
         from repro.gateway.gateway import Gateway
         from repro.gateway.kpi import KpiFeed
 
         spec = self.spec
-        cluster = ClusterService(
-            spec.workload.m,
+        cluster = self._build_cluster(
             spec.gateway.shards_max,
             k_initial=spec.gateway.shards_initial or spec.gateway.shards_max,
-            config=self._shard_config(),
-            router=spec.router_name(),
-            mode=spec.cluster.mode,
-            fault_injector=self._fault_injector(),
-            checkpoint_every=spec.cluster.checkpoint_every,
-            tracer=self.tracer,
-            **self._supervision(),
         )
-        if spec.cluster.coordinate:
-            coordinate(cluster)
         autoscaler = None
         if spec.autoscale.enabled:
             autoscaler = REGISTRY.create(

@@ -499,6 +499,11 @@ class ScenarioSpec:
             ("service.sample_every", self.service.sample_every, 0, None),
             ("cluster.shards", c.shards, 1, w.m if clustered else None),
             ("cluster.migrate_every", c.migrate_every, 0, None),
+            ("cluster.coordinate_every", c.coordinate_every, 1, None),
+            ("cluster.steal_batch", c.steal_batch, 1, None),
+            ("cluster.max_displaced", c.max_displaced, 0, None),
+            ("cluster.max_moves_per_job", c.max_moves_per_job, 1, None),
+            ("cluster.checkpoint_every", c.checkpoint_every, 1, None),
             ("cluster.stats_refresh", c.stats_refresh, 1, None),
             ("cluster.max_restarts", c.max_restarts, 0, None),
             ("cluster.heartbeat_every", c.heartbeat_every, 1, None),
@@ -537,18 +542,46 @@ class ScenarioSpec:
                     f"{location} must be positive, got {value}",
                     location=location,
                 )
+        if c.steal_margin <= 1:
+            raise ScenarioError(
+                f"cluster.steal_margin must be > 1, got {c.steal_margin}",
+                location="cluster.steal_margin",
+            )
         if not 0 <= w.spike_fraction < 1:
             raise ScenarioError(
                 f"workload.spike_fraction must be in [0, 1), got "
                 f"{w.spike_fraction}",
                 location="workload.spike_fraction",
             )
-        if self.mode == "gateway" and w.m % g.shards_max:
-            raise ScenarioError(
-                f"gateway.shards_max must divide workload.m = {w.m} "
-                f"(elastic shards are fixed-size), got {g.shards_max}",
-                location="gateway.shards_max",
-            )
+        if self.mode == "gateway":
+            self._check_gateway_cluster()
+            if w.m % g.shards_max:
+                raise ScenarioError(
+                    f"gateway.shards_max must divide workload.m = {w.m} "
+                    f"(elastic shards are fixed-size), got {g.shards_max}",
+                    location="gateway.shards_max",
+                )
+
+    def _check_gateway_cluster(self) -> None:
+        """``[cluster]`` keys a gateway run would ignore: its elastic
+        cluster takes its size from ``gateway.shards_max`` and builds
+        no migration."""
+        default = ClusterSection()
+        for key, use in [
+            ("shards", "size it with gateway.shards_max"),
+            (
+                "migrate_every",
+                "it builds no queue migration (cluster.coordinate = true "
+                "moves work between shards)",
+            ),
+        ]:
+            value = getattr(self.cluster, key)
+            if value != getattr(default, key):
+                raise ScenarioError(
+                    f"cluster.{key} = {value} has no effect in gateway "
+                    f"mode; {use}",
+                    location=f"cluster.{key}",
+                )
 
     def with_overrides(
         self, overrides: dict[str, Any]

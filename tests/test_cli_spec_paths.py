@@ -227,6 +227,12 @@ class TestRangeErrors:
             "service.capacity=0",
             "gateway.shards_initial=9",
             "service.sample_every=-1",
+            "cluster.coordinate_every=0",
+            "cluster.steal_batch=0",
+            "cluster.max_moves_per_job=0",
+            "cluster.checkpoint_every=-5",
+            "cluster.max_displaced=-1",
+            "cluster.steal_margin=1.0",
         ],
     )
     def test_scenario_run_set_exits_2_naming_the_key(

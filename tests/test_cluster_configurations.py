@@ -15,8 +15,6 @@ import pytest
 from repro.cluster import ClusterService, ShardConfig, coordinate
 from repro.core.theory import Constants
 from repro.errors import ClusterError
-from repro.gateway import LoadConfig, LoadGenerator, VirtualClock
-from repro.gateway.gateway import DegradationLadder, Gateway
 from repro.resilience import SupervisorConfig
 from repro.service.queue import sns_density
 from repro.workloads import WorkloadConfig, generate_workload
@@ -207,21 +205,3 @@ class TestShedDensityUsesShardConstants:
         assert [rec.density for rec in sheds] == [
             self.expected(by_id[rec.job_id]) for rec in sheds
         ]
-
-    def test_gateway_sheds_lowest_shard_density(self):
-        cluster = ClusterService(8, 2, config=self.HALF)
-        jobs = self.jobs()
-        ladder = DegradationLadder()
-        ladder.level = 2  # shed-low-density
-        gateway = Gateway(
-            cluster,
-            LoadGenerator(LoadConfig(n_jobs=1, m=8)),
-            clock=VirtualClock(),
-            buffer_capacity=20,
-            degradation=ladder,
-        )
-        for spec in jobs:
-            gateway._offer(spec, 1)
-        kept = {sp.job_id for sp in gateway.buffer.drain()}
-        ranked = sorted(jobs, key=lambda sp: (self.expected(sp), sp.job_id))
-        assert kept == {sp.job_id for sp in ranked[-20:]}

@@ -142,10 +142,9 @@ class TestIngestBuffer:
         s0, s1, s2 = _spec(0), _spec(1), _spec(2)
         assert buf.offer(s0) and buf.offer(s1)
         assert not buf.offer(s2)  # full: refused
-        assert buf.rejected == 1 and buf.accepted == 2
+        assert buf.depth == 2
         assert buf.drain() == [s0, s1]
         assert buf.depth == 0
-        assert buf.peak_depth == 2
 
     def test_drain_cap(self):
         buf = IngestBuffer(capacity=8)

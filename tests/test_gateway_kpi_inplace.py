@@ -29,7 +29,7 @@ from repro.core import SNSScheduler
 from repro.gateway import Gateway, KpiFeed, LoadConfig, LoadGenerator, VirtualClock
 from repro.gateway.autoscale import Autoscaler
 from repro.gateway.cli import _report, main as gateway_main
-from repro.gateway.kpi import ROLLUP_FIELDS
+from repro.gateway.kpi import RATE_WINDOW, ROLLUP_FIELDS
 from repro.observability.metrics import RingHistogram, merged_summary, tail_window
 from repro.resilience.chaos import ChaosInjector, ChaosSchedule
 from repro.resilience.supervisor import SupervisorConfig
@@ -120,7 +120,7 @@ class TestInPlaceKpiDifferential:
                 k_min=1, k_max=4, down_patience=10, cooldown=5
             ),
         )
-        reference = _MergedKpi(gateway.kpi.window)
+        reference = _MergedKpi(RATE_WINDOW)
         snapshot = gateway.kpi.snapshot
         mismatches = []
         observed = {}

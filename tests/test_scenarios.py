@@ -175,6 +175,8 @@ def _force_valid(doc: dict) -> dict:
         doc.setdefault("workload", {})["kind"] = "open-loop"
         # elastic shards are fixed-size: m must divide shards_max (4)
         doc.setdefault("workload", {})["m"] = 8
+        # the elastic cluster is sized by gateway.shards_max
+        doc.get("cluster", {}).pop("shards", None)
     else:
         wl = doc.setdefault("workload", {})
         if wl.get("kind") == "open-loop":
