@@ -52,7 +52,14 @@ def build(k: int, coordinated: bool = False) -> ClusterService:
         router="band-aware" if coordinated else "consistent-hash",
     )
     if coordinated:
-        coordinate(cluster)
+        coordinate(
+            cluster,
+            refresh_every=16,
+            steal_batch=8,
+            steal_margin=1.5,
+            max_displaced=2,
+            max_moves_per_job=8,
+        )
     return cluster
 
 

@@ -520,13 +520,8 @@ class Coordinator:
         #: band-aware router anchors, until the window drains
         self._partitioned = 0
         cluster.coordinator = self
-        # unwrap router decorators (circuit breakers) to find the
-        # band-aware router that needs the ledger
-        router = cluster.router
-        while router is not None and not isinstance(router, BandAwareRouter):
-            router = getattr(router, "inner", None)
-        if isinstance(router, BandAwareRouter):
-            router.bind(self.ledger)
+        if isinstance(cluster.router, BandAwareRouter):
+            cluster.router.bind(self.ledger)
 
     # -- cluster hook points --------------------------------------------
     def before_route(self, t: int) -> None:
@@ -776,28 +771,12 @@ class Coordinator:
             self.invalidate()
 
 
-def coordinate(
-    cluster: ClusterService,
-    *,
-    refresh_every: int = 16,
-    steal_every: Optional[int] = None,
-    steal_batch: int = 8,
-    steal_margin: float = 1.5,
-    max_displaced: int = 2,
-    max_moves_per_job: int = 8,
-    constants: Optional[Constants] = None,
-) -> Coordinator:
-    """Attach a :class:`Coordinator` to ``cluster`` and return it."""
-    return Coordinator(
-        cluster,
-        refresh_every=refresh_every,
-        steal_every=steal_every,
-        steal_batch=steal_batch,
-        steal_margin=steal_margin,
-        max_displaced=max_displaced,
-        max_moves_per_job=max_moves_per_job,
-        constants=constants,
-    )
+def coordinate(cluster: ClusterService, **settings: Any) -> Coordinator:
+    """Attach a :class:`Coordinator` to ``cluster`` and return it.
+
+    ``settings`` are the coordinator's keyword arguments; its own
+    defaults fill in any left out."""
+    return Coordinator(cluster, **settings)
 
 
 @dataclass

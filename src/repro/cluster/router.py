@@ -5,7 +5,7 @@ density ``v_i`` are computed at arrival from ``(W_i, L_i, D_i, p_i)``
 alone, so placement needs no cross-shard scheduler state -- a router
 only looks at the job and (optionally) cheap per-shard load stats.
 
-Four deterministic policies ship:
+Five deterministic policies ship:
 
 * :class:`RoundRobinRouter` -- cycle through shards in submission order;
 * :class:`LeastLoadedRouter` -- fewest jobs pending (queued + in
@@ -17,12 +17,18 @@ Four deterministic policies ship:
   never Python's randomized ``hash``), so a job's placement depends on
   its id alone: adding shards moves only ``~1/k`` of the id space, and
   the induced partition of a trace is reproducible across processes --
-  the property the cluster determinism tests pin down.
+  the property the cluster determinism tests pin down;
+* :class:`BandAwareRouter` -- a consistent-hash anchor that a job
+  leaves only when the cluster coordinator's merged band ledger says
+  the anchor would strand it and another shard would start it.
 
-All routers see the same :class:`ShardStats` view in either cluster
-mode; in multiprocessing mode the stats are refreshed at deterministic
-submission indices, so routing decisions are identical to the
-in-process run over the same trace.
+A router chooses among the :class:`ShardStats` it is handed.  A
+supervised cluster hands it only the shards its supervisor has not
+degraded, re-indexed positionally when that leaves gaps (see
+:meth:`~repro.cluster.service.ClusterService._route_healthy`).  In
+multiprocessing mode the load fields come from a cache refreshed at
+deterministic submission indices, so the stats-free routers decide
+exactly as in-process, while the stats-reading ones may not.
 """
 
 from __future__ import annotations

@@ -21,12 +21,12 @@ the policies layered on the same routing:
 ``supervisor``     ``None``: unsupervised, a shard failure propagates.
                    A :class:`~repro.resilience.supervisor.
                    SupervisorConfig` (or supervisor): submissions are
-                   always logged, checkpoints always taken, routing
-                   goes through per-shard circuit breakers, steals are
-                   journaled, and failed deliveries, advances, drains
-                   and fences are recovered (or the shard degraded)
-                   instead of raised; a job no healthy shard can take
-                   is shed at the cluster.
+                   always logged, checkpoints always taken, steals
+                   are journaled, and failed deliveries, advances,
+                   drains and fences are recovered (or the shard
+                   degraded) instead of raised.  Every placement
+                   routes around the degraded shards; a job no
+                   healthy shard can take is shed at the cluster.
 =================  ===================================================
 
 On top of placement every configuration offers:
@@ -82,8 +82,7 @@ from repro.cluster.shard import (
     make_shard,
 )
 from repro.core.theory import Constants
-from repro.errors import ClusterError, NoHealthyShardError, ShardFailedError
-from repro.resilience.breaker import BreakerConfig, CircuitBreakerRouter
+from repro.errors import ClusterError, ShardFailedError
 from repro.resilience.checkpoints import CheckpointStore
 from repro.resilience.rpc import RpcPolicy
 from repro.resilience.supervisor import ShardSupervisor, SupervisorConfig
@@ -229,10 +228,8 @@ class ClusterService:
         :class:`~repro.resilience.supervisor.SupervisorConfig` /
         :class:`~repro.resilience.supervisor.ShardSupervisor` that
         heartbeats the shards and restarts crashed or hung ones under
-        a restart budget.
-    breaker:
-        Per-shard :class:`~repro.resilience.breaker.BreakerConfig` for
-        the supervised cluster's circuit breakers.
+        a restart budget; a shard that exhausts it with
+        ``on_exhausted="degrade"`` receives no further placements.
     rpc:
         :class:`~repro.resilience.rpc.RpcPolicy` applied to every
         process-mode shard (``None`` keeps blocking RPC).
@@ -270,7 +267,6 @@ class ClusterService:
         checkpoint_every: Optional[int] = None,
         stats_refresh: int = 32,
         supervisor: Union[ShardSupervisor, SupervisorConfig, None] = None,
-        breaker: Optional[BreakerConfig] = None,
         rpc: Optional[RpcPolicy] = None,
         wal_dir: Optional[str] = None,
         checkpoint_dir: Optional[str] = None,
@@ -339,13 +335,10 @@ class ClusterService:
             if checkpoint_dir
             else None
         )
-        self.breaker_router: Optional[CircuitBreakerRouter] = None
         #: transactional steal journal (supervised only; durable beside
         #: the WALs when ``wal_dir`` is given)
         self.steal_journal: Optional[StealJournal] = None
         if supervisor is not None:
-            self.breaker_router = CircuitBreakerRouter(self.router, breaker)
-            self.router = self.breaker_router
             self.steal_journal = StealJournal(
                 os.path.join(wal_dir, "steals.txn") if wal_dir else None,
                 fsync_every=wal_fsync_every,
@@ -425,20 +418,13 @@ class ClusterService:
         t = self._now if t is None else max(int(t), self._now)
         self._now = t
         coordinator = self.coordinator
-        try:
-            self._hooks(t)
-            if coordinator is not None:
-                coordinator.before_route(t)
-            index = self.router.route(spec, self._router_stats())
-        except NoHealthyShardError:
-            if self.supervisor is None:
-                raise
+        self._hooks(t)
+        if coordinator is not None:
+            coordinator.before_route(t)
+        index = self._route_healthy(spec, self._router_stats())
+        if index is None:
             self._shed_at_cluster(spec, t)
             return -1
-        if not 0 <= index < self.k:
-            raise ClusterError(
-                f"router returned shard {index} (k={self.k})"
-            )
         tracer = self.tracer
         if tracer is not None and tracer.enabled:
             tracer.event(t, "route", spec.job_id, {"shard": index})
@@ -496,9 +482,6 @@ class ClusterService:
             self.shards[index].submit(spec, t, key=key)
         except ShardFailedError as exc:
             self.supervise_failure(index, t, exc)
-            return
-        if self.breaker_router is not None:
-            self.breaker_router.breaker(index).record_success(t)
 
     def finish(self) -> ClusterResult:
         """Drain every activated shard in one fence and return the
@@ -814,11 +797,10 @@ class ClusterService:
     def supervise_failure(
         self, index: int, t: int, exc: ShardFailedError
     ) -> None:
-        """Route one caught shard failure through breaker + supervisor
-        (restart, or degrade); without a supervisor it is re-raised."""
+        """Hand one caught shard failure to the supervisor (restart, or
+        degrade); without a supervisor it is re-raised."""
         if self.supervisor is None:
             raise exc
-        self.breaker_router.breaker(index).record_failure(t)
         self.supervisor.handle_failure(self, index, t, reason=exc.reason)
 
     def supervised_shard_ids(self) -> set[int]:
@@ -857,9 +839,8 @@ class ClusterService:
             )
 
     def mark_degraded(self, index: int) -> None:
-        """Take a shard permanently out of service (budget exhausted):
-        force its breaker open so routing never sees it again."""
-        self.breaker_router.breaker(index).force_open()
+        """Book a shard the supervisor took permanently out of service
+        (budget exhausted); routing skips it from now on."""
         self._stats_cache = None
         self.cluster_metrics.counter("degraded_total").inc()
 
@@ -969,10 +950,9 @@ class ClusterService:
         """Drain the highest active unit back into the shrunken prefix.
 
         The drain re-checks shard health first: the victim's queued
-        jobs are routed over the *healthy* remainder only (reindexed
-        positionally, as the circuit-breaker router does, so positional
-        routers stay correct), and if no healthy shard remains -- or
-        the victim itself is down -- the drain is skipped and the jobs
+        jobs are routed over the live, non-degraded remainder only (see
+        :meth:`_route_healthy`), and if no such shard remains -- or the
+        victim itself is down -- the drain is skipped and the jobs
         finish on the lame duck (or through its supervised recovery).
         """
         if self.k_active <= 1:
@@ -981,10 +961,9 @@ class ClusterService:
         self.k_active = index
         stats = self._prefix_stats(index + 1)
         victim_stat = stats[index]
-        healthy = [s for s in stats[:index] if s.alive]
+        live = [s for s in stats[:index] if s.alive]
         moved = 0
-        if healthy and victim_stat.alive and victim_stat.queue_depth:
-            routed = [replace(s, index=pos) for pos, s in enumerate(healthy)]
+        if live and victim_stat.alive and victim_stat.queue_depth:
             try:
                 queued = self.shards[index].take_queued(victim_stat.queue_depth)
             except ShardFailedError as exc:
@@ -992,14 +971,9 @@ class ClusterService:
                 self.supervise_failure(index, t, exc)
                 queued = []
             for spec in queued:
-                pick = self.router.route(spec, routed)
-                if not 0 <= pick < len(routed):
-                    raise ClusterError(
-                        f"router returned shard {pick} "
-                        f"(healthy={len(routed)})"
-                    )
-                self._deliver(healthy[pick].index, spec, t)
-                routed[pick].queue_depth += 1
+                pick = self._route_healthy(spec, live)
+                self._deliver(pick, spec, t)
+                stats[pick].queue_depth += 1
                 moved += 1
         self.cluster_metrics.counter("scale_down_total").inc()
         return self._scaled(t, "down", index, moved)
@@ -1042,8 +1016,33 @@ class ClusterService:
         return event
 
     # ------------------------------------------------------------------
-    # Stats and live telemetry
+    # Placement, stats and live telemetry
     # ------------------------------------------------------------------
+    def _route_healthy(
+        self, spec: JobSpec, stats: Sequence[ShardStats]
+    ) -> Optional[int]:
+        """The shard ``spec`` goes to: the router's pick among the
+        shards of ``stats`` that are not degraded, or ``None`` when
+        every one is.
+
+        A list with gaps is re-indexed positionally before the router
+        sees it, because positional routers (consistent-hash,
+        round-robin) index into the list they are given; the pick is
+        mapped back to the true shard index."""
+        degraded = self.degraded
+        healthy = [s for s in stats if s.index not in degraded]
+        if not healthy:
+            return None
+        routed = healthy
+        if any(s.index != pos for pos, s in enumerate(healthy)):
+            routed = [replace(s, index=pos) for pos, s in enumerate(healthy)]
+        pos = self.router.route(spec, routed)
+        if not 0 <= pos < len(healthy):
+            raise ClusterError(
+                f"router returned shard {pos} over {len(healthy)} shards"
+            )
+        return healthy[pos].index
+
     def _fence(self, shards: Sequence[ShardHandle], op: str) -> list:
         """Call the synchronous ``op`` on ``shards`` in one fan-out,
         then hand each failure, in shard order, to
@@ -1151,8 +1150,6 @@ class ClusterService:
         """Decision-point hooks, in recovery-safe order: checkpoint,
         fire chaos faults, migrate (migration re-checkpoints),
         heartbeat."""
-        if self.breaker_router is not None:
-            self.breaker_router.now = t
         if (
             self.checkpoint_every is not None
             and self._last_checkpoint_t is not None
@@ -1213,12 +1210,12 @@ class ClusterService:
         self.cluster_metrics.counter("faults_total").inc()
 
     def inject_slow(self, index: int, seconds: float = 0.05) -> None:
-        """Add latency to one shard without changing its state."""
+        """Stall one process shard's worker for ``seconds`` without
+        changing its state; an in-process shard has no RPC to slow, so
+        this is a no-op there."""
         shard = self.shards[index]
         if isinstance(shard, ProcessShard):
             shard.hang(seconds)
-        elif isinstance(shard, InProcessShard):
-            shard.chaos_latency = seconds
 
     def inject_pipe_drop(self, index: int) -> None:
         """Sever one shard's command channel mid-run."""

@@ -268,11 +268,10 @@ class InProcessShard(ShardHandle):
         super().__init__(index, config)
         self.service: Optional[SchedulingService] = None
         self._seen_keys: set[str] = set()
-        #: chaos flags -- an in-process shard cannot *really* hang the
-        #: caller, so the harness marks it hung/slow and the liveness
-        #: probe reports accordingly (see repro.resilience.chaos)
+        #: chaos flag -- an in-process shard cannot *really* hang the
+        #: caller, so the harness marks it hung and the liveness probe
+        #: reports accordingly (see repro.resilience.chaos)
         self.chaos_hung = False
-        self.chaos_latency = 0.0
 
     def start(self) -> None:
         """Build and start a fresh service from the config."""
@@ -283,14 +282,12 @@ class InProcessShard(ShardHandle):
         self.alive = True
         self._seen_keys = set()
         self.chaos_hung = False
-        self.chaos_latency = 0.0
 
     def kill(self) -> None:
         """Drop the service object on the floor (simulated crash)."""
         self.service = None
         self.alive = False
         self.chaos_hung = False
-        self.chaos_latency = 0.0
 
     def restore(self, checkpoint: Optional[ShardCheckpoint]) -> None:
         """Rebuild from a checkpoint, or start empty when ``None``."""
@@ -305,7 +302,6 @@ class InProcessShard(ShardHandle):
         self.alive = True
         self._seen_keys = set()
         self.chaos_hung = False
-        self.chaos_latency = 0.0
 
     def submit(self, spec: JobSpec, t: int, key: Optional[str] = None) -> None:
         """Feed the job straight into the service."""
@@ -332,7 +328,8 @@ class InProcessShard(ShardHandle):
             self.service.advance_to(t)
 
     def ping(self, timeout: float) -> float:
-        """Simulated heartbeat: dead raises crash, hung raises timeout."""
+        """Simulated heartbeat: dead raises crash, hung raises timeout,
+        and a live shard answers with no latency."""
         self._require_alive()
         if self.chaos_hung:
             raise ShardTimeoutError(
@@ -340,7 +337,7 @@ class InProcessShard(ShardHandle):
                 f"(deadline {timeout}s)",
                 shard=self.index,
             )
-        return self.chaos_latency
+        return 0.0
 
     def drop_pipe(self) -> None:
         """No pipe in-process: equivalent to losing the live state."""

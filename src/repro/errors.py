@@ -63,10 +63,6 @@ class ShardTimeoutError(ShardFailedError):
         super().__init__(message, shard=shard, reason="hang", waited=waited)
 
 
-class NoHealthyShardError(ClusterError):
-    """Every shard's circuit breaker is open; nothing can admit."""
-
-
 class RestartBudgetExhausted(ClusterError):
     """A shard failed more times than the supervisor's restart budget.
 

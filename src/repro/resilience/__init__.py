@@ -1,4 +1,4 @@
-"""Resilient serving: supervision, breakers, durable logs, chaos.
+"""Resilient serving: supervision, durable logs, chaos.
 
 This package hardens the sharded cluster (:mod:`repro.cluster`) for
 hostile conditions while keeping the repo's core guarantee intact --
@@ -27,9 +27,6 @@ Modules
 :mod:`~repro.resilience.supervisor`
     Heartbeat liveness (crash *and* hang detection) with bounded,
     jittered auto-restart.
-:mod:`~repro.resilience.breaker`
-    Per-shard circuit breakers and the routing decorator that sheds
-    traffic around open circuits.
 :mod:`~repro.resilience.transactions`
     Transactional cross-shard steals: intent/transfer/commit journal
     with torn-tail recovery and exactly-one-placement replay.
@@ -55,12 +52,6 @@ from repro.resilience.audit import (
     AuditReport,
     AuditViolation,
     audit_run,
-)
-from repro.resilience.breaker import (
-    BreakerConfig,
-    BreakerState,
-    CircuitBreaker,
-    CircuitBreakerRouter,
 )
 from repro.resilience.chaos import (
     COORDINATION_FAULT_KINDS,
@@ -94,10 +85,6 @@ __all__ = [
     "AuditReport",
     "AuditViolation",
     "audit_run",
-    "BreakerConfig",
-    "BreakerState",
-    "CircuitBreaker",
-    "CircuitBreakerRouter",
     "COORDINATION_FAULT_KINDS",
     "CORE_FAULT_KINDS",
     "FAULT_KINDS",

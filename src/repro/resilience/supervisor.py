@@ -22,9 +22,8 @@ gap:
   Exhausting the budget either raises
   :class:`~repro.errors.RestartBudgetExhausted` (``on_exhausted=
   "raise"``, the CLI's structured-exit path) or *degrades*: the shard
-  is marked permanently dead, its circuit is forced open, and the
-  cluster serves on with the shards it still has
-  (``on_exhausted="degrade"``).
+  is marked permanently dead, routing skips it, and the cluster serves
+  on with the shards it still has (``on_exhausted="degrade"``).
 
 Jitter is drawn from a seeded :class:`random.Random`, so supervised
 runs stay reproducible -- the same fault schedule yields the same

@@ -651,7 +651,7 @@ def load_spec(path: Union[str, pathlib.Path]) -> ScenarioSpec:
     path = pathlib.Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario spec {path}: {exc}") from exc
     if path.suffix.lower() == ".json":
         return loads_spec(text, format="json")

@@ -125,7 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     spec_flag(
         res, "--supervise", "cluster.supervise",
-        "supervise the shards: heartbeats, RPC deadlines, circuit breakers",
+        "supervise the shards: heartbeats, RPC deadlines, restarts; "
+        "routing skips a degraded shard",
     )
     spec_flag(
         res, "--max-restarts", "cluster.max_restarts", "restarts per shard"

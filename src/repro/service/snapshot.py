@@ -33,6 +33,16 @@ from repro.workloads.serialize import spec_from_dict, spec_to_dict
 #: Service snapshot format version (bump on incompatible change).
 SNAPSHOT_VERSION = 1
 
+#: Top-level snapshot sections and the JSON type each must have.
+_SECTIONS = {
+    "service": dict,
+    "engine": dict,
+    "scheduler": dict,
+    "queue": list,
+    "shed": list,
+    "metrics": dict,
+}
+
 
 def service_to_dict(service: SchedulingService) -> dict[str, Any]:
     """Serialize a running service to a JSON-compatible dict."""
@@ -90,17 +100,52 @@ def service_from_dict(
     (constructed with the same arguments); its dynamic state is restored
     from the snapshot.  ``metrics`` may be a fresh registry (e.g. with a
     new JSONL sink); metric values are restored into it.
+
+    A snapshot of the wrong shape -- a missing or ill-typed key at any
+    depth -- raises :class:`~repro.errors.SimulationError` naming it.
     """
+    if not isinstance(data, dict):
+        raise SimulationError(
+            f"service snapshot must be an object, got {type(data).__name__}"
+        )
     if data.get("version") != SNAPSHOT_VERSION:
         raise SimulationError(
-            f"unsupported service snapshot version {data.get('version')}"
+            f"unsupported service snapshot version {data.get('version')!r}"
         )
-    sched_type = data["scheduler"]["type"]
+    for key, kind in _SECTIONS.items():
+        if key not in data:
+            raise SimulationError(f"service snapshot has no {key!r} key")
+        if not isinstance(data[key], kind):
+            raise SimulationError(
+                f"service snapshot key {key!r} must be a {kind.__name__}, "
+                f"got {type(data[key]).__name__}"
+            )
+    sched_type = data["scheduler"].get("type")
     if type(scheduler).__name__ != sched_type:
         raise SimulationError(
             f"snapshot was taken with scheduler {sched_type!r}, "
             f"got {type(scheduler).__name__!r}"
         )
+    try:
+        return _restore(data, scheduler, picker, metrics, recorder)
+    except KeyError as exc:
+        raise SimulationError(
+            f"service snapshot is missing key {exc}"
+        ) from exc
+    except (TypeError, ValueError, AttributeError, IndexError) as exc:
+        raise SimulationError(
+            f"service snapshot has an ill-typed value: {exc}"
+        ) from exc
+
+
+def _restore(
+    data: dict[str, Any],
+    scheduler: Scheduler,
+    picker: Optional[NodePicker],
+    metrics: Optional[MetricsRegistry],
+    recorder: Optional[Any],
+) -> SchedulingService:
+    """The restore proper, over a snapshot whose sections are checked."""
     svc_cfg = data["service"]
     engine_cfg = data["engine"]["config"]
     service = SchedulingService(
@@ -178,7 +223,9 @@ def load_snapshot(
     When a ``<path>.sha256`` sidecar exists the file bytes are verified
     against it first; a mismatch raises
     :class:`~repro.errors.SimulationError`.  Snapshots written before
-    the sidecar existed (or whose sidecar was deleted) load unchecked.
+    the sidecar existed (or whose sidecar was deleted) load unchecked:
+    bytes that do not decode as UTF-8 JSON, like a document of the
+    wrong shape, raise ``SimulationError``.
     """
     with open(path, "rb") as fh:
         body = fh.read()
@@ -192,7 +239,12 @@ def load_snapshot(
                 f"snapshot {path} failed its digest check "
                 f"(expected {expected[:12]}..., got {actual[:12]}...)"
             )
-    data = json.loads(body.decode("utf-8"))
+    try:
+        data = json.loads(body.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+        raise SimulationError(
+            f"snapshot {path} does not decode: {exc}"
+        ) from exc
     return service_from_dict(
         data, scheduler, picker=picker, metrics=metrics, recorder=recorder
     )

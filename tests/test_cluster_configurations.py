@@ -54,7 +54,14 @@ def build(name):
 
 def fingerprint(name):
     cluster = build(name)
-    coordinate(cluster, refresh_every=8)
+    coordinate(
+        cluster,
+        refresh_every=8,
+        steal_batch=8,
+        steal_margin=1.5,
+        max_displaced=2,
+        max_moves_per_job=8,
+    )
     cluster.start()
     for i, spec in enumerate(specs()):
         if cluster.elastic and i in SCALE_STEPS:
@@ -194,8 +201,7 @@ class TestShedDensityUsesShardConstants:
             if i == 10:
                 cluster.inject_crash(1)
             if i == 40:
-                for index in range(cluster.k):
-                    cluster.breaker_router.breaker(index).force_open()
+                cluster.inject_crash(0)
             cluster.submit(spec, t=spec.arrival)
         result = cluster.finish()
         sheds = result.extra["cluster_shed"]

@@ -4,20 +4,32 @@ Byte flips and truncations of a checkpoint generation, a submission WAL
 and a steal journal either load what survives -- the previous checkpoint
 generation, or a valid record prefix -- or raise a
 :class:`~repro.errors.ReproError`.  They never raise a raw exception.
-The same holds for checksummed frames whose payload is arbitrary.
+The same holds for checksummed frames whose payload is arbitrary, and
+for a service snapshot file without its digest sidecar and a scenario
+spec file: either loads, or raises a ``ReproError``.
 """
 
 import json
 import os
 import tempfile
 
+import pytest
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ReproError, WALError
+from repro.core.sns import SNSScheduler
+from repro.errors import ReproError, SimulationError, WALError
 from repro.resilience import WAL_MAGIC, CheckpointStore, WriteAheadLog
 from repro.resilience.transactions import TXN_MAGIC, StealJournal
 from repro.resilience.wal import pack_frame, scan_frames
+from repro.scenarios import ScenarioSpec, load_spec
+from repro.service import SchedulingService
+from repro.service.snapshot import (
+    load_snapshot,
+    save_snapshot,
+    service_from_dict,
+)
 from repro.workloads import WorkloadConfig, generate_workload
 from repro.workloads.serialize import spec_to_dict
 
@@ -220,3 +232,98 @@ class TestStealJournal:
             journal_state,
         )
         assert isinstance(got, (WALError, tuple))
+
+
+def service_snapshot_bytes() -> bytes:
+    service = SchedulingService(
+        m=4, scheduler=SNSScheduler(epsilon=1.0), capacity=4, max_in_flight=2
+    )
+    service.start()
+    for spec in sorted(SPECS, key=lambda sp: (sp.arrival, sp.job_id)):
+        service.submit(spec, t=spec.arrival)
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "service.json")
+        save_snapshot(service, path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+CLEAN_SNAPSHOT = service_snapshot_bytes()
+
+
+def load_file(name: str, data: bytes, load):
+    """Write ``data`` to ``name`` and ``load`` the path, or the
+    ReproError it raises."""
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, name)
+        with open(path, "wb") as fh:
+            fh.write(data)
+        try:
+            return load(path)
+        except ReproError as exc:
+            return exc
+
+
+class TestServiceSnapshot:
+    @FUZZ
+    @given(mutation=mutations)
+    def test_damage_without_sidecar_loads_or_raises(self, mutation):
+        got = load_file(
+            "service.json",
+            mutate(CLEAN_SNAPSHOT, mutation),
+            lambda path: load_snapshot(path, SNSScheduler(epsilon=1.0)),
+        )
+        assert isinstance(got, (SchedulingService, SimulationError))
+
+    @FUZZ
+    @given(doc=json_values)
+    def test_arbitrary_document_restores_or_raises(self, doc):
+        try:
+            service_from_dict(doc, SNSScheduler(epsilon=1.0))
+        except SimulationError:
+            pass
+
+    def test_missing_section_is_named(self):
+        with pytest.raises(SimulationError, match="'service'"):
+            service_from_dict({"version": 1}, SNSScheduler(epsilon=1.0))
+        data = json.loads(CLEAN_SNAPSHOT)
+        del data["scheduler"]
+        with pytest.raises(SimulationError, match="'scheduler'"):
+            service_from_dict(data, SNSScheduler(epsilon=1.0))
+        data = json.loads(CLEAN_SNAPSHOT)
+        del data["engine"]["config"]["m"]
+        with pytest.raises(SimulationError, match="'m'"):
+            service_from_dict(data, SNSScheduler(epsilon=1.0))
+
+    def test_ill_typed_section_is_named(self):
+        data = json.loads(CLEAN_SNAPSHOT)
+        data["queue"] = 7
+        with pytest.raises(SimulationError, match="queue"):
+            service_from_dict(data, SNSScheduler(epsilon=1.0))
+
+    def test_undecodable_file_raises(self):
+        for data in (CLEAN_SNAPSHOT[:-1], b"\xff" + CLEAN_SNAPSHOT):
+            got = load_file(
+                "service.json",
+                data,
+                lambda path: load_snapshot(path, SNSScheduler(epsilon=1.0)),
+            )
+            assert isinstance(got, SimulationError)
+
+
+SPEC = ScenarioSpec().with_overrides(
+    {"mode": "cluster", "cluster.shards": 2, "faults.chaos": "crash:1:40"}
+)
+
+
+class TestScenarioSpecFile:
+    @FUZZ
+    @given(
+        fmt=st.sampled_from(["toml", "json"]),
+        mutation=mutations,
+    )
+    def test_damage_loads_or_raises(self, fmt, mutation):
+        text = SPEC.to_toml() if fmt == "toml" else SPEC.to_json()
+        clean = text.encode("utf-8")
+        got = load_file(f"spec.{fmt}", mutate(clean, mutation), load_spec)
+        assert isinstance(got, (ScenarioSpec, ReproError))

@@ -242,7 +242,14 @@ def durable_digest(mode, tmp_path):
         checkpoint_every=16,
         checkpoint_dir=str(tmp_path / "ckpt"),
     )
-    coordinate(cluster)
+    coordinate(
+        cluster,
+        refresh_every=16,
+        steal_batch=8,
+        steal_margin=1.5,
+        max_displaced=2,
+        max_moves_per_job=8,
+    )
     for spec in sorted(specs, key=lambda sp: (sp.arrival, sp.job_id)):
         cluster.submit(spec, t=spec.arrival)
     result = cluster.finish()

@@ -140,7 +140,14 @@ def durable_run(mode, root=None, crash_at=60):
         checkpoint_every=16,
         **durable,
     )
-    coordinate(cluster)
+    coordinate(
+        cluster,
+        refresh_every=16,
+        steal_batch=8,
+        steal_margin=1.5,
+        max_displaced=2,
+        max_moves_per_job=8,
+    )
     crashed = False
     for spec in sorted(specs, key=lambda sp: (sp.arrival, sp.job_id)):
         if not crashed and spec.arrival >= crash_at:
