@@ -22,13 +22,15 @@ Five deterministic policies ship:
   leaves only when the cluster coordinator's merged band ledger says
   the anchor would strand it and another shard would start it.
 
-A router chooses among the :class:`ShardStats` it is handed.  A
-supervised cluster hands it only the shards its supervisor has not
-degraded, re-indexed positionally when that leaves gaps (see
-:meth:`~repro.cluster.service.ClusterService._route_healthy`).  In
-multiprocessing mode the load fields come from a cache refreshed at
-deterministic submission indices, so the stats-free routers decide
-exactly as in-process, while the stats-reading ones may not.
+A router chooses among the :class:`ShardStats` it is handed and returns
+the chosen entry's :attr:`ShardStats.index`.  A supervised cluster hands
+it only the shards its supervisor has not degraded, so the list may have
+gaps (see :meth:`~repro.cluster.service.ClusterService._route_healthy`);
+positional routers pick a position in the list and return the index
+stored there.  In multiprocessing mode the load fields come from a
+cache refreshed at deterministic submission indices, so the stats-free
+routers decide exactly as in-process, while the stats-reading ones may
+not.
 """
 
 from __future__ import annotations
@@ -75,7 +77,8 @@ class Router:
     needs_stats = True
 
     def route(self, spec: JobSpec, stats: Sequence[ShardStats]) -> int:
-        """Return the index of the shard that should admit ``spec``."""
+        """Return the :attr:`ShardStats.index` of the entry of ``stats``
+        that should admit ``spec``."""
         raise NotImplementedError
 
     def reset(self) -> None:
@@ -93,9 +96,9 @@ class RoundRobinRouter(Router):
 
     def route(self, spec: JobSpec, stats: Sequence[ShardStats]) -> int:
         """Next shard in the cycle."""
-        index = self._next % len(stats)
-        self._next = index + 1
-        return index
+        pos = self._next % len(stats)
+        self._next = pos + 1
+        return stats[pos].index
 
     def reset(self) -> None:
         """Restart the cycle at shard 0."""
@@ -136,13 +139,11 @@ class DensityAwareRouter(Router):
 
         if len(self._mass) != len(stats):
             self._mass = [0.0] * len(stats)
-        index = min(
-            range(len(stats)), key=lambda i: (self._mass[i], i)
+        pos = min(range(len(stats)), key=lambda i: (self._mass[i], i))
+        self._mass[pos] += sns_density(
+            spec, stats[pos].m, Constants.from_epsilon(1.0)
         )
-        self._mass[index] += sns_density(
-            spec, stats[index].m, Constants.from_epsilon(1.0)
-        )
-        return index
+        return stats[pos].index
 
     def reset(self) -> None:
         """Forget accumulated density mass."""
@@ -177,8 +178,8 @@ class ConsistentHashRouter(Router):
 
     def _build_ring(self, k: int) -> None:
         points = [
-            (self._hash(f"shard-{index}#{replica}"), index)
-            for index in range(k)
+            (self._hash(f"shard-{pos}#{replica}"), pos)
+            for pos in range(k)
             for replica in range(self.replicas)
         ]
         points.sort()
@@ -198,7 +199,7 @@ class ConsistentHashRouter(Router):
                 lo = mid + 1
             else:
                 hi = mid
-        return ring[lo % len(ring)][1]
+        return stats[ring[lo % len(ring)][1]].index
 
 
 class BandAwareRouter(Router):

@@ -65,7 +65,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Iterable, Optional, Sequence, Union
 
@@ -1025,23 +1025,19 @@ class ClusterService:
         shards of ``stats`` that are not degraded, or ``None`` when
         every one is.
 
-        A list with gaps is re-indexed positionally before the router
-        sees it, because positional routers (consistent-hash,
-        round-robin) index into the list they are given; the pick is
-        mapped back to the true shard index."""
+        Every router returns the true index of one of the entries it is
+        handed, so a list with gaps needs no re-indexing."""
         degraded = self.degraded
         healthy = [s for s in stats if s.index not in degraded]
         if not healthy:
             return None
-        routed = healthy
-        if any(s.index != pos for pos, s in enumerate(healthy)):
-            routed = [replace(s, index=pos) for pos, s in enumerate(healthy)]
-        pos = self.router.route(spec, routed)
-        if not 0 <= pos < len(healthy):
+        index = self.router.route(spec, healthy)
+        if not any(s.index == index for s in healthy):
             raise ClusterError(
-                f"router returned shard {pos} over {len(healthy)} shards"
+                f"router returned shard {index}, not one of "
+                f"{[s.index for s in healthy]}"
             )
-        return healthy[pos].index
+        return index
 
     def _fence(self, shards: Sequence[ShardHandle], op: str) -> list:
         """Call the synchronous ``op`` on ``shards`` in one fan-out,
@@ -1202,20 +1198,12 @@ class ClusterService:
 
     def inject_hang(self, index: int, seconds: float = 30.0) -> None:
         """Make one shard unresponsive without killing it."""
-        shard = self.shards[index]
-        if isinstance(shard, ProcessShard):
-            shard.hang(seconds)
-        elif isinstance(shard, InProcessShard):
-            shard.chaos_hung = True
+        self.shards[index].hang(seconds)
         self.cluster_metrics.counter("faults_total").inc()
 
     def inject_slow(self, index: int, seconds: float = 0.05) -> None:
-        """Stall one process shard's worker for ``seconds`` without
-        changing its state; an in-process shard has no RPC to slow, so
-        this is a no-op there."""
-        shard = self.shards[index]
-        if isinstance(shard, ProcessShard):
-            shard.hang(seconds)
+        """Stall one shard for ``seconds`` without changing its state."""
+        self.shards[index].stall(seconds)
 
     def inject_pipe_drop(self, index: int) -> None:
         """Sever one shard's command channel mid-run."""

@@ -5,17 +5,21 @@ a slice of the cluster's machines.  The cluster talks to every shard
 through the same small handle interface so callers never branch on
 deployment mode:
 
-* :class:`InProcessShard` -- the service lives in this process.  Fully
-  deterministic and zero-overhead; the mode the equivalence tests pin.
-* :class:`ProcessShard` -- the service lives in a worker process, driven
-  over a command pipe.  Submissions and clock advances are *fire and
-  forget* (the parent streams commands while workers execute) and are
-  batched -- buffered up to :data:`BATCH_SIZE` per pipe message -- so
-  per-job IPC cost is a fraction of a pipe round-trip.  Stats/snapshot/
-  finish calls are synchronous fences that flush the buffer first:
-  because each worker applies its command stream in FIFO order, every
-  reply is a deterministic function of the commands sent so far, so
-  process-mode runs are as reproducible as in-process ones.
+* :class:`InProcessShard` -- the service lives in this process.  It is
+  the one implementation of every shard op.
+* :class:`ProcessShard` -- an :class:`InProcessShard` in a worker
+  process, behind a command pipe.  Each command names a method of the
+  worker's shard and carries its arguments, so both modes run the same
+  code and return the same objects (a finished shard's
+  :class:`~repro.service.service.ServiceResult` is pickled whole,
+  histograms included).  Submissions, clock advances and chaos stalls
+  are *fire and forget* (the parent streams commands while workers
+  execute) and are batched -- buffered up to :data:`BATCH_SIZE` per
+  pipe message -- so per-job IPC cost is a fraction of a pipe
+  round-trip.  Every other op is a synchronous fence that flushes the
+  buffer first: because each worker applies its command stream in FIFO
+  order, every reply is a deterministic function of the commands sent
+  so far, so process-mode runs are as reproducible as in-process ones.
 
 Every synchronous call to a worker has a *send* half
 (:meth:`ProcessShard.send`: flush the buffer, send the call) and a
@@ -79,14 +83,8 @@ from typing import Any, Optional, Sequence
 from repro.cluster.config import ShardConfig
 from repro.cluster.router import ShardStats
 from repro.errors import ClusterError, ShardFailedError, ShardTimeoutError
-from repro.service.service import SchedulingService, ServiceResult, ShedRecord
+from repro.service.service import SchedulingService, ServiceResult
 from repro.service.snapshot import service_from_dict, service_to_dict
-from repro.service.telemetry import MetricsRegistry
-from repro.sim.engine import (
-    SimulationResult,
-    _counters_from_dict,
-    _record_from_dict,
-)
 from repro.sim.jobs import JobSpec
 
 #: Environment flag set inside shard worker processes (see
@@ -196,6 +194,16 @@ class ShardHandle:
         only observed at the next use or heartbeat)."""
         raise NotImplementedError
 
+    def stall(self, seconds: float) -> None:
+        """Chaos: hold up the shard's command stream for ``seconds``
+        without changing its state (a slow RPC)."""
+        raise NotImplementedError
+
+    def hang(self, seconds: float) -> None:
+        """Chaos: make the shard unresponsive for ``seconds`` without
+        killing it."""
+        raise NotImplementedError
+
     # -- synchronous fences ---------------------------------------------
     def stats(self) -> ShardStats:
         """Current load stats (synchronous; drains pending commands)."""
@@ -215,36 +223,36 @@ class ShardHandle:
         band state."""
         raise NotImplementedError
 
-    def extract_running(self, job_id: int) -> Optional[dict[str, Any]]:
-        """Pull a live job out of the shard's engine (steal donor side).
-
-        Synchronous; returns the migration payload, or ``None`` when the
-        job is no longer live on this shard."""
-        raise NotImplementedError
-
     def forget_pending(self, job_id: int) -> Optional[JobSpec]:
         """Withdraw a submitted-but-unreleased job from the engine
         (recovery reconciliation; synchronous).  Returns the withdrawn
         spec, or ``None`` when the job is not pending here."""
         raise NotImplementedError
 
-    def inject_running(self, payload: dict[str, Any], t: int) -> None:
-        """Install an extracted job into this shard's engine at ``t``
-        (steal receiver side; synchronous)."""
-        raise NotImplementedError
-
     def extract_many(
         self, job_ids: Sequence[int]
     ) -> list[Optional[dict[str, Any]]]:
-        """Pull several live jobs out in one exchange (one round trip
-        in process mode), in the given order."""
+        """Pull live jobs out of the shard's engine (steal donor side)
+        in one exchange, in the given order.
+
+        Synchronous; each entry is the migration payload, or ``None``
+        when that job is no longer live on this shard."""
         raise NotImplementedError
 
     def inject_many(
         self, payloads: Sequence[dict[str, Any]], t: int
     ) -> None:
-        """Install several extracted jobs in order, in one exchange."""
+        """Install extracted jobs into this shard's engine at ``t``
+        (steal receiver side; synchronous), in order, in one exchange."""
         raise NotImplementedError
+
+    def extract_running(self, job_id: int) -> Optional[dict[str, Any]]:
+        """:meth:`extract_many` for one job."""
+        return self.extract_many([job_id])[0]
+
+    def inject_running(self, payload: dict[str, Any], t: int) -> None:
+        """:meth:`inject_many` for one job."""
+        self.inject_many([payload], t)
 
     def snapshot(self) -> ShardCheckpoint:
         """Encoded checkpoint of the shard's whole service."""
@@ -262,15 +270,18 @@ class ShardHandle:
 
 
 class InProcessShard(ShardHandle):
-    """Shard whose service runs in the calling process."""
+    """Shard whose service runs in the calling process.
+
+    The one implementation of every shard op: a :class:`ProcessShard`'s
+    worker runs an instance of this class and applies each piped
+    command to it by method name.
+    """
 
     def __init__(self, index: int, config: ShardConfig) -> None:
         super().__init__(index, config)
         self.service: Optional[SchedulingService] = None
         self._seen_keys: set[str] = set()
-        #: chaos flag -- an in-process shard cannot *really* hang the
-        #: caller, so the harness marks it hung and the liveness probe
-        #: reports accordingly (see repro.resilience.chaos)
+        #: set by :meth:`hang`; every call and heartbeat then times out
         self.chaos_hung = False
 
     def start(self) -> None:
@@ -343,6 +354,17 @@ class InProcessShard(ShardHandle):
         """No pipe in-process: equivalent to losing the live state."""
         self.kill()
 
+    def stall(self, seconds: float) -> None:
+        """Sleep in line: the caller waits, the service is untouched."""
+        self._require_alive()
+        time.sleep(seconds)
+
+    def hang(self, seconds: float) -> None:
+        """Mark the shard hung until it is restarted: an in-process
+        shard cannot really stop answering its caller, so it reports
+        timeouts instead."""
+        self.chaos_hung = True
+
     def stats(self) -> ShardStats:
         """Exact live stats."""
         self._require_alive()
@@ -371,32 +393,22 @@ class InProcessShard(ShardHandle):
         self._require_alive()
         return self.service.coordination_view(limit)
 
-    def extract_running(self, job_id: int) -> Optional[dict[str, Any]]:
-        """Pull a live job straight out of the service."""
-        self._require_alive()
-        return self.service.extract_running(job_id)
-
     def forget_pending(self, job_id: int) -> Optional[JobSpec]:
         """Withdraw a pending job straight from the service."""
         self._require_alive()
         return self.service.forget_pending(job_id)
 
-    def inject_running(self, payload: dict[str, Any], t: int) -> None:
-        """Install an extracted job into the service."""
-        self._require_alive()
-        self.service.inject_running(payload, t=max(t, self.service.now))
-
     def extract_many(
         self, job_ids: Sequence[int]
     ) -> list[Optional[dict[str, Any]]]:
-        """Pull several live jobs straight out of the service."""
+        """Pull live jobs straight out of the service."""
         self._require_alive()
         return [self.service.extract_running(j) for j in job_ids]
 
     def inject_many(
         self, payloads: Sequence[dict[str, Any]], t: int
     ) -> None:
-        """Install several extracted jobs in submission order."""
+        """Install extracted jobs in submission order."""
         self._require_alive()
         t = max(t, self.service.now)
         for payload in payloads:
@@ -415,157 +427,65 @@ class InProcessShard(ShardHandle):
         return result
 
 
-def _result_to_payload(result: ServiceResult) -> dict[str, Any]:
-    """Flatten a ServiceResult into a picklable payload (worker side)."""
-    from repro.sim.engine import _counters_to_dict, _record_to_dict
-
-    sim = result.result
-    return {
-        "m": sim.m,
-        "speed": sim.speed,
-        "records": [_record_to_dict(rec) for rec in sim.records.values()],
-        "counters": _counters_to_dict(sim.counters),
-        "end_time": sim.end_time,
-        "shed": [
-            [rec.job_id, rec.time, rec.reason, rec.density, rec.profit]
-            for rec in result.shed
-        ],
-        "metrics": result.metrics.state_to_dict(),
-        "samples": result.metrics.samples,
+#: Commands a worker applies without replying; only these may ride in
+#: a ``("batch", [...])`` message.
+_ASYNC_OPS = frozenset({"submit", "advance_to", "stall"})
+#: Commands a worker answers; each arrives as ``("call", seq, command)``.
+_SYNC_OPS = frozenset(
+    {
+        "stats",
+        "take_queued",
+        "coordination_view",
+        "forget_pending",
+        "extract_many",
+        "inject_many",
+        "snapshot",
+        "ping",
+        "finish",
     }
+)
 
 
-def _result_from_payload(data: dict[str, Any]) -> ServiceResult:
-    """Rebuild a ServiceResult from a worker payload (parent side)."""
-    records = {}
-    for entry in data["records"]:
-        rec = _record_from_dict(entry)
-        records[rec.job_id] = rec
-    metrics = MetricsRegistry()
-    metrics.restore_from_dict(data["metrics"])
-    metrics.samples = list(data["samples"])
-    return ServiceResult(
-        result=SimulationResult(
-            m=int(data["m"]),
-            speed=float(data["speed"]),
-            records=records,
-            counters=_counters_from_dict(data["counters"]),
-            end_time=int(data["end_time"]),
-        ),
-        shed=[
-            ShedRecord(
-                job_id=int(job_id),
-                time=int(time),
-                reason=str(reason),
-                density=float(density),
-                profit=float(profit),
-            )
-            for job_id, time, reason, density, profit in data["shed"]
-        ],
-        metrics=metrics,
-    )
+def _shard_worker(conn, index: int, config: ShardConfig) -> None:
+    """Worker-process main loop: an :class:`InProcessShard` behind a pipe.
 
-
-def _shard_worker(conn, config: ShardConfig) -> None:
-    """Worker-process main loop: apply piped commands to one service.
-
-    The first command must be ``("start",)`` or ``("restore",
-    checkpoint)``; the worker decodes the checkpoint itself.
-    Submissions, advances and chaos sleeps are applied without
-    replying; synchronous commands arrive wrapped as
-    ``("call", seq, inner)`` and reply ``("ok", seq, payload)`` /
-    ``("err", seq, message)``.  The worker caches its last reply, so a
-    duplicate ``call`` (a parent retry after a timeout) is answered
-    from cache instead of executing twice -- at-most-once execution
-    over at-least-once delivery.  Submissions carrying an idempotency
-    key are applied at most once per key.  ``finish`` replies then ends
-    the loop.  Any exception is reported and kills the worker.
+    Every command is ``(method, *args)`` and is applied to the worker's
+    shard by method name.  The first command must be ``("start",)`` or
+    ``("restore", checkpoint)``.  The :data:`_ASYNC_OPS` (submissions,
+    advances, chaos stalls) are applied without replying, alone or in a
+    batch; the :data:`_SYNC_OPS` arrive wrapped as ``("call", seq,
+    command)`` and reply ``("ok", seq, result)`` / ``("err", seq,
+    message)``.  The worker caches its last reply, so a duplicate
+    ``call`` (a parent retry after a timeout) is answered from cache
+    instead of executing twice -- at-most-once execution over
+    at-least-once delivery.  ``finish`` replies then ends the loop.  Any
+    exception is reported and kills the worker.
     """
     os.environ[SHARD_ENV_FLAG] = "1"
-    service: Optional[SchedulingService] = None
-    seen_keys: set[str] = set()
-
-    def apply_async(command: tuple) -> None:
-        op = command[0]
-        if op == "submit":
-            key = command[3] if len(command) > 3 else None
-            if key is not None:
-                if key in seen_keys:
-                    return
-                seen_keys.add(key)
-            service.submit(command[1], t=max(command[2], service.now))
-        elif op == "advance":
-            if command[1] > service.now:
-                service.advance_to(command[1])
-        elif op == "sleep":  # chaos: stall the worker (hang / slow RPC)
-            time.sleep(command[1])
-        else:
-            raise ClusterError(f"command {op!r} not allowed in a batch")
-
-    def apply_sync(command: tuple) -> Any:
-        op = command[0]
-        if op == "stats":
-            return {
-                "now": service.now,
-                "queue_depth": service.queue.depth,
-                "in_flight": service.in_flight,
-                "completed": service.sim.counters.completions,
-            }
-        if op == "take_queued":
-            taken = service.queue.take_newest(command[1])
-            return [entry.spec for entry in taken]
-        if op == "coordination_view":
-            return service.coordination_view(command[1])
-        if op == "extract_running":
-            return service.extract_running(command[1])
-        if op == "forget_pending":
-            return service.forget_pending(command[1])
-        if op == "extract_many":
-            return [service.extract_running(j) for j in command[1]]
-        if op == "inject_running":
-            service.inject_running(
-                command[1], t=max(command[2], service.now)
-            )
-            return True
-        if op == "inject_many":
-            t = max(command[2], service.now)
-            for payload in command[1]:
-                service.inject_running(payload, t=t)
-            return True
-        if op == "snapshot":
-            return ShardCheckpoint.encode(service_to_dict(service))
-        if op == "ping":
-            return {"now": service.now if service is not None else -1}
-        if op == "finish":
-            return _result_to_payload(service.finish())
-        raise ClusterError(f"unknown shard command {op!r}")
-
+    shard = InProcessShard(index, config)
     last_seq = -1
     last_reply: Optional[tuple] = None
     try:
         while True:
             command = conn.recv()
             op = command[0]
-            if op == "start":
-                service = config.build_service()
-                service.start()
-                seen_keys = set()
-            elif op == "restore":
-                service = service_from_dict(
-                    command[1].decode(), config.build_scheduler()
-                )
-                seen_keys = set()
-            elif op in ("submit", "advance", "sleep"):
-                apply_async(command)
+            if op in _ASYNC_OPS or op in ("start", "restore"):
+                getattr(shard, op)(*command[1:])
             elif op == "batch":
                 for sub in command[1]:
-                    apply_async(sub)
+                    if sub[0] not in _ASYNC_OPS:
+                        raise ClusterError(
+                            f"command {sub[0]!r} not allowed in a batch"
+                        )
+                    getattr(shard, sub[0])(*sub[1:])
             elif op == "call":
                 seq, inner = command[1], command[2]
                 if seq == last_seq and last_reply is not None:
                     conn.send(last_reply)
                     continue
-                last_reply = ("ok", seq, apply_sync(inner))
+                if inner[0] not in _SYNC_OPS:
+                    raise ClusterError(f"unknown shard command {inner[0]!r}")
+                last_reply = ("ok", seq, getattr(shard, inner[0])(*inner[1:]))
                 last_seq = seq
                 conn.send(last_reply)
                 if inner[0] == "finish":
@@ -614,7 +534,7 @@ class PendingCall:
         retries: int,
     ) -> None:
         self.shard = shard
-        #: the shard method this call stands for (selects the decoding)
+        #: the shard method this call stands for
         self.op = op
         self.seq = seq
         #: the wire message, ``("call", seq, inner)``; a retry re-sends it
@@ -628,7 +548,8 @@ class PendingCall:
 
 
 class ProcessShard(ShardHandle):
-    """Shard whose service runs in a dedicated worker process.
+    """An :class:`InProcessShard` in a dedicated worker process, driven
+    over a command pipe.
 
     With ``rpc`` left at ``None`` (the default) synchronous calls wait
     until the worker replies, with no deadline.  A supervised cluster
@@ -652,7 +573,7 @@ class ProcessShard(ShardHandle):
         parent, child = ctx.Pipe()
         process = ctx.Process(
             target=_shard_worker,
-            args=(child, self.config),
+            args=(child, self.index, self.config),
             daemon=True,
             name=f"repro-shard-{self.index}",
         )
@@ -711,7 +632,7 @@ class ProcessShard(ShardHandle):
                     f"shard {self.index} worker process is dead",
                     shard=self.index,
                 )
-            timeout, retries, command = args[0], 0, ("ping",)
+            timeout, retries = args[0], 0
         elif op == "finish" and rpc is not None:
             timeout = rpc.finish_timeout
         self._flush()
@@ -735,7 +656,7 @@ class ProcessShard(ShardHandle):
         call.sent = time.monotonic()
 
     def receive(self, call: PendingCall) -> Any:
-        """Receive half: wait for ``call``'s reply and decode it.
+        """Receive half: wait for ``call``'s reply and return it.
 
         A timed-out call is re-sent under the same sequence number after
         a backoff, while retries remain; a worker that already executed
@@ -760,22 +681,10 @@ class ProcessShard(ShardHandle):
                     shard=self.index,
                     waited=time.monotonic() - call.sent,
                 ) from exc
-        op = call.op
-        if op == "stats":
-            return ShardStats(
-                index=self.index,
-                m=self.config.m,
-                now=int(payload["now"]),
-                queue_depth=int(payload["queue_depth"]),
-                in_flight=int(payload["in_flight"]),
-                completed=int(payload["completed"]),
-                alive=True,
-            )
-        if op == "ping":
+        if call.op == "ping":
             return time.monotonic() - call.sent
-        if op == "finish":
+        if call.op == "finish":
             self._reap()
-            return _result_from_payload(payload)
         return payload
 
     def _recv_reply(self, call: PendingCall) -> Any:
@@ -875,7 +784,7 @@ class ProcessShard(ShardHandle):
 
     def advance_to(self, t: int) -> None:
         """Buffer a clock advance for the worker; no reply awaited."""
-        self._enqueue(("advance", t))
+        self._enqueue(("advance_to", t))
 
     # -- liveness / chaos -----------------------------------------------
     def ping(self, timeout: float) -> float:
@@ -890,10 +799,16 @@ class ProcessShard(ShardHandle):
         """
         return self._call("ping", timeout)
 
-    def hang(self, seconds: float) -> None:
-        """Chaos: make the worker sleep, stalling its command stream."""
-        self._enqueue(("sleep", seconds))
+    def stall(self, seconds: float) -> None:
+        """Chaos: send the worker a stall; its shard sleeps in line, so
+        every command behind it waits."""
+        self._enqueue(("stall", seconds))
         self._flush()
+
+    def hang(self, seconds: float) -> None:
+        """Chaos: a worker really stops answering, so a hang is a
+        :meth:`stall` its heartbeat deadline runs out on."""
+        self.stall(seconds)
 
     def drop_pipe(self) -> None:
         """Chaos: close the parent end of the command pipe.
@@ -915,7 +830,7 @@ class ProcessShard(ShardHandle):
 
     def take_queued(self, n: int) -> list[JobSpec]:
         """Round-trip migration pop."""
-        return list(self._call("take_queued", n))
+        return self._call("take_queued", n)
 
     def coordination_view(
         self, limit: Optional[int] = None
@@ -923,17 +838,9 @@ class ProcessShard(ShardHandle):
         """Round-trip band/queue state (a deterministic sync fence)."""
         return self._call("coordination_view", limit)
 
-    def extract_running(self, job_id: int) -> Optional[dict[str, Any]]:
-        """Round-trip steal extraction."""
-        return self._call("extract_running", job_id)
-
     def forget_pending(self, job_id: int) -> Optional[JobSpec]:
         """Round-trip pending-job withdrawal."""
         return self._call("forget_pending", job_id)
-
-    def inject_running(self, payload: dict[str, Any], t: int) -> None:
-        """Round-trip steal injection."""
-        self._call("inject_running", payload, t)
 
     def extract_many(
         self, job_ids: Sequence[int]

@@ -205,6 +205,55 @@ class TestClusterDeterminism:
         assert proc.records == in_proc.records
         assert proc.total_profit == in_proc.total_profit
 
+    def test_final_histograms_match_across_modes(self):
+        # a process shard returns its whole ServiceResult, so the merged
+        # registry keeps the worker-side histograms
+        specs = generate_workload(WorkloadConfig(n_jobs=1000, m=16, seed=3))
+        config = ShardConfig(
+            m=1,
+            scheduler="sns",
+            scheduler_kwargs={"epsilon": 1.0},
+            capacity=8,
+            max_in_flight=8,
+        )
+        histograms = {
+            mode: ClusterService(
+                16, 2, config=config, router="consistent-hash", mode=mode
+            )
+            .run_stream(specs)
+            .metrics.histograms()
+            for mode in ("inprocess", "process")
+        }
+        assert sorted(histograms["inprocess"]) == [
+            "admission_latency",
+            "queue_depth",
+        ]
+        assert histograms["process"] == histograms["inprocess"]
+
+    def test_gateway_admission_latency_matches_across_modes(self):
+        from repro.scenarios import ScenarioBuilder, ScenarioSpec
+
+        results = {}
+        for mode in ("inprocess", "process"):
+            spec = ScenarioSpec().with_overrides(
+                {
+                    "scenario.name": "repro-gateway",
+                    "scenario.mode": "gateway",
+                    "workload.kind": "open-loop",
+                    "workload.n_jobs": 400,
+                    "workload.load": 1.0,
+                    "cluster.router": "consistent-hash",
+                    "cluster.mode": mode,
+                }
+            )
+            results[mode] = ScenarioBuilder(spec).execute()
+        fingerprints = {r.fingerprint() for r in results.values()}
+        assert len(fingerprints) == 1
+        summaries = [r.raw.summary() for r in results.values()]
+        for key in ("admission_latency_p50", "admission_latency_p99"):
+            assert summaries[0][key] is not None
+            assert summaries[1][key] == summaries[0][key]
+
     def test_repeat_runs_identical(self):
         specs = workload(n_jobs=50)
         results = [

@@ -3,7 +3,7 @@
 A supervised cluster whose restart budget is spent degrades a shard
 and serves on without it: every placement -- a submission or a
 scale-down drain -- goes over the shards not in the supervisor's
-degraded set, re-indexed positionally when that set leaves gaps, and a
+degraded set, the router returns the true index of one of them, and a
 job no shard can take is shed at the cluster as ``no-healthy-shard``.
 
 The result fingerprints below are literals: a change to the routing
@@ -17,7 +17,9 @@ import json
 import pytest
 
 from repro.cluster import ClusterService, ShardConfig, coordinate
-from repro.cluster.router import ROUTERS, ShardStats, make_router
+from repro.cluster.coordinator import BandLedger
+from repro.cluster.router import ROUTERS, Router, ShardStats, make_router
+from repro.errors import ClusterError
 from repro.resilience import ChaosInjector, ChaosSchedule, SupervisorConfig
 from repro.service.queue import sns_density
 from repro.workloads import WorkloadConfig, generate_workload
@@ -68,7 +70,7 @@ SCHEDULES = {
 }
 
 
-def run(case, router, mode):
+def build(case, router, mode):
     cluster = ClusterService(
         8,
         4,
@@ -80,6 +82,11 @@ def run(case, router, mode):
     )
     if router == "band-aware":
         coordinate(cluster, **COORDINATION)
+    return cluster
+
+
+def run(case, router, mode):
+    cluster = build(case, router, mode)
     return cluster, cluster.run_stream(specs())
 
 
@@ -121,12 +128,12 @@ def fingerprint(result):
 #: (case, router, mode) -> result fingerprint
 PINS = {
     ('shard-1', 'band-aware', 'inprocess'): (
-        "52d19fa828b1145ce6fb93a54116a21f"
-        "856aafc6f3bc571d6b68f08c21e1baf1"
+        "9edf6b653b2b86aa131878c91e2fbd20"
+        "f1462793965d51e278d7c616b04cbb61"
     ),
     ('shard-1', 'band-aware', 'process'): (
-        "4ca300b5e0dc28c2feafbbd42d24ed74"
-        "f5ff54e01557b3845807661ffbf201a8"
+        "cdb92305527cbc4f6995294dba398664"
+        "7bad2a66afb1d5069a1e97092fbeadd6"
     ),
     ('shard-1', 'consistent-hash', 'inprocess'): (
         "32d854630cb2266515fde1517cce6f72"
@@ -161,12 +168,12 @@ PINS = {
         "1b3095ab6d30da4464749b4ecde78fb9"
     ),
     ('shards-1-3', 'band-aware', 'inprocess'): (
-        "6100c018a19ac8603667f2b586127f87"
-        "20852a92f948deb31c5d76404c9a2005"
+        "4f3d33e9c8560bb900bc8fab6d987a09"
+        "80ec77263fd9c923479e24a2f7b236ef"
     ),
     ('shards-1-3', 'band-aware', 'process'): (
-        "d38a5d5815024cd1ccc67d3d502fc011"
-        "ef2e0e2a21f3f5d2c85d298245996d09"
+        "afc17538169da4d84f986df65fda17bb"
+        "b4f4a629919d29ca4e3fe44ad031726d"
     ),
     ('shards-1-3', 'consistent-hash', 'inprocess'): (
         "ad7da0f01015d64d3e68b8c5f876ada5"
@@ -233,6 +240,25 @@ def test_degraded_routing_pinned(case, router, mode):
         # nothing is placed on a shard once it is degraded
         assert all(t <= degraded_at[index] for t, _ in cluster.logs[index])
     assert fingerprint(result) == PINS[(case, router, mode)]
+
+
+@pytest.mark.parametrize("case", ["shard-1", "shards-1-3"])
+def test_band_ledger_is_never_asked_about_a_degraded_shard(monkeypatch, case):
+    cluster = build(case, "band-aware", "inprocess")
+    asked = []
+    admits = BandLedger.admits
+
+    def spy(ledger, spec, index):
+        asked.append((index, set(cluster.degraded)))
+        return admits(ledger, spec, index)
+
+    monkeypatch.setattr(BandLedger, "admits", spy)
+    cluster.run_stream(specs())
+    # the ledger was consulted, also after a shard was degraded
+    assert any(degraded for _, degraded in asked)
+    assert [
+        (index, degraded) for index, degraded in asked if index in degraded
+    ] == []
 
 
 @pytest.mark.parametrize("mode", ["inprocess", "process"])
@@ -328,14 +354,32 @@ class TestRouteHealthy:
         picks = {cluster._route_healthy(sp, stats(3)) for sp in specs()[:6]}
         assert picks == {0, 2}
 
-    def test_positional_reindex_maps_back(self):
-        # least-loaded returns the stats entry's own index field; with
-        # shard 0 degraded the healthy list is re-indexed positionally
-        # and the pick must map back to the true shard index
-        cluster = supervised("least-loaded", degraded={0})
+    def test_routers_return_true_indices_over_a_gappy_list(self):
+        # with shard 0 degraded every router is handed shards 1 and 2
+        # as they are, and each pick is one of their own indices
         shard_stats = stats(3)
         shard_stats[2].queue_depth = 5  # shard 1 is least loaded
-        assert cluster._route_healthy(specs()[0], shard_stats) == 1
+        picks = {}
+        for router in sorted(ROUTERS):
+            cluster = supervised(router, degraded={0})
+            picks[router] = [
+                cluster._route_healthy(sp, shard_stats) for sp in specs()[:8]
+            ]
+            assert set(picks[router]) <= {1, 2}
+        assert set(picks["least-loaded"]) == {1}
+        assert picks["round-robin"] == [1, 2] * 4
+
+    def test_a_pick_outside_the_healthy_list_is_refused(self):
+        class Stale(Router):
+            name = "stale"
+            needs_stats = False
+
+            def route(self, spec, stats):
+                return 0  # the degraded shard
+
+        cluster = supervised(Stale(), degraded={0})
+        with pytest.raises(ClusterError):
+            cluster._route_healthy(specs()[0], stats(3))
 
     def test_all_degraded_returns_none(self):
         cluster = supervised("consistent-hash", degraded={0, 1})

@@ -418,7 +418,7 @@ def stall_at_next_fence(shard, seconds):
     """Buffer a worker stall behind the shard's pending submissions: it
     reaches the worker only when the next fence flushes the buffer, as
     a backlog does."""
-    shard._enqueue(("sleep", seconds))
+    shard._enqueue(("stall", seconds))
 
 
 def test_fence_waits_for_the_slowest_shard_not_the_sum():
@@ -454,3 +454,16 @@ def test_slow_shard_does_not_stretch_the_next_shards_deadline():
         assert [(e.shard, e.reason) for e in events] == [(1, "hang")]
     finally:
         cluster.finish()
+
+
+def test_inprocess_slow_rpc_stalls_the_caller_and_changes_nothing():
+    cluster = started("inprocess")
+    shard = cluster.shards[1]
+    before = (shard.stats(), shard.snapshot().blob)
+    began = time.monotonic()
+    cluster.inject_slow(1, 0.2)
+    assert time.monotonic() - began >= 0.2
+    assert (shard.stats(), shard.snapshot().blob) == before
+    assert not shard.chaos_hung
+    assert cluster.supervisor.events == []
+    cluster.finish()
