@@ -11,20 +11,13 @@ flash-crowd stream and how much the cluster coordinator
 1. serve the trace on the monolithic k=1 service (the profit ceiling);
 2. serve it on an uncoordinated k=4 cluster (the sharding profit gap);
 3. attach the coordinator -- ledger-fed band-aware routing plus
-   density-aware steals of parked/starved jobs -- and close the gap;
-4. let a candidate trial (Albers--Hellwig parallel schedules) pick the
-   best configuration online from a short mirrored trial window.
+   density-aware steals of parked/starved jobs -- and close the gap.
 
 Run:  python examples/coordinated_cluster.py
 """
 
 from repro.analysis import format_table
-from repro.cluster import (
-    CandidateTrial,
-    ClusterService,
-    ShardConfig,
-    coordinate,
-)
+from repro.cluster import ClusterService, ShardConfig, coordinate
 from repro.gateway import LoadConfig, LoadGenerator
 
 M, K = 16, 4
@@ -98,27 +91,6 @@ def main() -> None:
         )
     )
 
-    print("\nCandidate trial: commit to the best schedule online")
-    trial = CandidateTrial(
-        [
-            ("sharded-k2", lambda: build(2)),
-            ("sharded-k4", lambda: build(K)),
-            ("coordinated-k4", lambda: build(K, coordinated=True)),
-        ],
-        trial_jobs=200,
-    )
-    result = trial.run_stream(specs)
-    for report in trial.reports:
-        marker = "->" if report.committed else "  "
-        print(
-            f"  {marker} {report.name:<16} "
-            f"trial profit {report.trial_profit:8.1f}"
-            f"{'   (committed)' if report.committed else ''}"
-        )
-    print(
-        f"winner '{trial.winner_name}' served the rest of the stream: "
-        f"final profit {result.total_profit:.1f}"
-    )
     print("done")
 
 

@@ -26,8 +26,7 @@ Package map
 * :mod:`repro.cluster.coordinator` -- cluster-wide band-aware
   scheduling: the :class:`BandLedger` merged admission view, density-
   aware work-stealing of parked/starved *running* jobs
-  (:class:`StealPlanner`), and Albers--Hellwig parallel candidate
-  schedules (:class:`CandidateTrial`).  See ``docs/SCHEDULING.md``.
+  (:class:`StealPlanner`).  See ``docs/SCHEDULING.md``.
 """
 
 from repro.cluster.config import (
@@ -38,8 +37,6 @@ from repro.cluster.config import (
 )
 from repro.cluster.coordinator import (
     BandLedger,
-    CandidateReport,
-    CandidateTrial,
     Coordinator,
     StealMove,
     StealPlanner,
@@ -76,8 +73,6 @@ from repro.cluster.shard import (
 __all__ = [
     "BandAwareRouter",
     "BandLedger",
-    "CandidateReport",
-    "CandidateTrial",
     "ClusterResult",
     "ClusterService",
     "ConsistentHashRouter",

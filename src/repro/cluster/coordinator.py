@@ -5,7 +5,7 @@ throughput but fragments the paper's band condition (2): each shard
 admits, parks and sheds against its own ``b * m/k`` band capacity,
 blind to slack elsewhere.  BENCH_cluster.json quantifies the cost --
 k=4 forfeits ~18% of the k=1 profit, k=8 ~32%.  This module is the
-cluster-level scheduling layer that recovers most of it, in three
+cluster-level scheduling layer that recovers most of it, in two
 cooperating parts:
 
 * **Shard-spanning admission** -- a :class:`BandLedger` mirrors every
@@ -35,13 +35,6 @@ cooperating parts:
   room (condition (2) admits it) and processor room (its allotment
   starts executing immediately).
 
-* **Parallel candidate schedules** (Albers--Hellwig, "Online Makespan
-  Minimization with Parallel Schedules") -- a :class:`CandidateTrial`
-  mirrors the submission stream into several shadow cluster
-  configurations over the deterministic virtual clock, commits to the
-  one with the highest *realized* profit after a fixed trial window,
-  and serves the rest of the stream from the winner alone.
-
 Every decision is a pure function of simulated state at deterministic
 submission indices (ledger refreshes and steal ticks count
 submissions, never wall time; process-mode reads are synchronous
@@ -54,10 +47,10 @@ steals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from repro.cluster.router import BandAwareRouter, ShardStats
-from repro.cluster.service import ClusterResult, ClusterService
+from repro.cluster.service import ClusterService
 from repro.cluster.shard import fan_out
 from repro.core.bands import DensityBands
 from repro.core.theory import Constants
@@ -777,156 +770,3 @@ def coordinate(cluster: ClusterService, **settings: Any) -> Coordinator:
     ``settings`` are the coordinator's keyword arguments; its own
     defaults fill in any left out."""
     return Coordinator(cluster, **settings)
-
-
-@dataclass
-class CandidateReport:
-    """Outcome of one shadow candidate at commit time."""
-
-    name: str
-    #: realized profit inside the trial window
-    trial_profit: float
-    committed: bool
-
-
-class CandidateTrial:
-    """Run candidate cluster configurations in parallel, commit the best.
-
-    The Albers--Hellwig idea from "Online Makespan Minimization with
-    Parallel Schedules": rather than betting on one router/partitioning
-    up front, mirror the first ``trial_jobs`` submissions into every
-    candidate cluster (all in-process, advancing on the same
-    deterministic virtual clock), then commit to the candidate with the
-    highest *realized* profit -- not a model, the actual simulated
-    outcome -- and serve the rest of the stream from it alone.  Losers
-    are discarded unfinished.
-
-    The commit decision is a pure function of the submission stream
-    (ties break to the earliest candidate), so trial runs are exactly
-    as reproducible as single-cluster runs.  Candidate clusters must be
-    in-process: shadow execution needs cheap mid-run profit reads, and
-    burning worker processes on schedules that will be thrown away
-    defeats the point.
-
-    Parameters
-    ----------
-    candidates:
-        ``(name, build)`` pairs; each ``build()`` returns a fresh
-        in-process cluster (``ClusterService`` or a subclass).
-    trial_jobs:
-        Submissions mirrored before the commit decision.
-    tracer:
-        Optional trace recorder; receives one ``candidate-commit``
-        event at the commit point.  (Per-candidate traces stay off
-        during the window -- mirrored submissions would otherwise
-        record duplicate lifecycles for the same job ids.)
-    """
-
-    def __init__(
-        self,
-        candidates: Sequence[tuple[str, Callable[[], ClusterService]]],
-        *,
-        trial_jobs: int = 256,
-        tracer: Optional[Any] = None,
-    ) -> None:
-        if len(candidates) < 2:
-            raise ClusterError("a candidate trial needs >= 2 candidates")
-        if trial_jobs < 1:
-            raise ClusterError("trial_jobs must be >= 1")
-        self.names = [name for name, _ in candidates]
-        self.clusters: list[ClusterService] = [
-            build() for _, build in candidates
-        ]
-        for name, cluster in zip(self.names, self.clusters):
-            if cluster.mode != "inprocess":
-                raise ClusterError(
-                    f"candidate {name!r} is {cluster.mode!r}; candidate "
-                    "trials require in-process clusters"
-                )
-        self.trial_jobs = int(trial_jobs)
-        self.tracer = tracer
-        self.committed = False
-        self.winner: Optional[ClusterService] = None
-        self.winner_name: Optional[str] = None
-        self.reports: list[CandidateReport] = []
-        self._count = 0
-
-    def submit(self, spec: JobSpec, t: Optional[int] = None) -> int:
-        """Mirror into every candidate (trial) or route on the winner.
-
-        Returns the winner's chosen shard index after the commit; during
-        the trial window, the first candidate's choice (informational).
-        """
-        if self.committed:
-            return self.winner.submit(spec, t)
-        index = -1
-        for cluster in self.clusters:
-            chosen = cluster.submit(spec, t)
-            if index < 0:
-                index = chosen
-        self._count += 1
-        if self._count >= self.trial_jobs:
-            self.commit()
-        return index
-
-    def advance_to(self, t: int) -> int:
-        """Advance the winner (or every candidate, during the trial)."""
-        if self.committed:
-            return self.winner.advance_to(t)
-        out = 0
-        for cluster in self.clusters:
-            out = cluster.advance_to(t)
-        return out
-
-    def commit(self) -> CandidateReport:
-        """Pick the highest-realized-profit candidate and drop the rest."""
-        if self.committed:
-            return next(r for r in self.reports if r.committed)
-        profits = [cluster.profit_so_far() for cluster in self.clusters]
-        best = max(range(len(profits)), key=lambda i: (profits[i], -i))
-        self.winner = self.clusters[best]
-        self.winner_name = self.names[best]
-        self.reports = [
-            CandidateReport(name=name, trial_profit=p, committed=(i == best))
-            for i, (name, p) in enumerate(zip(self.names, profits))
-        ]
-        self.committed = True
-        tracer = self.tracer
-        if tracer is not None and tracer.enabled:
-            tracer.event(
-                self.winner.now,
-                "candidate-commit",
-                None,
-                {
-                    "winner": self.winner_name,
-                    "profits": {
-                        name: round(p, 6)
-                        for name, p in zip(self.names, profits)
-                    },
-                    "trial_jobs": self._count,
-                },
-            )
-        return self.reports[best]
-
-    def finish(self) -> ClusterResult:
-        """Commit (if the stream ended inside the window), drain the
-        winner, and annotate its result with the trial reports."""
-        if not self.committed:
-            self.commit()
-        result = self.winner.finish()
-        result.extra["candidate_trial"] = [
-            {
-                "name": r.name,
-                "trial_profit": r.trial_profit,
-                "committed": r.committed,
-            }
-            for r in self.reports
-        ]
-        return result
-
-    def run_stream(self, specs: Iterable[JobSpec]) -> ClusterResult:
-        """Drive a whole arrival sequence through the trial."""
-        ordered = sorted(specs, key=lambda sp: (sp.arrival, sp.job_id))
-        for spec in ordered:
-            self.submit(spec, t=spec.arrival)
-        return self.finish()

@@ -293,14 +293,13 @@ def _report(feed: KpiFeed, every: int) -> None:
             last = seq
             if snap.get("final") or snap["tick"] % every:
                 continue
-            shed, profit = snap["shed_fraction"], snap["profit_total"]
             print(
                 f"tick={snap['tick']:>6d}  t={snap['sim_t']:>8d}  "
                 f"shards={snap['active_shards']}  "
                 f"depth={snap['queue_depth']}  "
                 f"buffered={snap['buffer_depth']}  "
-                f"shed={'n/a' if shed is None else f'{shed:.3f}'}  "
-                f"profit={'n/a' if profit is None else f'{profit:.2f}'}",
+                f"shed={snap['shed_fraction']:.3f}  "
+                f"profit={snap['profit_total']:.2f}",
                 flush=True,
             )
 

@@ -185,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
             | {
                 "arrival", "admission", "decision", "slice", "submit",
                 "release", "route", "checkpoint", "recovery",
-                "supervision", "migrate", "steal", "candidate-commit",
+                "supervision", "migrate", "steal",
             }
         ),
         help="keep only this event kind (repeatable)",

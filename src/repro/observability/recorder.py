@@ -65,7 +65,6 @@ EVENT_KINDS: tuple[str, ...] = (
     "migrate",          # queued job moved between shards
     "cluster-shed",     # no healthy shard could admit the job
     "steal",            # running job stolen between shards (coordinator)
-    "candidate-commit", # candidate trial committed to its best schedule
     "steal-resolve",    # pending steal transaction settled after a crash
     "steal-reconcile",  # restored shard reconciled against the journal
 )

@@ -8,7 +8,8 @@ The two load-bearing pins:
   (per-job completion records and total profit) to k independent
   ``SchedulingService`` runs over the router's partition of the trace;
 * **mode equivalence** -- the multiprocessing-backed cluster produces
-  the same records and profit as the in-process one.
+  the same records and profit as the in-process one, under every
+  router.
 """
 
 import os
@@ -27,6 +28,7 @@ from repro.cluster import (
     Router,
     ShardConfig,
     ShardStats,
+    coordinate,
     make_router,
     make_scheduler,
     partition_machines,
@@ -195,15 +197,37 @@ class TestClusterDeterminism:
         assert result.total_profit == profit
 
     def test_process_mode_matches_inprocess(self):
-        specs = workload(n_jobs=60)
-        in_proc = ClusterService(
-            16, 4, config=SNS_CFG, router="consistent-hash", mode="inprocess"
-        ).run_stream(specs)
-        proc = ClusterService(
-            16, 4, config=SNS_CFG, router="consistent-hash", mode="process"
-        ).run_stream(specs)
-        assert proc.records == in_proc.records
-        assert proc.total_profit == in_proc.total_profit
+        # both modes route from one stats view refreshed every
+        # stats_refresh submissions, so every router, the stats-reading
+        # ones included, places and schedules alike
+        config = ShardConfig(
+            m=1,
+            scheduler="sns",
+            scheduler_kwargs={"epsilon": 1.0},
+            capacity=8,
+            max_in_flight=4,
+        )
+        for router in sorted(ROUTERS):
+            for seed in (1, 2, 11):
+                specs = workload(n_jobs=150, load=3.0, seed=seed)
+                results = {}
+                for mode in ("inprocess", "process"):
+                    cluster = ClusterService(
+                        16, 4, config=config, router=router, mode=mode,
+                        stats_refresh=8,
+                    )
+                    if router == "band-aware":
+                        coordinate(cluster, refresh_every=8)
+                    results[mode] = cluster.run_stream(specs)
+                proc, in_proc = results["process"], results["inprocess"]
+                cell = (router, seed)
+                assert proc.records == in_proc.records, cell
+                assert proc.shed == in_proc.shed, cell
+                assert proc.total_profit == in_proc.total_profit, cell
+                assert (
+                    proc.cluster_metrics.values()
+                    == in_proc.cluster_metrics.values()
+                ), cell
 
     def test_final_histograms_match_across_modes(self):
         # a process shard returns its whole ServiceResult, so the merged

@@ -105,20 +105,20 @@ def fingerprint(name):
 
 PINS = {
     "plain": (
-        "fb26ee4bd04c205cd311b707cc26e66f"
-        "5de9badfe5a048aeb057cf94048b2cb9"
+        "56cfe1925f60c676d5b48c47c9bb55a5"
+        "5f8ce484f6ecab055522a522ad641bd1"
     ),
     "resilient": (
-        "27d61bc5973476df249ead50a422e9d3"
-        "bc30697fe64ffe7903d1edb268990d1a"
+        "a20ee7670034002321e9af4cab01fe2a"
+        "dda1fe81c17630368109c49eac891eb9"
     ),
     "elastic": (
-        "d115972b1102178eec6d7ed8d8c3109e"
-        "d3cabeca6185bbc6a435ed1be63468ff"
+        "9236ce3a0d5648a02d8c596a7cc2eb88"
+        "d85bd504418773ffee23e4c11b1dfd28"
     ),
     "supervised-elastic": (
-        "428d1779461f78380f09a0e2097609d0"
-        "a92b9c3277c0087c535dfa5cfa4fa83a"
+        "f130a541d703a5ece54fb7b75f6c8b22"
+        "d2c0b2c6b9f2784b52153102e3e1c98a"
     ),
 }
 

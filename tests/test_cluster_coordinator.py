@@ -1,5 +1,5 @@
 """Tests for repro.cluster.coordinator: the band ledger, the steal
-planner, coordinated cluster runs, and candidate trials.
+planner, and coordinated cluster runs.
 
 The load-bearing pins:
 
@@ -10,9 +10,7 @@ The load-bearing pins:
 * **determinism** -- seeded coordinated runs are bit-identical across
   repeats and across inprocess/process modes, including runs that
   steal *running* jobs (displacement evictions move jobs that have
-  executed work);
-* **commit purity** -- a candidate trial's winner produces exactly the
-  result of running the winning configuration alone over the stream.
+  executed work).
 """
 
 import math
@@ -22,7 +20,6 @@ import pytest
 
 from repro.cluster import (
     BandLedger,
-    CandidateTrial,
     ClusterService,
     Coordinator,
     ShardConfig,
@@ -362,61 +359,6 @@ class TestCoordinationView:
             )[: len(capped[kind])]
             assert capped[kind] == want
         assert capped["started"] == full["started"]
-
-
-class TestCandidateTrial:
-    def make_candidates(self):
-        return [
-            ("k1", lambda: ClusterService(
-                16, 1, config=SNS_CFG, router="consistent-hash"
-            )),
-            ("k4", lambda: ClusterService(
-                16, 4, config=SNS_CFG, router="consistent-hash"
-            )),
-        ]
-
-    def test_commit_matches_standalone_winner(self):
-        specs = mixed_workload(n_jobs=200)
-        trial = CandidateTrial(self.make_candidates(), trial_jobs=64)
-        result = trial.run_stream(specs)
-        assert trial.committed
-        assert sum(r.committed for r in trial.reports) == 1
-        rebuilt = dict(self.make_candidates())[trial.winner_name]()
-        alone = rebuilt.run_stream(specs)
-        assert result.records == alone.records
-        assert result.total_profit == alone.total_profit
-        names = [r["name"] for r in result.extra["candidate_trial"]]
-        assert names == ["k1", "k4"]
-
-    def test_commit_is_deterministic(self):
-        specs = mixed_workload(n_jobs=200)
-        winners = set()
-        for _ in range(2):
-            trial = CandidateTrial(self.make_candidates(), trial_jobs=64)
-            trial.run_stream(specs)
-            winners.add(trial.winner_name)
-        assert len(winners) == 1
-
-    def test_short_stream_commits_at_finish(self):
-        specs = mixed_workload(n_jobs=20)
-        trial = CandidateTrial(self.make_candidates(), trial_jobs=500)
-        trial.run_stream(specs)
-        assert trial.committed
-
-    def test_validation(self):
-        candidates = self.make_candidates()
-        with pytest.raises(ClusterError):
-            CandidateTrial(candidates[:1])
-        with pytest.raises(ClusterError):
-            CandidateTrial(candidates, trial_jobs=0)
-        bad = [
-            ("p", lambda: ClusterService(
-                16, 2, config=SNS_CFG, mode="process"
-            )),
-            ("q", lambda: ClusterService(16, 2, config=SNS_CFG)),
-        ]
-        with pytest.raises(ClusterError):
-            CandidateTrial(bad)
 
 
 def test_module_docstring_promises_hold():

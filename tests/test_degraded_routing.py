@@ -6,9 +6,9 @@ scale-down drain -- goes over the shards not in the supervisor's
 degraded set, the router returns the true index of one of them, and a
 job no shard can take is shed at the cluster as ``no-healthy-shard``.
 
-The result fingerprints below are literals: a change to the routing
-rule must reproduce them byte for byte, under every router in both
-shard modes.
+The result fingerprints below are literals, one per case and router:
+a change to the routing rule must reproduce them byte for byte, and
+both shard modes must give the same one.
 """
 
 import hashlib
@@ -125,93 +125,49 @@ def fingerprint(result):
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-#: (case, router, mode) -> result fingerprint
+#: (case, router) -> result fingerprint, the same in both shard modes
 PINS = {
-    ('shard-1', 'band-aware', 'inprocess'): (
-        "9edf6b653b2b86aa131878c91e2fbd20"
-        "f1462793965d51e278d7c616b04cbb61"
+    ('shard-1', 'band-aware'): (
+        "701fe491b3fd324f46450e1e67e38669"
+        "e14a7d161196f4ed439337cbc4b3bf2e"
     ),
-    ('shard-1', 'band-aware', 'process'): (
-        "cdb92305527cbc4f6995294dba398664"
-        "7bad2a66afb1d5069a1e97092fbeadd6"
+    ('shard-1', 'consistent-hash'): (
+        "39633c51ea2796b012de09a11c76c071"
+        "368320f02f2291c256ba3ead41261bec"
     ),
-    ('shard-1', 'consistent-hash', 'inprocess'): (
-        "32d854630cb2266515fde1517cce6f72"
-        "c5dd40f23a58f0cfdff3e56e0fc22a8a"
-    ),
-    ('shard-1', 'consistent-hash', 'process'): (
-        "a7bb20a9d9bad247c7c6fff143eb1f6e"
-        "5d57546c313601214f2e48af28d3c5b9"
-    ),
-    ('shard-1', 'density-aware', 'inprocess'): (
-        "f0ae81e94d310495a2ae396379b3d6b7"
-        "7a742fa762bc2c152f9fc6c3292cb39a"
-    ),
-    ('shard-1', 'density-aware', 'process'): (
+    ('shard-1', 'density-aware'): (
         "438d4eb7eeb19c5186bd7929b76f5a4e"
         "aa5c5ad845a932d54b37f20bd5bf9549"
     ),
-    ('shard-1', 'least-loaded', 'inprocess'): (
-        "720bc98bc6afc5c1e79dc5f52bf028d0"
-        "d0850c2192aa351dd7afabce1827ef44"
-    ),
-    ('shard-1', 'least-loaded', 'process'): (
+    ('shard-1', 'least-loaded'): (
         "08940b7c8e3270daf736608249629f50"
         "f916fe5fdca5b6dd32334e911b09b23a"
     ),
-    ('shard-1', 'round-robin', 'inprocess'): (
-        "c5d29992077e54b7081823f7d5a99894"
-        "802f35c60432885a91d8ebf74cc0c46a"
-    ),
-    ('shard-1', 'round-robin', 'process'): (
+    ('shard-1', 'round-robin'): (
         "8f290d671da60abf08cb3cf3d269d73e"
         "1b3095ab6d30da4464749b4ecde78fb9"
     ),
-    ('shards-1-3', 'band-aware', 'inprocess'): (
-        "4f3d33e9c8560bb900bc8fab6d987a09"
-        "80ec77263fd9c923479e24a2f7b236ef"
+    ('shards-1-3', 'band-aware'): (
+        "5cb45f24321091548f5fbe0e2a0c790d"
+        "ea5a5eef353f8cc1257716d1c751aeb4"
     ),
-    ('shards-1-3', 'band-aware', 'process'): (
-        "afc17538169da4d84f986df65fda17bb"
-        "b4f4a629919d29ca4e3fe44ad031726d"
+    ('shards-1-3', 'consistent-hash'): (
+        "501290787141f7ec65050a6a46c20828"
+        "1254294d985eae5c78e4834d62374b4a"
     ),
-    ('shards-1-3', 'consistent-hash', 'inprocess'): (
-        "ad7da0f01015d64d3e68b8c5f876ada5"
-        "4d301c3852084b113e2d1363df310da1"
-    ),
-    ('shards-1-3', 'consistent-hash', 'process'): (
-        "b4fe059ee7c405f4929f945e065f52c3"
-        "0deb31e8525bbd1268721f392be473f1"
-    ),
-    ('shards-1-3', 'density-aware', 'inprocess'): (
-        "f97664793097ec3678e677cf018fc3ed"
-        "5eee46dffc9ce757b9ba0e9b259c921e"
-    ),
-    ('shards-1-3', 'density-aware', 'process'): (
+    ('shards-1-3', 'density-aware'): (
         "2206060151a7e0471744f688a776d047"
         "d164df0860ad5a6dfb902041d612191c"
     ),
-    ('shards-1-3', 'least-loaded', 'inprocess'): (
-        "7832f4454adf6789903d5f000bf400fe"
-        "989ecd8b9397db0b4a00abe36bc46bd6"
-    ),
-    ('shards-1-3', 'least-loaded', 'process'): (
+    ('shards-1-3', 'least-loaded'): (
         "acf2202c9b7f87f8bf68ac6d0a7b7f23"
         "6375387bfb9eb36438217ba5a9af5456"
     ),
-    ('shards-1-3', 'round-robin', 'inprocess'): (
-        "c9ff7e6d26fa9b6f419c021a583876cb"
-        "826327bb35d9a142a9caf500611b0995"
-    ),
-    ('shards-1-3', 'round-robin', 'process'): (
+    ('shards-1-3', 'round-robin'): (
         "e119e9f8260cbc5016dfad13c18ace48"
         "90eecacadef3fbd44d612f1725bd710b"
     ),
-    ('all', 'round-robin', 'inprocess'): (
-        "e825062b9628ac6bff5a4417fecd4d03"
-        "0e9009fff3d4b69c0c62097738d35705"
-    ),
-    ('all', 'round-robin', 'process'): (
+    ('all', 'round-robin'): (
         "14aad275940fbac1f43a59240701a98d"
         "4407d9b491add7350cea44c9844f2b28"
     ),
@@ -239,7 +195,7 @@ def test_degraded_routing_pinned(case, router, mode):
     for index in degraded:
         # nothing is placed on a shard once it is degraded
         assert all(t <= degraded_at[index] for t, _ in cluster.logs[index])
-    assert fingerprint(result) == PINS[(case, router, mode)]
+    assert fingerprint(result) == PINS[(case, router)]
 
 
 @pytest.mark.parametrize("case", ["shard-1", "shards-1-3"])
@@ -279,7 +235,7 @@ def test_all_degraded_sheds_at_the_cluster(mode):
         cluster.cluster_metrics.counter("cluster_shed_total").value
         == len(refused)
     )
-    assert fingerprint(result) == PINS[("all", "round-robin", mode)]
+    assert fingerprint(result) == PINS[("all", "round-robin")]
 
 
 def queued_cluster(k_initial, crashed, n_jobs):
@@ -380,6 +336,26 @@ class TestRouteHealthy:
         cluster = supervised(Stale(), degraded={0})
         with pytest.raises(ClusterError):
             cluster._route_healthy(specs()[0], stats(3))
+
+    def test_consistent_hash_moves_only_the_dropped_shards_jobs(self):
+        # the ring hashes true shard indices, so handing the router
+        # shards 0, 2 and 3 keeps every placement off shard 1 as it was
+        jobs = generate_workload(
+            WorkloadConfig(n_jobs=1000, m=8, load=2.5, epsilon=1.0, seed=1)
+        )
+        full = make_router("consistent-hash")
+        gappy = make_router("consistent-hash")
+        healthy = [s for s in stats(4) if s.index != 1]
+        rerouted = 0
+        for spec in jobs:
+            before = full.route(spec, stats(4))
+            after = gappy.route(spec, healthy)
+            if before == 1:
+                assert after in (0, 2, 3)
+                rerouted += 1
+            else:
+                assert after == before
+        assert 0 < rerouted < len(jobs)
 
     def test_all_degraded_returns_none(self):
         cluster = supervised("consistent-hash", degraded={0, 1})

@@ -153,7 +153,7 @@ class TestKpiFeedPinned:
         result, _ = _run(process="flash-crowd", n_jobs=400, profit="unit")
         assert len(result.kpis) == 129
         assert _kpi_digest(result) == (
-            "5cf631707da27080d5dc53846bb68667f50d5d77249874732c71c12378fef93e"
+            "dda9038a53a2c070eac851e15bac25494c398efbe1bf6ccf2615138687f47677"
         )
 
     @pytest.mark.skipif(
@@ -164,5 +164,5 @@ class TestKpiFeedPinned:
     def test_uniform_profit_feed_pinned(self):
         result, _ = _run(process="flash-crowd", n_jobs=400)
         assert _kpi_digest(result) == (
-            "520e96479d420f712c0686fea2f55e777ce26c8943546d4552866d30204279e2"
+            "33669c067bb892c399f5d2de40b3f879e469debce7be03db27955337b7f73166"
         )

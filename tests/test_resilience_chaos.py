@@ -201,7 +201,7 @@ CLUSTER_PINS = [
 GATEWAY_PINS = [
     pytest.param(
         3, "",
-        "1449e34ab2924172946a1a3efd9a4bbbe5de94de865311f94bd25a492dd21986",
+        "e0c25eeea4b61eb90c81b7ff37666c59d460c13b8eb659fdb87767e8ca43976a",
         "62f1cedf896dc0e51cba50291ec4e9e52fb6142288dc9445140e91dc3f78b47e",
         id="seed3",
     ),

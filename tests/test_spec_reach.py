@@ -23,7 +23,6 @@ BASE = {
 }
 COORDINATED = {"cluster.coordinate": True}
 SUPERVISED = {"cluster.supervise": True}
-PROCESS = {"cluster.mode": "process"}
 AUTOSCALED = {"autoscale.enabled": True}
 
 #: (field, value, overrides under which the field is live)
@@ -38,7 +37,7 @@ BUILT = [
     ("cluster.max_moves_per_job", 5, COORDINATED),
     ("cluster.checkpoint_every", 10, SUPERVISED),
     ("cluster.supervise", True, {}),
-    ("cluster.stats_refresh", 5, PROCESS),
+    ("cluster.stats_refresh", 5, {}),
     ("cluster.max_restarts", 2, SUPERVISED),
     ("cluster.heartbeat_timeout", 0.1, SUPERVISED),
     ("cluster.heartbeat_every", 2, SUPERVISED),
@@ -149,3 +148,18 @@ def test_run_argument_changes_the_run(path, value, tmp_path):
     base = ScenarioBuilder(_spec({}, tmp_path)).execute()
     capped = ScenarioBuilder(_spec({path: value}, tmp_path)).execute()
     assert capped.raw.ticks == value < base.raw.ticks
+
+
+def test_stats_refresh_changes_an_inprocess_run(tmp_path):
+    # the default gateway router reads shard stats from the refreshed
+    # view in both shard modes, so the refresh interval moves placements
+    placements = {
+        refresh: ScenarioBuilder(
+            _spec(
+                {"workload.n_jobs": 200, "cluster.stats_refresh": refresh},
+                tmp_path,
+            )
+        ).execute().raw.submissions
+        for refresh in (1, 32)
+    }
+    assert placements[1] != placements[32]
