@@ -50,6 +50,18 @@ SYNCED_GAUGES: tuple[str, ...] = (
     "utilization",
 )
 
+#: Service totals the cluster's KPI roll-up reads, in the order
+#: :meth:`~repro.gateway.kpi.KpiAggregator.snapshot` reads them; a
+#: process shard's telemetry ``stats`` reply carries exactly these.
+KPI_TOTALS: tuple[str, ...] = (
+    "profit_total",
+    "submitted_total",
+    "shed_total",
+    "completed_total",
+)
+#: The histogram the KPI roll-up reads its admission latencies from.
+KPI_HISTOGRAM = "admission_latency"
+
 
 class Admission(enum.Enum):
     """Outcome of one :meth:`SchedulingService.submit` call."""
@@ -445,7 +457,7 @@ class SchedulingService:
             # admission latency: intended arrival -> release into the
             # engine, covering both queue waiting and (under a paced
             # gateway) delivery quantization; 0 in pass-through mode
-            self.metrics.histogram("admission_latency").observe(
+            self.metrics.histogram(KPI_HISTOGRAM).observe(
                 max(0, now - spec.arrival)
             )
             if spec.arrival < now:

@@ -112,6 +112,11 @@ class MetricsRegistry:
             )
         return metric
 
+    def find_histogram(self, name: str) -> Optional[Any]:
+        """The histogram called ``name``, or ``None`` when it does not
+        exist (it is not created)."""
+        return self._histograms.get(name)
+
     def histograms(self) -> dict[str, dict[str, Any]]:
         """Summaries of every histogram (see ``RingHistogram.summary``)."""
         return {
