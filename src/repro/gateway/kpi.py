@@ -23,12 +23,9 @@ import threading
 from collections import deque
 from typing import Any, Iterable, Optional, Sequence
 
+from repro.observability.metrics import MergedWindow
 from repro.service.service import KPI_HISTOGRAM, KPI_TOTALS
-from repro.service.telemetry import (
-    MetricsRegistry,
-    merged_histogram_summary,
-    write_text_atomic,
-)
+from repro.service.telemetry import MetricsRegistry, write_text_atomic
 
 #: Snapshots a rolling rate spans (``profit_rate``, ``arrival_rate``).
 RATE_WINDOW = 20
@@ -51,6 +48,11 @@ class KpiAggregator:
     differencing the cumulative totals, so the feed shows "profit per
     simulated step *lately*", not a lifetime average that flattens
     every transient the gateway exists to surface.
+
+    The admission-latency quantiles come from a
+    :class:`~repro.observability.metrics.MergedWindow` the aggregator
+    keeps across ticks, so a tick costs the observations that arrived
+    since the last one, not a copy and a sort of the merged window.
     """
 
     def __init__(self) -> None:
@@ -58,6 +60,8 @@ class KpiAggregator:
         self._marks: deque[tuple[int, float, float]] = deque(
             maxlen=RATE_WINDOW
         )
+        # the merged admission-latency window, updated in place each tick
+        self._latency = MergedWindow()
 
     def snapshot(
         self,
@@ -92,7 +96,12 @@ class KpiAggregator:
         rated = len(self._marks) > 1
         profit_rate = (profit - profit0) / span if rated else 0.0
         arrival_rate = (offered - offered0) / span if rated else 0.0
-        latency = merged_histogram_summary(registries, KPI_HISTOGRAM)
+        found = [
+            h
+            for h in (r.find_histogram(KPI_HISTOGRAM) for r in registries)
+            if h is not None
+        ]
+        latency = self._latency.summary(found) if found else {}
         return {
             "tick": int(tick),
             "sim_t": int(sim_t),

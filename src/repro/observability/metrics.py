@@ -17,6 +17,9 @@ snapshot formats bit-identical with or without observability.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
+from collections import deque
+from itertools import chain
 from typing import Any, Iterable, Optional, Sequence
 
 
@@ -124,7 +127,9 @@ class RingHistogram:
     def summary(self) -> dict[str, Any]:
         """Flat JSON-compatible summary: lifetime aggregates plus
         windowed p50/p90/p99 (one sort of the window for all three)."""
-        return _summary(self.count, self.total, self.min, self.max, self._ring)
+        return _summary(
+            self.count, self.total, self.min, self.max, sorted(self._ring)
+        )
 
     def __len__(self) -> int:
         """Number of retained (windowed) observations."""
@@ -142,9 +147,9 @@ def _summary(
     total: float,
     lo: Optional[float],
     hi: Optional[float],
-    window: list[float],
+    ordered: list[float],
 ) -> dict[str, Any]:
-    ordered = sorted(window)
+    """The summary dict of lifetime aggregates and an ascending window."""
     return {
         "count": count,
         "total": total,
@@ -175,6 +180,30 @@ def _fold(
     return count, total, lo, hi
 
 
+def _shares(lengths: Sequence[int], capacity: int) -> list[int]:
+    """How many of each window's newest observations the newest
+    ``capacity`` of the concatenated windows keep, given the window
+    lengths in input order (later windows count as more recent)."""
+    shares = [0] * len(lengths)
+    need = capacity
+    for i in range(len(lengths) - 1, -1, -1):
+        if need <= 0:
+            break
+        take = shares[i] = min(lengths[i], need)
+        need -= take
+    return shares
+
+
+def _newest(h: RingHistogram, k: int) -> list[float]:
+    """The newest ``k`` (``1 <= k <= len(h)``) observations of ``h``'s
+    window, oldest first."""
+    ring, pos = h._ring, h._pos
+    # window = ring[pos:] (older) + ring[:pos] (newer)
+    if k <= pos:
+        return ring[pos - k:pos]
+    return ring[len(ring) - (k - pos):] + ring[:pos]
+
+
 def tail_window(
     histograms: Sequence[RingHistogram], capacity: int
 ) -> list[float]:
@@ -183,27 +212,16 @@ def tail_window(
     The windows join in input order (later histograms count as more
     recent) and the result is oldest first: for ``capacity >= 1`` it
     equals ``sum((h.window() for h in histograms), [])[-capacity:]``.
-    It walks the inputs newest-first and copies at most ``capacity``
-    observations, so a roll-up of k full windows costs one window, not
-    k.  The one merge implementation behind
-    :meth:`RingHistogram.merge_many` and :func:`merged_summary`.
+    It copies at most ``capacity`` observations, so a roll-up of k full
+    windows costs one window, not k.  The one merge rule behind
+    :meth:`RingHistogram.merge_many`, :func:`merged_summary` and
+    :class:`MergedWindow`.
     """
-    chunks: list[list[float]] = []
-    need = capacity
-    for h in reversed(histograms):
-        if need <= 0:
-            break
-        ring, pos = h._ring, h._pos
-        # window = ring[pos:] (older) + ring[:pos] (newer)
-        if need <= pos:
-            chunk = ring[pos - need:pos]
-        else:
-            chunk = ring[max(pos, len(ring) - (need - pos)):] + ring[:pos]
-        chunks.append(chunk)
-        need -= len(chunk)
+    shares = _shares([len(h._ring) for h in histograms], capacity)
     out: list[float] = []
-    for chunk in reversed(chunks):
-        out += chunk
+    for h, share in zip(histograms, shares):
+        if share:
+            out += _newest(h, share)
     return out
 
 
@@ -218,5 +236,120 @@ def merged_summary(histograms: Sequence[RingHistogram]) -> dict[str, Any]:
     inputs = [h for h in histograms if h.count]
     count, total, lo, hi = _fold(inputs, 0, 0.0, None, None)
     return _summary(
-        count, total, lo, hi, tail_window(inputs, histograms[0].capacity)
+        count,
+        total,
+        lo,
+        hi,
+        sorted(tail_window(inputs, histograms[0].capacity)),
     )
+
+
+class MergedWindow:
+    """:func:`merged_summary` kept current one observation at a time.
+
+    :meth:`summary` equals ``merged_summary(histograms)`` on every call.
+    Between calls it keeps, for each input, the observations it holds in
+    the merged window (its newest, oldest first), and one ascending list
+    of the whole merged window.  A call then deletes the observations
+    that fell out and inserts the new ones by bisection, so it costs
+    O(inputs + new observations), not a copy and a sort of the window.
+
+    The update assumes each input changed since the last call the way
+    :meth:`RingHistogram.observe` changes it: its window is the previous
+    window followed by ``d`` new observations, ``d`` the growth of its
+    count.  Each call checks what that implies -- the same histogram
+    objects, ``0 <= d <= capacity``, the ring length and cursor ``d``
+    appends leave, and the previous newest observation ``d`` places
+    back -- and rebuilds from the inputs when any of it fails: a scale
+    or a respawned mirror changes the inputs, a telemetry fold
+    overwrites a count, a merge renormalizes a ring.
+
+    Observations that compare equal are interchangeable in the sorted
+    list, so ``0.0``/``-0.0`` mixes and NaNs (which admission latencies
+    never are) are out of scope.
+    """
+
+    __slots__ = ("_held", "_capacity", "_ordered")
+
+    def __init__(self) -> None:
+        # per input: [histogram, count, window length (0 while the count
+        # is), cursor, newest observation, deque of its held observations]
+        self._held: list[list[Any]] = []
+        self._capacity = 0
+        self._ordered: list[float] = []
+
+    def summary(self, histograms: Sequence[RingHistogram]) -> dict[str, Any]:
+        """``merged_summary(histograms)``; ``histograms`` must be
+        non-empty."""
+        if not self._advance(histograms):
+            self._rebuild(histograms)
+        inputs = [h for h in histograms if h.count]
+        count, total, lo, hi = _fold(inputs, 0, 0.0, None, None)
+        return _summary(count, total, lo, hi, self._ordered)
+
+    def _rebuild(self, histograms: Sequence[RingHistogram]) -> None:
+        capacity = histograms[0].capacity
+        lengths = [len(h._ring) if h.count else 0 for h in histograms]
+        held = []
+        for h, length, share in zip(
+            histograms, lengths, _shares(lengths, capacity)
+        ):
+            newest = h._ring[h._pos - 1] if length else None
+            kept = deque(_newest(h, share) if share else ())
+            held.append([h, h.count, length, h._pos, newest, kept])
+        self._held = held
+        self._capacity = capacity
+        self._ordered = sorted(chain.from_iterable(s[5] for s in held))
+
+    def _advance(self, histograms: Sequence[RingHistogram]) -> bool:
+        """Fold the inputs' new observations in; False when the inputs
+        did not change as :meth:`RingHistogram.observe` changes them."""
+        held = self._held
+        if (
+            len(held) != len(histograms)
+            or histograms[0].capacity != self._capacity
+        ):
+            return False
+        deltas = [0] * len(held)
+        for i, (h, state) in enumerate(zip(histograms, held)):
+            hist, count, length, pos, newest, _ = state
+            if h is not hist:
+                return False
+            d = h.count - count
+            ring = h._ring
+            if not d:
+                if len(ring) != length or h._pos != pos or (
+                    length and ring[pos - 1] is not newest
+                ):
+                    return False
+                continue
+            capacity = h.capacity
+            if not 0 < d <= capacity:
+                return False
+            appended = min(d, capacity - length)
+            after = length + appended
+            cursor = (pos + d - appended) % capacity
+            if len(ring) != after or h._pos != cursor:
+                return False
+            # the previous newest observation sits d places back
+            if d < after and ring[cursor - 1 - d] is not newest:
+                return False
+            # updated before every input is checked: a later failure
+            # rebuilds all of it
+            state[1:5] = h.count, after, cursor, ring[cursor - 1]
+            deltas[i] = d
+        if not any(deltas):
+            return True
+        shares = _shares([state[2] for state in held], self._capacity)
+        ordered = self._ordered
+        for state, share, d in zip(held, shares, deltas):
+            kept = state[5]
+            new = min(d, share)
+            # the oldest held observations fall out first
+            for _ in range(len(kept) - (share - new)):
+                del ordered[bisect_left(ordered, kept.popleft())]
+            if new:
+                for value in _newest(state[0], new):
+                    kept.append(value)
+                    insort(ordered, value)
+        return True

@@ -206,6 +206,9 @@ class SchedulingService:
         # (registry, its SYNCED_GAUGES objects), bound on the first sync:
         # registries and checkpoints taken before it hold no gauges
         self._synced: Optional[tuple[MetricsRegistry, tuple[Any, ...]]] = None
+        # (registry, its "queue_depth" histogram), bound on the first
+        # sample the same way
+        self._depth: Optional[tuple[MetricsRegistry, Any]] = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -266,7 +269,9 @@ class SchedulingService:
         self._maybe_sample()
         if victim is entry:
             outcome = Admission.SHED
-        elif any(e is entry for e in self.queue.entries()):
+        elif self.queue.depth:
+            # a kept entry went in last and _release pops from the
+            # front, so anything still queued includes it
             outcome = Admission.QUEUED
         else:
             outcome = Admission.ADMITTED
@@ -307,10 +312,7 @@ class SchedulingService:
                 break
         result = self.sim.finish()
         self._sync_gauges(
-            result.end_time,
-            result.counters,
-            in_flight=0,
-            profit=result.total_profit,
+            result.end_time, 0, result.total_profit, result.counters
         )
         self.metrics.gauge("queue_depth").set(0)
         self.metrics.sample(result.end_time)
@@ -505,24 +507,24 @@ class SchedulingService:
             )
 
     def _maybe_sample(self) -> None:
+        metrics = self.metrics
+        depth = self._depth
+        if depth is None or depth[0] is not metrics:
+            depth = self._depth = (metrics, metrics.histogram("queue_depth"))
+        depth[1].observe(self.queue.depth)
         now = self.sim.now
-        self.metrics.histogram("queue_depth").observe(self.queue.depth)
         if (
             self.sample_every is not None
             and self._last_sample_t is not None
             and now - self._last_sample_t < self.sample_every
         ):
             return
-        self._sync_gauges(now, self.sim.counters)
-        self.metrics.sample(now)
+        self._sync_gauges(now, *self.sim.readings())
+        metrics.sample(now)
         self._last_sample_t = now
 
     def _sync_gauges(
-        self,
-        now: int,
-        counters: Any,
-        in_flight: Optional[int] = None,
-        profit: Optional[float] = None,
+        self, now: int, in_flight: int, profit: float, counters: Any
     ) -> None:
         metrics = self.metrics
         synced = self._synced
@@ -534,10 +536,6 @@ class SchedulingService:
             )
         queue, flight, completed, expired, total, rate, util = synced[1]
         queue.set(self.queue.depth)
-        if in_flight is None:
-            in_flight = self.in_flight
-        if profit is None:
-            profit = self.sim.profit_so_far()
         flight.set(in_flight)
         completed.set(counters.completions)
         expired.set(counters.expiries)

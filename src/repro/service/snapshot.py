@@ -22,7 +22,7 @@ import json
 import os
 from typing import Any, Optional
 
-from repro.errors import SimulationError
+from repro.errors import SchedulingError, SimulationError
 from repro.service.queue import QueuedJob, make_shed_policy
 from repro.service.service import SchedulingService, ShedRecord
 from repro.service.telemetry import MetricsRegistry
@@ -102,7 +102,9 @@ def service_from_dict(
     new JSONL sink); metric values are restored into it.
 
     A snapshot of the wrong shape -- a missing or ill-typed key at any
-    depth -- raises :class:`~repro.errors.SimulationError` naming it.
+    depth, or a scheduler section that does not fit the engine section
+    or the scheduler -- raises :class:`~repro.errors.SimulationError`
+    naming it.
     """
     if not isinstance(data, dict):
         raise SimulationError(
@@ -135,6 +137,12 @@ def service_from_dict(
     except (TypeError, ValueError, AttributeError, IndexError) as exc:
         raise SimulationError(
             f"service snapshot has an ill-typed value: {exc}"
+        ) from exc
+    except SchedulingError as exc:
+        # the scheduler section names a job the engine section lacks,
+        # or constants the scheduler was not built with
+        raise SimulationError(
+            f"service snapshot does not fit the scheduler: {exc}"
         ) from exc
 
 

@@ -72,6 +72,9 @@ class MetricsRegistry:
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Any] = {}
         self._mean_counts: dict[str, int] = {}
+        # (name, metric) pairs in values() order; None after a metric
+        # is created, rebuilt by the next read
+        self._layout: Optional[list[tuple[str, Any]]] = None
         self.sink = sink
         self.keep_samples = bool(keep_samples)
         #: retained samples, one flat dict per call to :meth:`sample`
@@ -83,6 +86,7 @@ class MetricsRegistry:
         metric = self._counters.get(name)
         if metric is None:
             metric = self._counters[name] = Counter(name)
+            self._layout = None
         return metric
 
     def gauge(self, name: str) -> Gauge:
@@ -90,6 +94,7 @@ class MetricsRegistry:
         metric = self._gauges.get(name)
         if metric is None:
             metric = self._gauges[name] = Gauge(name)
+            self._layout = None
         return metric
 
     def histogram(self, name: str, capacity: int = 1024) -> Any:
@@ -131,13 +136,28 @@ class MetricsRegistry:
         return hist.summary() if hist is not None else {}
 
     def values(self) -> dict[str, float]:
-        """Current value of every metric, counters before gauges."""
-        out: dict[str, float] = {}
-        for name in sorted(self._counters):
-            out[name] = self._counters[name].value
-        for name in sorted(self._gauges):
-            out[name] = self._gauges[name].value
-        return out
+        """Current value of every metric, counters before gauges, each
+        kind sorted by name; a gauge shadows a counter of the same name
+        at the counter's position."""
+        return {name: metric.value for name, metric in self._pairs()}
+
+    def _pairs(self) -> list[tuple[str, Any]]:
+        """The ``(name, metric)`` pairs :meth:`values` reports, in its
+        order, cached until the next metric is created."""
+        layout = self._layout
+        if layout is None:
+            gauges = self._gauges
+            layout = [
+                (name, gauges.get(name) or self._counters[name])
+                for name in sorted(self._counters)
+            ]
+            layout += [
+                (name, gauges[name])
+                for name in sorted(gauges)
+                if name not in self._counters
+            ]
+            self._layout = layout
+        return layout
 
     def value(self, name: str) -> float:
         """Current value of one metric as :meth:`values` reports it (a
@@ -154,7 +174,8 @@ class MetricsRegistry:
         written to the sink (when set); it is also returned.
         """
         record: dict[str, Any] = {"t": int(t)}
-        record.update(self.values())
+        for name, metric in self._pairs():
+            record[name] = metric.value
         if self.keep_samples:
             self.samples.append(record)
         if self.sink is not None:
@@ -275,23 +296,6 @@ def merge_registries(
             gauge.set(gauge.value / count)
     merged._mean_counts = {}
     return merged
-
-
-def merged_histogram_summary(
-    registries: Iterable["MetricsRegistry"], name: str
-) -> dict[str, Any]:
-    """Roll-up summary of one histogram, read from ``registries`` in place.
-
-    Equals ``merge_registries(registries).histogram_summary(name)``:
-    the lifetime aggregates fold in registry order and the quantiles
-    come from the newest ``capacity`` observations of the concatenated
-    windows, but no roll-up registry or merged histogram is built.
-    ``{}`` when no input has ``name``.
-    """
-    from repro.observability.metrics import merged_summary
-
-    found = [r._histograms[name] for r in registries if name in r._histograms]
-    return merged_summary(found) if found else {}
 
 
 def write_text_atomic(path: str, text: str) -> None:

@@ -425,6 +425,18 @@ class Simulator:
         """
         return self._require_session().profit_total()
 
+    def readings(self) -> tuple[int, float, RunCounters]:
+        """``(in_flight, profit, counters)`` of the open session in one
+        read: :attr:`active_count` + :attr:`pending_count`,
+        :meth:`profit_so_far` and :attr:`counters` -- what a telemetry
+        sample records."""
+        state = self._require_session()
+        return (
+            len(state.active) + len(state.pending),
+            state.profit_total(),
+            state.counters,
+        )
+
     # ------------------------------------------------------------------
     # Checkpoint / restore
     # ------------------------------------------------------------------

@@ -233,6 +233,26 @@ class TestServiceSnapshot:
         with pytest.raises(SimulationError):
             service_from_dict(data, GlobalEDF())
 
+    def test_restore_rejects_a_scheduler_section_that_does_not_fit(self):
+        """A damaged snapshot whose scheduler state names a job the
+        engine section lacks, or other constants, is a SimulationError
+        like every other damaged snapshot."""
+        service = self.make_service()
+        service.start()
+        for spec in generate_workload(WorkloadConfig(n_jobs=12, m=4, seed=3)):
+            service.submit(spec, t=spec.arrival)
+        data = json.loads(json.dumps(service_to_dict(service)))
+        state = data["scheduler"]["state"]
+        assert state["started"]
+        state["started"][0]["job_id"] = 10_000
+        with pytest.raises(SimulationError, match="no restored view"):
+            service_from_dict(data, SNSScheduler(epsilon=1.0))
+        with pytest.raises(SimulationError, match="constants"):
+            service_from_dict(
+                json.loads(json.dumps(service_to_dict(service))),
+                SNSScheduler(epsilon=0.5),
+            )
+
     def test_snapshot_requires_open_session(self):
         with pytest.raises(SimulationError):
             service_to_dict(self.make_service())

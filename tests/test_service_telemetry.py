@@ -434,6 +434,119 @@ class TestMergeRegistriesOnePass:
         assert "missing" not in reg.histograms()
 
 
+class TestSampleLayout:
+    """The key order and values of ``values()`` and ``sample()``: the
+    bytes of every metrics JSONL line depend on them."""
+
+    def test_counters_sorted_then_gauges_sorted(self):
+        reg = MetricsRegistry()
+        reg.gauge("zeta").set(1)
+        reg.counter("beta").inc(2)
+        reg.gauge("alpha").set(3)
+        reg.counter("alpha_total").inc(4)
+        assert list(reg.values()) == ["alpha_total", "beta", "alpha", "zeta"]
+        record = reg.sample(7)
+        assert list(record) == ["t", "alpha_total", "beta", "alpha", "zeta"]
+        assert json.dumps(record) == (
+            '{"t": 7, "alpha_total": 4.0, "beta": 2.0, "alpha": 3.0, '
+            '"zeta": 1.0}'
+        )
+
+    def test_gauge_shadows_counter_at_the_counter_position(self):
+        reg = MetricsRegistry()
+        reg.counter("b").inc(1)
+        reg.counter("shared").inc(2)
+        reg.gauge("shared").set(9)
+        reg.gauge("a").set(5)
+        assert list(reg.values().items()) == [
+            ("b", 1.0), ("shared", 9.0), ("a", 5.0)
+        ]
+        assert reg.value("shared") == 9.0
+        reg.gauge("shared").set(11)
+        reg.counter("shared").inc(100)
+        assert reg.sample(1) == {"t": 1, "b": 1.0, "shared": 11.0, "a": 5.0}
+        assert list(reg.sample(2)) == ["t", "b", "shared", "a"]
+
+    def test_metric_created_between_samples(self):
+        reg = MetricsRegistry()
+        reg.counter("n").inc()
+        first = reg.sample(1)
+        reg.gauge("g").set(2)
+        reg.counter("m").inc(3)
+        second = reg.sample(2)
+        reg.counter("n").inc()
+        third = reg.sample(3)
+        assert first == {"t": 1, "n": 1.0}
+        assert list(second.items()) == [
+            ("t", 2), ("m", 3.0), ("n", 1.0), ("g", 2.0)
+        ]
+        assert list(third.items()) == [
+            ("t", 3), ("m", 3.0), ("n", 2.0), ("g", 2.0)
+        ]
+        # retained samples are snapshots, not live views
+        assert reg.samples == [first, second, third]
+        assert reg.samples[0] == {"t": 1, "n": 1.0}
+
+    def test_values_is_a_fresh_dict(self):
+        reg = MetricsRegistry()
+        reg.counter("n").inc()
+        values = reg.values()
+        values["n"] = 99.0
+        values["extra"] = 1.0
+        assert reg.values() == {"n": 1.0}
+
+    def test_metrics_created_by_restore(self):
+        reg = MetricsRegistry()
+        reg.counter("n").inc()
+        assert reg.sample(1) == {"t": 1, "n": 1.0}
+        reg.restore_from_dict(
+            {"counters": {"a_total": 2.0, "n": 5.0}, "gauges": {"n": 7.0}}
+        )
+        assert list(reg.sample(2).items()) == [
+            ("t", 2), ("a_total", 2.0), ("n", 7.0)
+        ]
+
+    def test_metrics_created_by_merge_from(self):
+        reg = MetricsRegistry()
+        reg.gauge("depth").set(1)
+        assert reg.sample(1) == {"t": 1, "depth": 1.0}
+        other = MetricsRegistry()
+        other.counter("done").inc(3)
+        other.gauge("depth").set(2)
+        other.gauge("busy").set(4)
+        reg.merge_from(other)
+        assert list(reg.sample(2).items()) == [
+            ("t", 2), ("done", 3.0), ("busy", 4.0), ("depth", 3.0)
+        ]
+        merged = merge_registries([reg, other])
+        assert list(merged.values().items()) == [
+            ("done", 6.0), ("busy", 8.0), ("depth", 5.0)
+        ]
+
+    def test_service_samples_keep_their_layout(self):
+        specs = generate_workload(WorkloadConfig(n_jobs=40, m=4, load=3.0, seed=4))
+        service = SchedulingService(
+            4, SNSScheduler(epsilon=1.0), capacity=4, max_in_flight=3
+        )
+        result = service.run_stream(specs)
+        layouts = []
+        for sample in result.metrics.samples:
+            if list(sample) not in layouts:
+                layouts.append(list(sample))
+        gauges = [
+            "completed_total", "expired_total", "in_flight", "profit_rate",
+            "profit_total", "queue_depth", "utilization",
+        ]
+        # the first sample comes from the clock advance before the first
+        # submission is counted; later counters slot in sorted
+        assert layouts == [
+            ["t"] + gauges,
+            ["t", "released_total", "submitted_total"] + gauges,
+            ["t", "queue_expired_total", "released_total", "shed_total",
+             "submitted_total"] + gauges,
+        ]
+
+
 class TestServiceTelemetry:
     def test_overload_run_populates_metrics(self):
         specs = generate_workload(
