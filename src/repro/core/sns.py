@@ -407,7 +407,12 @@ class SNSScheduler(SchedulerBase):
         return self.queue_started.by_density_desc()
 
     def parked_states(self) -> list[SNSJobState]:
-        """States of jobs currently in P, density-descending."""
+        """States of jobs currently in P, in ``(-density, job_id)`` order.
+
+        Density-descending, ties to the lower job id.  The coordination
+        view caps this list with a prefix slice, so the order is part of
+        the contract.
+        """
         return self.queue_parked.by_density_desc()
 
     def starved_states(self) -> list[SNSJobState]:
@@ -419,6 +424,8 @@ class SNSScheduler(SchedulerBase):
         exceed ``m``, so the scan's tail receives zero processors.
         Such jobs hold band capacity while earning at zero rate --
         they are the cluster coordinator's preferred steal victims.
+        Returned in the scan's ``(-density, job_id)`` order, which the
+        coordination view's prefix-slice cap relies on.
         """
         free = self.m
         starved: list[SNSJobState] = []

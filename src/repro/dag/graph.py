@@ -15,6 +15,7 @@ Two aggregate quantities drive the whole paper:
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Iterable, Iterator, Sequence
 
@@ -66,9 +67,20 @@ class DAGStructure:
         work_arr = np.asarray(work, dtype=np.float64)
         if work_arr.ndim != 1 or work_arr.size == 0:
             raise ValueError("work must be a non-empty 1-D sequence")
-        if not np.all(np.isfinite(work_arr)) or np.any(work_arr <= 0):
+        # Validation, toposort and span read plain floats: indexing
+        # numpy scalars dominated construction, which runs on every WAL
+        # recovery, audit re-read and worker-side steal inject.  A NaN
+        # anywhere makes the (numpy) total NaN, which the min/max test
+        # alone would miss.
+        work_list = work_arr.tolist()
+        total_work = float(work_arr.sum())
+        if not (
+            min(work_list) > 0.0
+            and max(work_list) < math.inf
+            and total_work == total_work
+        ):
             raise ValueError("all node works must be positive and finite")
-        n = int(work_arr.size)
+        n = len(work_list)
         succ: list[list[int]] = [[] for _ in range(n)]
         pred: list[list[int]] = [[] for _ in range(n)]
         seen: set[tuple[int, int]] = set()
@@ -97,10 +109,35 @@ class DAGStructure:
         self._indegree_list: tuple[int, ...] = ()
         self._initial_ready: tuple[int, ...] = ()
         self._topo = self._toposort()  # raises on cycles; fills the two above
-        self._total_work = float(work_arr.sum())
-        self._span = self._compute_span()
+        self._total_work = total_work
+        self._span = self._compute_span(work_list)
         self._tail: np.ndarray | None = None
         self._work_list: tuple[float, ...] | None = None
+
+    def __reduce__(self):
+        """Pickle what the constructor computed, not the inputs.
+
+        Work travels as raw float64 bytes (no numpy reducer) and the
+        topology as the validated tuples, so unpickling skips
+        validation, toposort and span.  Like the default slot pickle
+        this trusts its input: pickles only cross the shard pipe and
+        in-memory checkpoint blobs.  The lazy caches are not shipped.
+        """
+        return (
+            _rebuild_structure,
+            (
+                self._work.tobytes(),
+                self._succ,
+                self._pred,
+                self._topo,
+                self._indegree_list,
+                self._initial_ready,
+                self._span,
+                self._total_work,
+                self._edge_count,
+                self._name,
+            ),
+        )
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -218,15 +255,17 @@ class DAGStructure:
             raise ValueError("graph contains a cycle")
         return tuple(order)
 
-    def _compute_span(self) -> float:
+    def _compute_span(self, work: list[float]) -> float:
         # Longest weighted path, DP over topological order.
-        dist = np.zeros(self.num_nodes, dtype=np.float64)
+        dist = [0.0] * self._n
+        succ = self._succ
         for u in self._topo:
-            dist[u] += self._work[u]
-            for v in self._succ[u]:
-                if dist[u] > dist[v]:
-                    dist[v] = dist[u]
-        return float(dist.max()) if self.num_nodes else 0.0
+            d = dist[u] + work[u]
+            dist[u] = d
+            for v in succ[u]:
+                if d > dist[v]:
+                    dist[v] = d
+        return max(dist)
 
     def tail_lengths(self) -> np.ndarray:
         """Longest path weight from each node to any sink, inclusive.
@@ -285,3 +324,33 @@ class DAGStructure:
 
     def __hash__(self) -> int:
         return hash((self.num_nodes, self._edge_count, self._total_work, self._span))
+
+
+def _rebuild_structure(
+    work: bytes,
+    succ: tuple[tuple[int, ...], ...],
+    pred: tuple[tuple[int, ...], ...],
+    topo: tuple[int, ...],
+    indegree: tuple[int, ...],
+    initial_ready: tuple[int, ...],
+    span: float,
+    total_work: float,
+    edge_count: int,
+    name: str,
+) -> DAGStructure:
+    """Unpickle a :class:`DAGStructure` from :meth:`~DAGStructure.__reduce__`."""
+    structure = DAGStructure.__new__(DAGStructure)
+    structure._work = np.frombuffer(work, dtype=np.float64)  # read-only
+    structure._n = len(succ)
+    structure._succ = succ
+    structure._pred = pred
+    structure._topo = topo
+    structure._indegree_list = indegree
+    structure._initial_ready = initial_ready
+    structure._span = span
+    structure._total_work = total_work
+    structure._edge_count = edge_count
+    structure._name = name
+    structure._tail = None
+    structure._work_list = None
+    return structure

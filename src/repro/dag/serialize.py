@@ -25,10 +25,12 @@ def structure_to_dict(structure: DAGStructure) -> dict[str, Any]:
 
     Converts the work array in one ``tolist`` call and reads the
     successor tuples directly, with no per-element numpy scalar or
-    generator step: this runs on every durable log append and for every
-    active job in every shard snapshot.  ``tolist`` rather than the
-    cached :attr:`~DAGStructure.work_list`, so that logging a spec does
-    not pin a Python copy of its work on the structure."""
+    generator step: this runs for every active job in every shard
+    snapshot, every steal payload and every pending job in a service
+    snapshot (durable log appends use the binary
+    :func:`~repro.workloads.serialize.encode_spec`).  ``tolist`` rather
+    than the cached :attr:`~DAGStructure.work_list`, so that encoding a
+    spec does not pin a Python copy of its work on the structure."""
     return {
         "version": FORMAT_VERSION,
         "name": structure.name,

@@ -17,14 +17,22 @@ Byte layout (see docs/RESILIENCE.md for the full table)::
     record := length crc32 payload
     length := uint32 little-endian             (payload bytes)
     crc32  := uint32 little-endian             (zlib.crc32 of payload)
-    payload:= UTF-8 JSON {"t": int, "spec": {...}}
+    payload:= v2 | v1
+    v2     := 0x02 t:int64-le spec             (written since format v2)
+    spec   := repro.workloads.serialize.encode_spec frame
+    v1     := UTF-8 JSON {"t": int, "spec": {...}}   (first byte "{")
+
+:meth:`WriteAheadLog.record` writes v2 payloads; recovery reads both,
+dispatching on the payload's first byte, so logs written before the
+binary format -- and logs holding both kinds -- stay readable.
 
 A record is *valid* iff its full frame is present and the CRC matches.
 On open, the log scans forward from the magic and keeps the longest
 valid prefix; anything after the first invalid frame is a torn tail --
 the bytes a crash cut short -- and is truncated away.  A frame whose
-CRC matches but whose payload is not a record (bad JSON, wrong shape)
-was written that way, not torn: opening the log raises
+CRC matches but whose payload is not a record (unknown first byte, bad
+JSON, a spec frame whose lengths do not add up, an invalid DAG) was
+written that way, not torn: opening the log raises
 :class:`~repro.errors.WALError` naming the file and the record index.  Replay of the
 surviving prefix plus idempotent re-submission (keys are assigned per
 log position, see :meth:`key_for`) makes recovery exactly-once.
@@ -44,13 +52,17 @@ from typing import Iterator, Union
 
 from repro.errors import ReproError, WALError
 from repro.sim.jobs import JobSpec
-from repro.workloads.serialize import spec_from_dict, spec_to_dict
+from repro.workloads.serialize import decode_spec, encode_spec, spec_from_dict
 
 #: File magic: format name + version.  Bump the digits on layout change.
 WAL_MAGIC = b"RWAL0001"
 
 #: ``<length:uint32><crc32:uint32>`` little-endian frame header.
 _FRAME = struct.Struct("<II")
+
+#: ``<version:u8><t:int64>`` head of a binary (v2) record payload; a
+#: JSON (v1) payload starts with ``{`` instead.
+_RECORD_HEAD = struct.Struct("<Bq")
 
 #: What decoding a checksummed payload raises when it is not valid
 #: JSON or not a record of the expected shape.
@@ -105,6 +117,26 @@ def scan_frames(data: bytes, magic: bytes, path: str) -> tuple[list[bytes], int]
     return payloads, good
 
 
+def encode_record(t: int, spec: JobSpec) -> bytes:
+    """The binary (v2) payload of one submission record."""
+    return _RECORD_HEAD.pack(0x02, t) + encode_spec(spec)
+
+
+def decode_record(payload: bytes) -> tuple[int, JobSpec]:
+    """Decode one record payload, binary (v2) or JSON (v1).
+
+    Dispatches on the first byte; raises a :data:`MALFORMED` error or
+    ``struct.error`` when the payload is not a record.
+    """
+    if payload[:1] == b"{":
+        entry = json.loads(payload.decode("utf-8"))
+        return int(entry["t"]), spec_from_dict(entry["spec"])
+    if payload[:1] != b"\x02":
+        raise ValueError(f"unknown record version byte {payload[:1]!r}")
+    _, t = _RECORD_HEAD.unpack_from(payload)
+    return t, decode_spec(memoryview(payload)[_RECORD_HEAD.size :])
+
+
 class WriteAheadLog:
     """Append-only durable submission log with torn-tail recovery.
 
@@ -144,11 +176,9 @@ class WriteAheadLog:
     # ------------------------------------------------------------------
     def record(self, t: int, spec: JobSpec) -> int:
         """Append one submission durably; returns its log index."""
-        payload = json.dumps(
-            {"t": int(t), "spec": spec_to_dict(spec)}, separators=(",", ":")
-        ).encode("utf-8")
-        self._fh.write(pack_frame(payload))
-        self.entries.append((int(t), spec))
+        t = int(t)
+        self._fh.write(pack_frame(encode_record(t, spec)))
+        self.entries.append((t, spec))
         self._pending += 1
         if self._pending >= self.fsync_every:
             self.sync()
@@ -197,11 +227,8 @@ class WriteAheadLog:
         payloads, good = scan_frames(data, WAL_MAGIC, self.path)
         for index, payload in enumerate(payloads):
             try:
-                entry = json.loads(payload.decode("utf-8"))
-                self.entries.append(
-                    (int(entry["t"]), spec_from_dict(entry["spec"]))
-                )
-            except MALFORMED as exc:
+                self.entries.append(decode_record(payload))
+            except (*MALFORMED, struct.error) as exc:
                 raise malformed_record(self.path, index, exc) from exc
         if good < len(data):
             self.truncated_bytes = len(data) - good

@@ -27,7 +27,6 @@ arrival sequence -- the property the equivalence tests pin down.
 from __future__ import annotations
 
 import enum
-import heapq
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Optional, Sequence
 
@@ -381,7 +380,10 @@ class SchedulingService:
         planner consumes victims highest-density-first and plans at most
         a batch per tick, so a cap at the batch size loses nothing while
         keeping the per-refresh encode cost flat in overload -- where
-        the parked set is exactly what grows without bound.
+        the parked set is exactly what grows without bound.  The cap is
+        a prefix slice: the scheduler's ``parked_states`` and
+        ``starved_states`` already return their states in
+        ``(-density, job_id)`` order.
         """
         self.start()
         sched = self.sim.scheduler
@@ -405,13 +407,8 @@ class SchedulingService:
                 "profit": view.profit,
             }
 
-        def top(states: Iterable[Any]) -> list[dict]:
-            if limit is None:
-                return [encode(s) for s in states]
-            best = heapq.nsmallest(
-                limit, states, key=lambda s: (-s.density, s.job_id)
-            )
-            return [encode(s) for s in best]
+        def top(states: list[Any]) -> list[dict]:
+            return [encode(s) for s in states[:limit]]
 
         return {
             "m": self.sim.m,

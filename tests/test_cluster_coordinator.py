@@ -13,10 +13,13 @@ The load-bearing pins:
   executed work).
 """
 
+import heapq
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import (
     BandLedger,
@@ -359,6 +362,31 @@ class TestCoordinationView:
             )[: len(capped[kind])]
             assert capped[kind] == want
         assert capped["started"] == full["started"]
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        m=st.integers(1, 8),
+        n_jobs=st.integers(1, 80),
+        limit=st.integers(0, 12),
+    )
+    def test_slice_equals_nsmallest(self, seed, m, n_jobs, limit):
+        # the view caps by slicing; the scheduler's lists come in
+        # (-density, job_id) order, so that equals a heap selection
+        service = SchedulingService(m, SNSScheduler(epsilon=1.0))
+        rng = np.random.default_rng(seed)
+        for spec in overload_stream(m, 1.0, n_jobs, 4.0, rng):
+            service.submit(spec, t=spec.arrival)
+        sched = service.sim.scheduler
+        view = service.coordination_view(limit=limit)
+        for kind, states in (
+            ("parked", sched.parked_states()),
+            ("starved", sched.starved_states()),
+        ):
+            best = heapq.nsmallest(
+                limit, states, key=lambda s: (-s.density, s.job_id)
+            )
+            assert [e["job_id"] for e in view[kind]] == [s.job_id for s in best]
 
 
 def test_module_docstring_promises_hold():

@@ -6,12 +6,13 @@ a job greedily on ``n`` dedicated processors finishes within
 """
 
 import math
+import pickle
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dag import DAGJob, validate_structure
+from repro.dag import DAGJob, DAGStructure, validate_structure
 from repro.dag.validate import validate_job_state
 from tests.conftest import random_dags
 
@@ -39,6 +40,55 @@ def test_serialization_round_trip(dag, _seed):
     from repro.dag import structure_from_json, structure_to_json
 
     assert structure_from_json(structure_to_json(dag)) == dag
+
+
+def _numpy_span(work: np.ndarray, succ, topo) -> float:
+    """Reference span: the longest-path DP over a numpy array."""
+    dist = np.zeros(len(work), dtype=np.float64)
+    for u in topo:
+        dist[u] += work[u]
+        for v in succ[u]:
+            if dist[u] > dist[v]:
+                dist[v] = dist[u]
+    return float(dist.max())
+
+
+@given(
+    random_dags(max_nodes=16, integer_works=False, max_work=1000),
+    st.randoms(use_true_random=False),
+)
+def test_span_is_bit_equal_to_a_numpy_dp(dag, rng):
+    # relabel the nodes so edges do not all run low -> high
+    order = list(range(dag.num_nodes))
+    rng.shuffle(order)
+    work = np.empty(dag.num_nodes)
+    work[order] = dag.work
+    edges = [(order[u], order[v]) for u, v in dag.edges()]
+    relabeled = DAGStructure(work, edges)
+    succ = [relabeled.successors(u) for u in range(relabeled.num_nodes)]
+    reference = _numpy_span(work, succ, relabeled.topological_order())
+    assert relabeled.span.hex() == reference.hex()
+    assert relabeled.total_work.hex() == float(work.sum()).hex()
+
+
+@given(random_dags(integer_works=False))
+def test_pickle_ships_the_computed_structure(dag):
+    dag.work_list  # a filled lazy cache is not shipped
+    copy = pickle.loads(pickle.dumps(dag, pickle.HIGHEST_PROTOCOL))
+    assert copy == dag
+    for attr in (
+        "name",
+        "num_edges",
+        "span",
+        "total_work",
+        "indegree_list",
+        "initial_ready",
+        "work_list",
+    ):
+        assert getattr(copy, attr) == getattr(dag, attr)
+    assert copy.topological_order() == dag.topological_order()
+    assert copy._pred == dag._pred
+    assert not copy.work.flags.writeable
 
 
 def _greedy_run(dag, n: int, rng: np.random.Generator) -> int:

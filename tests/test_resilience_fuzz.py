@@ -4,9 +4,10 @@ Byte flips and truncations of a checkpoint generation, a submission WAL
 and a steal journal either load what survives -- the previous checkpoint
 generation, or a valid record prefix -- or raise a
 :class:`~repro.errors.ReproError`.  They never raise a raw exception.
-The same holds for checksummed frames whose payload is arbitrary, and
-for a service snapshot file without its digest sidecar and a scenario
-spec file: either loads, or raises a ``ReproError``.
+The same holds for checksummed frames whose payload is arbitrary or a
+damaged binary submission record, and for a service snapshot file
+without its digest sidecar and a scenario spec file: either loads, or
+raises a ``ReproError``.
 """
 
 import json
@@ -22,7 +23,7 @@ from repro.core.sns import SNSScheduler
 from repro.errors import ReproError, SimulationError, WALError
 from repro.resilience import WAL_MAGIC, CheckpointStore, WriteAheadLog
 from repro.resilience.transactions import TXN_MAGIC, StealJournal
-from repro.resilience.wal import pack_frame, scan_frames
+from repro.resilience.wal import encode_record, pack_frame, scan_frames
 from repro.scenarios import ScenarioSpec, load_spec
 from repro.service import SchedulingService
 from repro.service.snapshot import (
@@ -32,6 +33,7 @@ from repro.service.snapshot import (
 )
 from repro.workloads import WorkloadConfig, generate_workload
 from repro.workloads.serialize import spec_to_dict
+from tests.test_resilience_wal import fixture_specs
 
 FUZZ = settings(
     max_examples=60,
@@ -111,6 +113,11 @@ def wal_bytes() -> bytes:
         wal.close()
         with open(path, "rb") as fh:
             return fh.read()
+
+
+#: a binary record of a general-profit job (its spec frame ends in a
+#: JSON profit-function tail)
+GENERAL_PROFIT_RECORD = encode_record(9, fixture_specs()[-1])
 
 
 def journal_bytes() -> bytes:
@@ -208,6 +215,25 @@ class TestWriteAheadLog:
             WriteAheadLog, "s.wal", WAL_MAGIC + pack_frame(payload), wal_entries
         )
         assert isinstance(got, (WALError, list))
+
+    @FUZZ
+    @given(record=st.integers(min_value=0), mutation=mutations)
+    def test_damaged_binary_payload_loads_or_raises_wal_error(
+        self, record, mutation
+    ):
+        # damage inside a record whose CRC is then recomputed: the
+        # decoder, not the checksum, must reject it (never with a
+        # struct.error or a MemoryError from a huge claimed length)
+        frames, _ = scan_frames(CLEAN_WAL, WAL_MAGIC, "<clean>")
+        assert all(payload[:1] == b"\x02" for payload in frames)
+        frames.append(GENERAL_PROFIT_RECORD)
+        index = record % len(frames)
+        frames[index] = mutate(frames[index], mutation)
+        data = WAL_MAGIC + b"".join(pack_frame(payload) for payload in frames)
+        got = open_bytes(WriteAheadLog, "s.wal", data, wal_entries)
+        assert isinstance(got, (WALError, list))
+        if isinstance(got, list):
+            assert len(got) == len(frames)
 
 
 class TestStealJournal:

@@ -1,20 +1,47 @@
 """Write-ahead log tests: durability framing, torn-tail recovery."""
 
 import os
+import shutil
 import struct
+from pathlib import Path
 
 import pytest
 
+from repro.dag.graph import DAGStructure
 from repro.errors import WALError
+from repro.profit.functions import FlatThenLinear
 from repro.resilience import WAL_MAGIC, WriteAheadLog, open_wal
-from repro.resilience.wal import pack_frame
+from repro.resilience.wal import encode_record, pack_frame, scan_frames
+from repro.sim.jobs import JobSpec
 from repro.workloads import WorkloadConfig, generate_workload
+from repro.workloads.serialize import spec_to_dict
+
+#: A WAL of JSON (v1) records, written before records became binary:
+#: :func:`fixture_specs`, each recorded at its arrival.
+V1_FIXTURE = Path(__file__).parent / "fixtures" / "wal_v1.wal"
 
 
 def specs(n=12, seed=5):
     return generate_workload(
         WorkloadConfig(n_jobs=n, m=8, load=2.0, epsilon=1.0, seed=seed)
     )
+
+
+def fixture_specs():
+    """The submissions :data:`V1_FIXTURE` holds: four throughput jobs and
+    one general-profit job."""
+    return specs(4) + [
+        JobSpec(
+            100,
+            DAGStructure([1.0, 2.5, 0.5], [(0, 1), (0, 2)], name="gp"),
+            arrival=9,
+            profit_fn=FlatThenLinear(3.0, 6, 4),
+        )
+    ]
+
+
+def as_dicts(entries):
+    return [(t, spec_to_dict(spec)) for t, spec in entries]
 
 
 class TestRoundtrip:
@@ -35,6 +62,17 @@ class TestRoundtrip:
         for (_, got), want in zip(reopened, jobs):
             assert got == want
         reopened.close()
+
+    def test_general_profit_job_roundtrips(self, tmp_path):
+        path = tmp_path / "s.wal"
+        with WriteAheadLog(path) as wal:
+            for spec in fixture_specs():
+                wal.record(spec.arrival, spec)
+        with WriteAheadLog(path) as reopened:
+            assert as_dicts(reopened) == as_dicts(
+                (sp.arrival, sp) for sp in fixture_specs()
+            )
+            assert reopened.entries[-1][1].profit_fn is not None
 
     def test_key_for_is_stable(self, tmp_path):
         wal = WriteAheadLog(tmp_path / "s.wal")
@@ -134,13 +172,40 @@ class TestTornTail:
         reopened.close()
 
 
+def binary_record(**fields):
+    """A binary record payload of the first test spec, with ``nodes``
+    (the header's node count) or single bytes ``at`` offsets replaced."""
+    payload = bytearray(encode_record(3, specs(1)[0]))
+    if "nodes" in fields:
+        # record head <Bq> (9 bytes), then the spec header
+        # <BBqqqd...>: the node count sits 2 + 4 * 8 bytes into it
+        struct.pack_into("<I", payload, 9 + 34, fields["nodes"])
+    for offset, value in fields.get("at", {}).items():
+        payload[offset] = value
+    return bytes(payload)
+
+
 class TestMalformedRecord:
     """A frame whose CRC matches was written that way, not torn: a
     payload that does not decode is a structured error, not a crash."""
 
     @pytest.mark.parametrize(
         "payload",
-        [b'{"t":1}', b"not json", b"[1,2]", b'{"t":"x","spec":{}}', b"\xff\xfe"],
+        [
+            b'{"t":1}',
+            b"not json",
+            b"[1,2]",
+            b'{"t":"x","spec":{}}',
+            b"\xff\xfe",
+            pytest.param(b"", id="empty"),
+            pytest.param(b"\x02", id="version-only"),
+            pytest.param(binary_record()[:30], id="truncated-header"),
+            # the length check comes before any allocation
+            pytest.param(binary_record(nodes=2**31), id="2**31-nodes"),
+            pytest.param(binary_record(at={0: 0x03}), id="record-version"),
+            pytest.param(binary_record(at={9: 0x07}), id="spec-version"),
+            pytest.param(binary_record(at={10: 0x04}), id="unknown-flags"),
+        ],
     )
     def test_checksummed_garbage_raises_wal_error(self, tmp_path, payload):
         path = tmp_path / "s.wal"
@@ -157,3 +222,33 @@ class TestMalformedRecord:
         path.write_bytes(path.read_bytes() + pack_frame(b'{"t":1}'))
         with pytest.raises(WALError, match="record 3 passes its CRC"):
             WriteAheadLog(path)
+
+
+class TestOldFormat:
+    """Logs written with JSON records stay readable, alone or followed
+    by binary records."""
+
+    def test_v1_fixture_recovers(self, tmp_path):
+        frames, _ = scan_frames(V1_FIXTURE.read_bytes(), WAL_MAGIC, "fixture")
+        assert {payload[:1] for payload in frames} == {b"{"}
+        path = tmp_path / "s.wal"
+        shutil.copyfile(V1_FIXTURE, path)
+        with WriteAheadLog(path) as wal:
+            assert wal.truncated_bytes == 0
+            assert as_dicts(wal) == as_dicts(
+                (sp.arrival, sp) for sp in fixture_specs()
+            )
+
+    def test_binary_appends_after_v1_records(self, tmp_path):
+        path = tmp_path / "s.wal"
+        shutil.copyfile(V1_FIXTURE, path)
+        extra = specs(8, seed=6)
+        with WriteAheadLog(path) as wal:
+            for spec in extra:
+                wal.record(spec.arrival, spec)
+        frames, _ = scan_frames(path.read_bytes(), WAL_MAGIC, "mixed")
+        assert [payload[:1] for payload in frames] == [b"{"] * 5 + [b"\x02"] * 8
+        with WriteAheadLog(path) as mixed:
+            assert as_dicts(mixed) == as_dicts(
+                (sp.arrival, sp) for sp in fixture_specs() + extra
+            )

@@ -19,7 +19,7 @@ from repro.cluster.shard import make_shard
 from repro.gateway.load import LoadConfig, LoadGenerator
 from repro.resilience import DEFAULT_RPC_POLICY, WAL_MAGIC, SupervisorConfig
 from repro.resilience.transactions import TXN_MAGIC
-from repro.resilience.wal import scan_frames
+from repro.resilience.wal import decode_record, scan_frames
 from repro.workloads import WorkloadConfig, generate_workload
 
 CFG = ShardConfig(m=4, scheduler="sns", scheduler_kwargs={"epsilon": 1.0})
@@ -27,10 +27,11 @@ MODES = ["inprocess", "process"]
 
 #: SHA-256 of the sorted ``{relative path: SHA-256 of the file}`` map of
 #: every file :func:`durable_run` leaves under ``wal_dir`` and
-#: ``checkpoint_dir``; computed at 54e5c25, where snapshots crossed the
-#: pipe as dicts, and equal in both modes with or without the crash.
+#: ``checkpoint_dir``, equal in both modes.  It moved once, when WAL
+#: records became binary (``689232fc...`` with JSON records); the
+#: checkpoint and steal-journal files kept their bytes.
 DURABLE_FILES_DIGEST = (
-    "689232fcb6c4fbe5544953a86fac8b97a5380fbdff15af29b7e0743d9cce2794"
+    "185104a96ec07c677d9222fa080dbff9c2ae075d78af6df0ca22e97f6dc82337"
 )
 
 
@@ -198,8 +199,8 @@ class TestClusterKeepsBytes:
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_durable_files_are_json_and_pinned(mode, tmp_path):
-    durable_run(mode, tmp_path)
+def test_durable_files_are_pinned(mode, tmp_path):
+    cluster, _ = durable_run(mode, tmp_path)
     digests = {}
     for sub in ("wal", "ckpt"):
         for name in sorted(os.listdir(tmp_path / sub)):
@@ -210,12 +211,20 @@ def test_durable_files_are_json_and_pinned(mode, tmp_path):
                 assert header.startswith(b"sha256:")
                 assert body.isascii()
                 assert set(json.loads(body)) == {"log_index", "snapshot"}
-            else:
-                magic = TXN_MAGIC if name.endswith(".txn") else WAL_MAGIC
-                frames, good = scan_frames(data, magic, name)
+            elif name.endswith(".txn"):
+                frames, good = scan_frames(data, TXN_MAGIC, name)
                 assert good == len(data) and frames
                 for payload in frames:
                     assert isinstance(json.loads(payload), dict)
+            else:
+                # binary submission records, equal to what was submitted
+                frames, good = scan_frames(data, WAL_MAGIC, name)
+                assert good == len(data) and frames
+                shard = int(name[len("shard-") : -len(".wal")])
+                assert [decode_record(payload) for payload in frames] == (
+                    cluster.logs[shard].entries
+                )
+                assert {payload[:1] for payload in frames} == {b"\x02"}
     assert any(name.endswith(".ckpt") for name in digests)
     blob = json.dumps(digests, sort_keys=True).encode("utf-8")
     assert hashlib.sha256(blob).hexdigest() == DURABLE_FILES_DIGEST
