@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from itertools import accumulate
 from typing import Iterator
 
 
@@ -92,12 +93,7 @@ class DensityBands:
     def _prefix_sums(self) -> list[int]:
         prefix = self._prefix
         if prefix is None:
-            prefix = [0] * (len(self._allotments) + 1)
-            acc = 0
-            for i, a in enumerate(self._allotments):
-                acc += a
-                prefix[i + 1] = acc
-            self._prefix = prefix
+            prefix = self._prefix = list(accumulate(self._allotments, initial=0))
         return prefix
 
     def band_load(self, v_lo: float, v_hi: float) -> int:

@@ -44,9 +44,15 @@ class SNSJobState:
 
     Slotted: the promote scan touches several fields of every parked
     job at every completion, and slot reads skip the instance dict.
+    An entry outlives its job in ``SNSScheduler.all_states``; when the
+    job leaves Q or P its :attr:`view` is set to ``None`` and only the
+    numbers stay.
     """
 
-    view: JobView
+    #: the job's view while it is in Q or P; ``None`` once it left
+    #: (completed, expired or extracted), so a finished job's entry
+    #: keeps no engine object alive
+    view: Optional[JobView]
     #: integral allotment n_i
     allotment: int
     #: virtual execution time x_i
@@ -212,24 +218,14 @@ class SNSScheduler(SchedulerBase):
 
     def on_completion(self, job: JobView, t: int) -> None:
         """Remove from Q, then promote delta-fresh parked jobs."""
-        if job.job_id in self.queue_started:
-            self.queue_started.remove(job.job_id)
-            self.bands.remove(job.job_id)
-            self._alloc_cache = None
-        elif job.job_id in self.queue_parked:
-            # A parked job can only complete if some other scheduler ran
-            # it -- impossible under this engine; defensive cleanup.
-            self.queue_parked.remove(job.job_id)
+        # A parked job can only complete if some other scheduler ran it
+        # -- impossible under this engine; _leave cleans P defensively.
+        self._leave(job.job_id)
         self._promote(t)
 
     def on_expiry(self, job: JobView, t: int) -> None:
         """Deadline passed: drop the job from whichever queue holds it."""
-        if job.job_id in self.queue_started:
-            self.queue_started.remove(job.job_id)
-            self.bands.remove(job.job_id)
-            self._alloc_cache = None
-        elif job.job_id in self.queue_parked:
-            self.queue_parked.remove(job.job_id)
+        self._leave(job.job_id)
 
     # ------------------------------------------------------------------
     # Execution
@@ -264,6 +260,18 @@ class SNSScheduler(SchedulerBase):
         if self.m <= 0:
             raise SchedulingError("scheduler not started (on_start not called)")
         return self.constants.band_capacity(self.m)
+
+    def _leave(self, job_id: int) -> None:
+        """Drop a finished job from Q (and its band) or P, and its view."""
+        if job_id in self.queue_started:
+            state = self.queue_started.remove(job_id)
+            self.bands.remove(job_id)
+            self._alloc_cache = None
+        elif job_id in self.queue_parked:
+            state = self.queue_parked.remove(job_id)
+        else:
+            return
+        state.view = None
 
     def _start(self, state: SNSJobState) -> None:
         self.queue_started.add(state)

@@ -70,6 +70,7 @@ class DAGJob:
         "_ready",
         "_done_count",
         "_done_work",
+        "_partial",
         "ready_version",
     )
 
@@ -149,6 +150,8 @@ class DAGJob:
         # original masked-numpy computation (pairwise summation order
         # included) so laxity-based schedulers observe identical floats.
         state = self._state
+        if state is None:
+            return self._partial  # released: the value fixed at release
         idx = [i for i, s in enumerate(state) if s != _DONE]
         if not idx:
             return 0.0
@@ -361,6 +364,26 @@ class DAGJob:
             if not NodeState(states[node]).is_executable():
                 raise ValueError(f"ready node {node} has non-executable state")
         return job
+
+    def release(self) -> None:
+        """Drop the per-node execution state of a job that left the run.
+
+        The engine calls this once a job reaches its terminal event
+        (completion, expiry, abandon, or extraction for migration):
+        nothing reads the per-node lists afterwards, and freeing them
+        then keeps long runs from piling up garbage for the cycle
+        collector.  A released job still answers :meth:`is_complete`,
+        :attr:`completed_nodes` and :meth:`remaining_work` (fixed at
+        their final values) and reports no ready nodes; it can no
+        longer execute, be snapshotted or be validated.
+        """
+        if self._done_count == self._n or self._works == tuple(self._remaining):
+            # nothing partially processed: the masked sum is exactly 0.0
+            self._partial = 0.0
+        else:
+            self._partial = self._processed_partial()
+        self._remaining = self._unmet = self._state = None
+        self._ready = {}
 
     def reset(self) -> None:
         """Restore the job to its initial (unexecuted) state."""

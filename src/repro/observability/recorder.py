@@ -110,29 +110,33 @@ NULL_RECORDER = NullRecorder()
 
 
 class SliceData:
-    """Lazily-rendered payload of an engine ``"slice"`` event.
+    """Payload of an engine ``"slice"`` event, rendered when read.
 
     A slice happens at every decision point and names every executing
-    job, so rendering its entry list eagerly -- one interpreted tuple
-    per (job, procs) pair per decision -- was the single largest cost
-    of tracing the engine hot path.  The engine instead hands the
-    recorder this thin wrapper around the decision's *live* assignment
-    list; :meth:`render` materializes the JSON-compatible dict the
-    first time anything reads the trace (span analysis, export).
-
-    Deferred rendering is sound because the captured state is
-    effectively immutable: the assignment list is rebuilt fresh at
-    every decision point, node-pick lists are replaced (never mutated
-    in place) by the pick memo, ``k`` sits in an immutable tuple and
-    ``spec.job_id`` never changes.  Consumers must go through
-    :func:`event_data` rather than reading ``event[5]`` raw.
+    job.  The engine hands over the decision's assignment list; the
+    constructor copies out just ``(job_id, k, n_nodes)`` per entry,
+    flattened into one tuple of ints, so the payload references no
+    engine object (no job, DAG or node list is kept alive by a trace)
+    and, holding only ints, is dropped from the cycle collector's
+    tracking at its first collection.  Building the JSON-compatible
+    dict -- one tuple per entry -- waits for :meth:`render`, the first
+    time anything reads the trace (span analysis, export).  Consumers
+    must go through :func:`event_data` rather than reading
+    ``event[5]`` raw.
     """
 
-    __slots__ = ("t1", "_assignment", "_rendered")
+    __slots__ = ("t1", "_flat", "_rendered")
 
     def __init__(self, t1: int, assignment: list) -> None:
         self.t1 = t1
-        self._assignment = assignment
+        flat = [0] * (3 * len(assignment))
+        i = 0
+        for job, nodes, k, _dag in assignment:
+            flat[i] = job.spec.job_id
+            flat[i + 1] = k
+            flat[i + 2] = len(nodes)
+            i += 3
+        self._flat = tuple(flat)
         self._rendered: Optional[dict] = None
 
     def render(self) -> dict:
@@ -143,15 +147,10 @@ class SliceData:
         """
         rendered = self._rendered
         if rendered is None:
-            rendered = {
-                "t1": self.t1,
-                "entries": [
-                    (job.spec.job_id, k, len(nodes))
-                    for job, nodes, k, _dag in self._assignment
-                ],
-            }
+            it = iter(self._flat)
+            rendered = {"t1": self.t1, "entries": list(zip(it, it, it))}
             self._rendered = rendered
-            self._assignment = ()
+            self._flat = ()
         return rendered
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

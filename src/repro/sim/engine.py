@@ -569,7 +569,9 @@ class Simulator:
         # deadline_heap entry goes stale and the expiry loop skips it.
         state.ids.discard(job_id)
         self.scheduler.on_expiry(job.view, state.t)
-        return self._active_to_dict(job)
+        payload = self._active_to_dict(job)
+        job.retire()
+        return payload
 
     def inject_active(self, data: dict[str, Any], t: Optional[int] = None) -> JobView:
         """Install a job extracted from another engine into this session.
@@ -632,7 +634,9 @@ class Simulator:
             if rec is not None and rec.enabled:
                 rec.event(state.t, "arrival", job_id)
                 rec.event(state.t, "expiry", job_id)
-            return job.view
+            view = job.view
+            job.retire()
+            return view
         state.ids.add(job_id)
         state.active[job_id] = job
         state.arrival_seen = True
@@ -804,6 +808,7 @@ class Simulator:
                 if debug_log:
                     logger.debug("t=%d expiry job=%d", state.t, job_id)
                 scheduler.on_expiry(job.view, state.t)
+                job.retire()
 
             state.end_time = state.t
 
@@ -1053,11 +1058,10 @@ class Simulator:
             if prof_exec is not None:
                 prof_exec.observe(perf() - _p0)
             if emit is not None:
-                # the assignment list is rebuilt fresh at every decision
-                # and its node lists are replaced (never mutated), so the
-                # slice payload can be captured by reference and rendered
-                # lazily when the trace is read -- per-entry rendering
-                # here was the single largest cost of tracing
+                # the payload copies (job_id, k, n_nodes) out as ints and
+                # builds its dict lazily when the trace is read --
+                # per-entry rendering here was the single largest cost
+                # of tracing
                 emit(t, "slice", None, SliceData(t + dt, assignment))
             t += dt
             state.t = t
@@ -1088,6 +1092,7 @@ class Simulator:
                         t, job.job_id, job.earned_profit,
                     )
                 scheduler.on_completion(job.view, t)
+                job.retire()
 
             if validate:
                 self._validate_state(active)
@@ -1151,6 +1156,7 @@ class Simulator:
             if emit is not None:
                 emit(state.t, "abandon", job_id)
             del state.active[job_id]
+            job.retire()
 
     def _validate_state(self, active: dict[int, ActiveJob]) -> None:
         from repro.dag.validate import validate_job_state

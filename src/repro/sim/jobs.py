@@ -151,7 +151,8 @@ class ActiveJob:
         #: total processor-steps consumed so far
         self.processor_steps = 0.0
         self.earned_profit = 0.0
-        self.view = JobView(self)
+        #: the scheduler-facing view; ``None`` once the job is retired
+        self.view: Optional[JobView] = JobView(self)
         # FIFO-pick memo (engine-internal, never snapshotted): the last
         # pick is reusable while the ready set and requested width are
         # unchanged and the job stayed allocated.
@@ -191,6 +192,21 @@ class ActiveJob:
         """Whether the job can still earn profit in this run."""
         return not (self.is_complete() or self.expired or self.abandoned)
 
+    def retire(self) -> None:
+        """Free the runtime state of a job that reached its terminal event.
+
+        The engine calls this once per job, after the scheduler's
+        callback: it releases the DAG's per-node state
+        (:meth:`~repro.dag.job.DAGJob.release`), clears the pick memo
+        (whose assignment entry points back at this job) and drops
+        :attr:`view`, breaking the job <-> view cycle, so the job is
+        freed by reference counting instead of by the cycle collector.
+        A view kept elsewhere still answers (see :class:`JobView`).
+        """
+        self.dag.release()
+        self._pick_nodes = self._assign = ()
+        self.view = None
+
 
 class JobView:
     """The scheduler-facing, information-restricted view of a job.
@@ -199,6 +215,12 @@ class JobView:
     arrival, deadline/profit data, ``W``, ``L``, and the current number
     of ready nodes.  It deliberately has no accessor for the DAG
     topology or for node identities.
+
+    A view stays valid after its job leaves the run (the engine retires
+    the job, see :meth:`ActiveJob.retire`): the static fields,
+    :attr:`assigned_deadline` and :attr:`is_complete` answer as before,
+    :attr:`num_ready` reads 0 and :attr:`work_completed` keeps its
+    final value.
     """
 
     __slots__ = ("_job",)
