@@ -49,8 +49,12 @@ layer (:mod:`repro.observability`): engine wall-clock with no recorder
 at all, with the disabled :data:`~repro.observability.NULL_RECORDER`
 (the always-installed fast path), and with a live
 :class:`~repro.observability.TraceRecorder` plus profiler.  Under
-``--check`` the disabled path must cost < 2% over no recorder and full
-tracing < 10%, and all three runs must stay bit-identical.
+``--check`` the best-of-repeats times must satisfy
+``noop <= 1.02 x baseline + 5 ms`` and ``traced <= 1.10 x baseline + 5 ms``,
+and all three runs must stay bit-identical.  At ``--quick`` size (a
+~25 ms run) the 5 ms slack is a fifth of the baseline, so the traced
+gate admits about +30%; docs/PERFORMANCE.md records the measured
+overhead.
 
 A fifth snapshot, ``BENCH_gateway.json``, covers the real-time gateway
 (:mod:`repro.gateway`) under a :class:`~repro.gateway.VirtualClock`:

@@ -19,6 +19,11 @@ The general-profit setting reduces to the LP by enumerating the pieces
 of each profit function: completing "by the end of piece k" is a job
 variant worth that piece's profit, and OPT picks at most one variant
 per job.
+
+scipy is imported by the two LP functions on their first call, not by
+this module: nothing on the scheduling path solves an LP, and the
+import alone costs tens of MB in every process that loads
+:mod:`repro`.
 """
 
 from __future__ import annotations
@@ -28,8 +33,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.optimize
-import scipy.sparse
 
 from repro.profit.functions import ProfitFunction, Staircase, StepProfit
 from repro.sim.jobs import JobSpec
@@ -129,6 +132,8 @@ def _build_interval_program(
     whose window is below ``max(L, W/m)`` are dropped (no schedule can
     finish them).  Returns ``None`` when no variant survives.
     """
+    import scipy.sparse
+
     variants: list[_Variant] = []
     for i, spec in enumerate(specs):
         for var in _spec_variants(spec, i, m, pieces):
@@ -239,6 +244,8 @@ def interval_lp_upper_bound(
     feasible schedule satisfies the constraints, so the LP optimum is a
     valid upper bound on OPT.
     """
+    import scipy.optimize
+
     program = _build_interval_program(specs, m, pieces)
     if program is None:
         return 0.0
@@ -270,6 +277,8 @@ def interval_milp_upper_bound(
     migration/precedence are still relaxed).  Exponential worst case;
     intended for small/medium instances where tighter ratios matter.
     """
+    import scipy.optimize
+
     program = _build_interval_program(specs, m, pieces)
     if program is None:
         return 0.0

@@ -534,10 +534,11 @@ def _shard_worker(conn, index: int, config: ShardConfig) -> None:
     loop.  Any exception is reported and kills the worker.
     """
     os.environ[SHARD_ENV_FLAG] = "1"
-    # A forked worker starts with a copy of the parent's whole heap.  The
-    # cycle collector would walk it on every full collection and write
-    # each object's GC header, copying its pages (copy-on-write): about
-    # 55 ms per full collection on cluster-durable, and whether one
+    # A forked worker starts with a copy of the parent's whole heap,
+    # about 35k tracked objects on cluster-durable.  The cycle collector
+    # would walk it on every full collection and write each object's GC
+    # header, copying its pages (copy-on-write): 20-30 ms for the first
+    # full collection in a cluster-durable worker, and whether one
     # falls inside a run flips with small changes anywhere in the
     # program.  Freezing moves the inherited objects out of the
     # collector's generations; reference counting still frees them.

@@ -16,10 +16,46 @@ Two aggregate quantities drive the whole paper:
 from __future__ import annotations
 
 import math
+import weakref
 from collections import deque
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+
+
+class _Topology:
+    """A successor table and what Kahn's algorithm derives from it.
+
+    Every field is a function of ``succ`` alone, so structures with
+    equal successor tables share one record (see :data:`_TOPOLOGIES`).
+    ``pred`` is the predecessor table, derived on first request; only
+    validation and diagnostics ask for it.
+    """
+
+    __slots__ = (
+        "succ",
+        "indegree",
+        "order",
+        "initial_ready",
+        "edge_count",
+        "pred",
+        "__weakref__",
+    )
+
+    def __init__(self, succ, indegree, order, initial_ready, edge_count) -> None:
+        self.succ = succ
+        self.indegree = indegree
+        self.order = order
+        self.initial_ready = initial_ready
+        self.edge_count = edge_count
+        self.pred = None
+
+
+#: Validated topologies by successor table, held only as long as some
+#: structure uses them.  Generated workloads repeat a few shapes (chains,
+#: fork-joins, layered DAGs of equal size) many times; sharing their
+#: tables keeps one copy per shape instead of one per job.
+_TOPOLOGIES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 class DAGStructure:
@@ -40,21 +76,21 @@ class DAGStructure:
     Node ids are the integers ``0 .. n-1``, fixed by the order of ``work``.
     Duplicate edges are rejected -- they would corrupt the indegree
     counting that :class:`repro.dag.job.DAGJob` uses for readiness.
+
+    Only the successor direction is stored, with the indegrees, the
+    topological order and the initial ready set; that is all the
+    runtime reads.  Structures built from equal successor tables share
+    one copy of these tuples.
     """
 
     __slots__ = (
         "_work",
+        "_shape",
         "_succ",
-        "_pred",
         "_name",
         "_total_work",
         "_span",
-        "_topo",
         "_tail",
-        "_edge_count",
-        "_work_list",
-        "_indegree_list",
-        "_initial_ready",
         "_n",
     )
 
@@ -82,9 +118,7 @@ class DAGStructure:
             raise ValueError("all node works must be positive and finite")
         n = len(work_list)
         succ: list[list[int]] = [[] for _ in range(n)]
-        pred: list[list[int]] = [[] for _ in range(n)]
         seen: set[tuple[int, int]] = set()
-        edge_count = 0
         for u, v in edges:
             u = int(u)
             v = int(v)
@@ -96,45 +130,45 @@ class DAGStructure:
                 raise ValueError(f"duplicate edge ({u}, {v})")
             seen.add((u, v))
             succ[u].append(v)
-            pred[v].append(u)
-            edge_count += 1
 
+        table = tuple(tuple(s) for s in succ)
+        shape = _TOPOLOGIES.get(table)
+        if shape is None:
+            shape = _toposort(table, len(seen))  # raises on cycles
+            _TOPOLOGIES[shape.succ] = shape
         self._work = work_arr
         self._work.setflags(write=False)
         self._n = n
-        self._succ = tuple(tuple(s) for s in succ)
-        self._pred = tuple(tuple(p) for p in pred)
+        self._shape = shape
+        # alias of shape.succ: DAGJob and the spec encoders read it per job
+        self._succ = shape.succ
         self._name = str(name)
-        self._edge_count = edge_count
-        self._indegree_list: tuple[int, ...] = ()
-        self._initial_ready: tuple[int, ...] = ()
-        self._topo = self._toposort()  # raises on cycles; fills the two above
         self._total_work = total_work
         self._span = self._compute_span(work_list)
         self._tail: np.ndarray | None = None
-        self._work_list: tuple[float, ...] | None = None
 
     def __reduce__(self):
         """Pickle what the constructor computed, not the inputs.
 
         Work travels as raw float64 bytes (no numpy reducer) and the
-        topology as the validated tuples, so unpickling skips
-        validation, toposort and span.  Like the default slot pickle
-        this trusts its input: pickles only cross the shard pipe and
-        in-memory checkpoint blobs.  The lazy caches are not shipped.
+        topology as the validated successor table with its indegrees,
+        order and initial ready set, so unpickling skips validation,
+        toposort and span.  Like the default slot pickle this trusts
+        its input: pickles only cross the shard pipe and in-memory
+        checkpoint blobs.  The lazy caches are not shipped.
         """
+        shape = self._shape
         return (
             _rebuild_structure,
             (
                 self._work.tobytes(),
-                self._succ,
-                self._pred,
-                self._topo,
-                self._indegree_list,
-                self._initial_ready,
+                shape.succ,
+                shape.order,
+                shape.indegree,
+                shape.initial_ready,
                 self._span,
                 self._total_work,
-                self._edge_count,
+                shape.edge_count,
                 self._name,
             ),
         )
@@ -155,26 +189,12 @@ class DAGStructure:
     @property
     def num_edges(self) -> int:
         """Number of precedence edges."""
-        return self._edge_count
+        return self._shape.edge_count
 
     @property
     def work(self) -> np.ndarray:
         """Read-only per-node work array."""
         return self._work
-
-    @property
-    def work_list(self) -> tuple[float, ...]:
-        """Per-node work as plain Python floats (cached).
-
-        The simulation runtime (:class:`repro.dag.job.DAGJob`) keeps its
-        mutable per-node state in Python lists -- scalar indexing of
-        numpy arrays dominates the engine's event loop otherwise -- and
-        seeds it from this tuple.  Values are bit-identical to
-        :attr:`work`.
-        """
-        if self._work_list is None:
-            self._work_list = tuple(self._work.tolist())
-        return self._work_list
 
     @property
     def total_work(self) -> float:
@@ -191,29 +211,43 @@ class DAGStructure:
         return self._succ[node]
 
     def predecessors(self, node: int) -> tuple[int, ...]:
-        """Nodes that ``node`` depends on."""
-        return self._pred[node]
+        """Nodes that ``node`` depends on, in ascending order.
+
+        Derived from the successor table on first call and kept with
+        the shared topology; the runtime never asks (readiness runs on
+        :attr:`indegree_list` counters), only validation and
+        diagnostics do.
+        """
+        shape = self._shape
+        if shape.pred is None:
+            pred: list[list[int]] = [[] for _ in range(self._n)]
+            for u, succs in enumerate(self._succ):
+                for v in succs:
+                    pred[v].append(u)
+            shape.pred = tuple(tuple(p) for p in pred)
+        return shape.pred[node]
 
     def indegree(self, node: int) -> int:
         """Number of predecessors of ``node``."""
-        return len(self._pred[node])
+        return self._shape.indegree[node]
 
     @property
     def indegree_list(self) -> tuple[int, ...]:
         """Per-node indegrees (precomputed; seeds the runtime's
         remaining-predecessor counters)."""
-        return self._indegree_list
+        return self._shape.indegree
 
     @property
     def initial_ready(self) -> tuple[int, ...]:
         """Zero-indegree nodes in topological order (precomputed) -- the
         ready set of a freshly started job, in its canonical insertion
         order."""
-        return self._initial_ready
+        return self._shape.initial_ready
 
     def sources(self) -> tuple[int, ...]:
         """Nodes with no predecessors (ready at job start)."""
-        return tuple(i for i in range(self.num_nodes) if not self._pred[i])
+        indegree = self._shape.indegree
+        return tuple(i for i in range(self._n) if not indegree[i])
 
     def sinks(self) -> tuple[int, ...]:
         """Nodes with no successors."""
@@ -227,39 +261,16 @@ class DAGStructure:
 
     def topological_order(self) -> tuple[int, ...]:
         """A topological ordering of node ids (Kahn's algorithm)."""
-        return self._topo
+        return self._shape.order
 
     # ------------------------------------------------------------------
     # Derived quantities
     # ------------------------------------------------------------------
-    def _toposort(self) -> tuple[int, ...]:
-        n = self.num_nodes
-        indeg = [len(p) for p in self._pred]
-        queue: deque[int] = deque(i for i in range(n) if indeg[i] == 0)
-        # Kahn's algorithm computes both cached quantities as a side
-        # effect: the indegree list before mutation, and the initial
-        # ready set (the seed nodes, which are also the first entries of
-        # the resulting order -- identical to filtering the topological
-        # order by zero indegree).
-        self._indegree_list = tuple(indeg)
-        self._initial_ready = tuple(queue)
-        order: list[int] = []
-        while queue:
-            u = queue.popleft()
-            order.append(u)
-            for v in self._succ[u]:
-                indeg[v] -= 1
-                if indeg[v] == 0:
-                    queue.append(v)
-        if len(order) != n:
-            raise ValueError("graph contains a cycle")
-        return tuple(order)
-
     def _compute_span(self, work: list[float]) -> float:
         # Longest weighted path, DP over topological order.
         dist = [0.0] * self._n
         succ = self._succ
-        for u in self._topo:
+        for u in self._shape.order:
             d = dist[u] + work[u]
             dist[u] = d
             for v in succ[u]:
@@ -276,7 +287,7 @@ class DAGStructure:
         """
         if self._tail is None:
             tail = np.zeros(self.num_nodes, dtype=np.float64)
-            for u in reversed(self._topo):
+            for u in reversed(self._shape.order):
                 best = 0.0
                 for v in self._succ[u]:
                     if tail[v] > best:
@@ -323,13 +334,43 @@ class DAGStructure:
         )
 
     def __hash__(self) -> int:
-        return hash((self.num_nodes, self._edge_count, self._total_work, self._span))
+        return hash(
+            (self._n, self._shape.edge_count, self._total_work, self._span)
+        )
+
+
+def _toposort(succ: tuple[tuple[int, ...], ...], edge_count: int) -> _Topology:
+    """Kahn's algorithm over a successor table; raises on a cycle.
+
+    The record also keeps the indegree list before mutation and the
+    initial ready set: the seed nodes, which are also the first entries
+    of the resulting order -- identical to filtering the topological
+    order by zero indegree.
+    """
+    n = len(succ)
+    indeg = [0] * n
+    for succs in succ:
+        for v in succs:
+            indeg[v] += 1
+    indegree = tuple(indeg)
+    queue: deque[int] = deque(i for i in range(n) if indeg[i] == 0)
+    initial_ready = tuple(queue)
+    order: list[int] = []
+    while queue:
+        u = queue.popleft()
+        order.append(u)
+        for v in succ[u]:
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                queue.append(v)
+    if len(order) != n:
+        raise ValueError("graph contains a cycle")
+    return _Topology(succ, indegree, tuple(order), initial_ready, edge_count)
 
 
 def _rebuild_structure(
     work: bytes,
     succ: tuple[tuple[int, ...], ...],
-    pred: tuple[tuple[int, ...], ...],
     topo: tuple[int, ...],
     indegree: tuple[int, ...],
     initial_ready: tuple[int, ...],
@@ -338,19 +379,18 @@ def _rebuild_structure(
     edge_count: int,
     name: str,
 ) -> DAGStructure:
-    """Unpickle a :class:`DAGStructure` from :meth:`~DAGStructure.__reduce__`."""
+    """Unpickle a :class:`DAGStructure` from :meth:`~DAGStructure.__reduce__`.
+
+    The trusted path: no validation and no lookup in the shared
+    topology table (the pickle's own memo already shares tables between
+    structures pickled together)."""
     structure = DAGStructure.__new__(DAGStructure)
     structure._work = np.frombuffer(work, dtype=np.float64)  # read-only
     structure._n = len(succ)
+    structure._shape = _Topology(succ, indegree, topo, initial_ready, edge_count)
     structure._succ = succ
-    structure._pred = pred
-    structure._topo = topo
-    structure._indegree_list = indegree
-    structure._initial_ready = initial_ready
     structure._span = span
     structure._total_work = total_work
-    structure._edge_count = edge_count
     structure._name = name
     structure._tail = None
-    structure._work_list = None
     return structure

@@ -80,9 +80,11 @@ class DAGJob:
         # read-only alias of the structure's successor table; completion
         # unlocking walks it once per finished node
         self._succ = structure._succ
-        works = structure.work_list
-        self._works = works
-        self._remaining: list[float] = list(works)
+        # this job's own node works as Python floats (the structure
+        # keeps none); release() frees them
+        works = structure.work.tolist()
+        self._works: list[float] = works
+        self._remaining: list[float] = works.copy()
         self._unmet: list[int] = list(structure.indegree_list)
         state = [_PENDING] * structure.num_nodes
         self._ready: dict[int, None] = dict.fromkeys(structure.initial_ready)
@@ -377,12 +379,12 @@ class DAGJob:
         their final values) and reports no ready nodes; it can no
         longer execute, be snapshotted or be validated.
         """
-        if self._done_count == self._n or self._works == tuple(self._remaining):
+        if self._done_count == self._n or self._works == self._remaining:
             # nothing partially processed: the masked sum is exactly 0.0
             self._partial = 0.0
         else:
             self._partial = self._processed_partial()
-        self._remaining = self._unmet = self._state = None
+        self._works = self._remaining = self._unmet = self._state = None
         self._ready = {}
 
     def reset(self) -> None:

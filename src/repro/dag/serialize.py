@@ -28,9 +28,7 @@ def structure_to_dict(structure: DAGStructure) -> dict[str, Any]:
     generator step: this runs for every active job in every shard
     snapshot, every steal payload and every pending job in a service
     snapshot (durable log appends use the binary
-    :func:`~repro.workloads.serialize.encode_spec`).  ``tolist`` rather
-    than the cached :attr:`~DAGStructure.work_list`, so that encoding a
-    spec does not pin a Python copy of its work on the structure."""
+    :func:`~repro.workloads.serialize.encode_spec`)."""
     return {
         "version": FORMAT_VERSION,
         "name": structure.name,

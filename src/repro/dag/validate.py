@@ -25,7 +25,9 @@ def validate_structure(structure: DAGStructure) -> None:
     Invariants checked:
 
     * node works are positive and finite;
-    * successor/predecessor adjacency agree;
+    * the stored indegrees match the successor table (the two
+      redundant views :class:`~repro.dag.job.DAGJob` reads: it unlocks
+      successors by counting down indegrees);
     * the stored topological order is a valid permutation that respects
       every edge;
     * ``span <= total_work`` and ``span >= max node work``;
@@ -38,14 +40,12 @@ def validate_structure(structure: DAGStructure) -> None:
     if not np.all(np.isfinite(work)) or np.any(work <= 0):
         raise ValidationError("node works must be positive and finite")
 
+    counts = [0] * n
     for u in range(n):
         for v in structure.successors(u):
-            if u not in structure.predecessors(v):
-                raise ValidationError(f"edge ({u},{v}) missing from predecessor map")
-    for v in range(n):
-        for u in structure.predecessors(v):
-            if v not in structure.successors(u):
-                raise ValidationError(f"edge ({u},{v}) missing from successor map")
+            counts[v] += 1
+    if list(structure.indegree_list) != counts:
+        raise ValidationError("indegree list does not match successor counts")
 
     topo = structure.topological_order()
     if sorted(topo) != list(range(n)):

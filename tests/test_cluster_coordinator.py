@@ -32,6 +32,7 @@ from repro.cluster import (
 )
 from repro.core import SNSScheduler
 from repro.core.theory import Constants
+from repro.dag import DAGStructure
 from repro.errors import ClusterError
 from repro.service import SchedulingService
 from repro.sim.jobs import JobSpec
@@ -260,6 +261,31 @@ class TestStealPlanner:
         }
         first = planner.plan(views, t=0)
         assert first and first == planner.plan(views, t=0)
+
+    def test_moves_a_job_stale_on_its_donor(self):
+        # A parked job whose slack on its donor fell below (1+delta)x
+        # can never be promoted there, but the receiver re-allots it
+        # against d - t on its own pool, where it is delta-good again.
+        fan = DAGStructure([1.0] * 40, [(0, i) for i in range(1, 40)])
+        donor = SchedulingService(4, SNSScheduler(epsilon=1.0))
+        donor.submit(JobSpec(0, fan, arrival=0, deadline=40, profit=100.0), t=0)
+        donor.submit(JobSpec(1, fan, arrival=0, deadline=36, profit=10.0), t=0)
+        t = 10
+        donor.advance_to(t)
+        donor_view = donor.coordination_view()
+        [entry] = donor_view["parked"]
+        assert entry["job_id"] == 1
+        d_rem = entry["deadline"] - t
+        assert d_rem < (1.0 + CONSTS.delta) * entry["x"]  # stale on donor
+        assert not CONSTS.is_delta_fresh(entry["deadline"], t, entry["x"])
+
+        moves = StealPlanner(CONSTS).plan({0: donor_view, 1: view(8)}, t=t)
+        assert [(mv.src, mv.dst, mv.job_id, mv.kind) for mv in moves] == [
+            (0, 1, 1, "parked")
+        ]
+        n = CONSTS.allotment(entry["work"], entry["span"], d_rem, 8)
+        x = CONSTS.execution_bound(entry["work"], entry["span"], n)
+        assert CONSTS.is_delta_good(d_rem, x)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -73,7 +73,7 @@ def test_span_is_bit_equal_to_a_numpy_dp(dag, rng):
 
 @given(random_dags(integer_works=False))
 def test_pickle_ships_the_computed_structure(dag):
-    dag.work_list  # a filled lazy cache is not shipped
+    dag.predecessors(0)  # a filled lazy cache is not shipped
     copy = pickle.loads(pickle.dumps(dag, pickle.HIGHEST_PROTOCOL))
     assert copy == dag
     for attr in (
@@ -83,12 +83,31 @@ def test_pickle_ships_the_computed_structure(dag):
         "total_work",
         "indegree_list",
         "initial_ready",
-        "work_list",
     ):
         assert getattr(copy, attr) == getattr(dag, attr)
     assert copy.topological_order() == dag.topological_order()
-    assert copy._pred == dag._pred
+    assert copy.sources() == dag.sources()
+    for v in range(dag.num_nodes):
+        assert set(copy.predecessors(v)) == set(dag.predecessors(v))
+        assert copy.indegree(v) == dag.indegree(v)
     assert not copy.work.flags.writeable
+
+
+@given(random_dags(), st.randoms(use_true_random=False))
+def test_derived_predecessors_match_the_edge_list(dag, rng):
+    edges = list(dag.edges())
+    rng.shuffle(edges)  # predecessor order must not follow edge order
+    rebuilt = DAGStructure(dag.work, edges)
+    for v in range(dag.num_nodes):
+        reference = sorted(u for u, w in edges if w == v)
+        assert list(rebuilt.predecessors(v)) == reference
+        assert rebuilt.indegree(v) == len(reference)
+    validate_structure(rebuilt)
+    # equal edge lists build equal successor tables, stored once
+    twin = DAGStructure(dag.work * 2.0, edges, name="twin")
+    assert twin._succ is rebuilt._succ
+    assert twin.topological_order() is rebuilt.topological_order()
+    assert twin.span == 2.0 * rebuilt.span
 
 
 def _greedy_run(dag, n: int, rng: np.random.Generator) -> int:

@@ -37,6 +37,15 @@ class TestValidateStructure:
         validate_structure(diamond)
         validate_structure(chain(10))
 
+    def test_indegrees_disagreeing_with_successors_detected(self, diamond):
+        # the trusted unpickle path stores its indegrees unchecked
+        rebuild, args = diamond.__reduce__()
+        work, succ, order, indegree, *rest = args
+        bad = rebuild(work, succ, order, (0, 1, 1, 1), *rest)
+        assert indegree == (0, 1, 1, 2)
+        with pytest.raises(ValidationError, match="indegree"):
+            validate_structure(bad)
+
 
 class TestValidateJobState:
     def test_fresh_job_valid(self, diamond):
