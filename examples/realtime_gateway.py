@@ -10,7 +10,7 @@ paced by a :class:`VirtualClock`, so the "30 seconds" of wall time --
 in about a second.
 
 Along the way the gateway publishes KPI snapshots to a feed; the same
-feed the ``repro-gateway`` CLI serves over SSE is consumed here to
+feed ``repro-scenario run --serve`` serves over SSE is consumed here to
 print an autoscaler timeline.  The demo closes by re-running the exact
 configuration and checking the two fingerprints match -- the
 determinism contract that makes a *real-time* system regression-

@@ -60,7 +60,7 @@ class _SchedulerRegistryView:
 
 
 #: Scheduler factories buildable from a ``(name, kwargs)`` recipe in a
-#: shard worker process.  Keys match ``repro-serve --scheduler``.
+#: shard worker process.  Keys are the spec's ``scheduler.name`` values.
 SCHEDULER_REGISTRY = _SchedulerRegistryView()
 
 

@@ -66,8 +66,8 @@ class ShardTimeoutError(ShardFailedError):
 class RestartBudgetExhausted(ClusterError):
     """A shard failed more times than the supervisor's restart budget.
 
-    Carries the structured summary ``repro-serve`` prints before
-    exiting nonzero: the shard, the last fault class, how many restarts
+    Carries the structured summary ``repro-scenario run`` prints before
+    exiting 2: the shard, the last fault class, how many restarts
     were spent, and where the last good checkpoint was.
     """
 

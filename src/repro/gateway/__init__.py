@@ -22,7 +22,10 @@ Package map
 * :mod:`repro.gateway.kpi` -- KPI snapshots and the fan-out feed.
 * :mod:`repro.gateway.server` -- stdlib HTTP/SSE serving of the feed.
 * :mod:`repro.gateway.gateway` -- the fixed-timestep loop itself.
-* :mod:`repro.gateway.cli` -- the ``repro-gateway`` console script.
+
+From the shell, ``repro-scenario run examples/scenarios/gateway.toml``
+runs it (``--serve PORT`` and ``--kpi PATH`` attach the feed's
+outputs).
 """
 
 from repro.gateway.autoscale import Autoscaler, ScaleDecision

@@ -43,6 +43,59 @@ from repro.workloads.dag_families import make_family
 from repro.workloads.deadlines import slack_deadline, tight_deadline
 from repro.workloads.profits import make_profit_sampler
 
+#: Euler-Maclaurin tail coefficients (2k)!/B_2k, from Cephes' ``zeta``
+_ZETA_A = (
+    12.0,
+    -720.0,
+    30240.0,
+    -1209600.0,
+    47900160.0,
+    -1.8924375803183791606e9,
+    7.47242496e10,
+    -2.950130727918164224e12,
+    1.1646782814350067249e14,
+    -4.5979787224074726105e15,
+    1.8152105401943546773e17,
+    -7.1661652561756670113e18,
+)
+_MACHEP = 1.11022302462515654042e-16
+
+
+def riemann_zeta(x: float) -> float:
+    """Riemann zeta(x) for x > 1, without scipy.
+
+    A port of Cephes' Hurwitz ``zeta(x, q)`` at ``q = 1``: a direct sum
+    of at least nine terms, then the Euler-Maclaurin tail.  It is the
+    routine behind ``scipy.special.zeta(x, 1)`` and matches it bit for
+    bit (``tests/test_arrivals_properties.py``).
+    """
+    if not x > 1.0:
+        raise WorkloadError(f"zeta needs x > 1, got {x}")
+    s, a, b, i = 1.0, 1.0, 0.0, 0
+    while i < 9 or a <= 9.0:
+        i += 1
+        a += 1.0
+        b = a**-x
+        s += b
+        if abs(b / s) < _MACHEP:
+            return s
+    w = a
+    s += b * w / (x - 1.0)
+    s -= 0.5 * b
+    a, k = 1.0, 0.0
+    for coefficient in _ZETA_A:
+        a *= x + k
+        b /= w
+        t = a * b / coefficient
+        s += t
+        if abs(t / s) < _MACHEP:
+            return s
+        k += 1.0
+        a *= x + k
+        b /= w
+        k += 1.0
+    return s
+
 #: Arrival processes :class:`LoadGenerator` understands.
 ARRIVAL_PROCESSES = ("poisson", "diurnal", "flash-crowd", "sessions")
 
@@ -210,10 +263,8 @@ class LoadGenerator:
         # sessions: overall rate = session_rate * mean session length;
         # lengths are ceil(pareto(alpha) + 1), whose mean is
         # 1 + sum_{k>=1} k^-alpha = 1 + zeta(alpha)
-        from scipy.special import zeta
-
         alpha = config.session_alpha
-        mean_session = 1.0 + float(zeta(alpha))
+        mean_session = 1.0 + riemann_zeta(alpha)
         within = (
             config.session_within_rate
             if config.session_within_rate is not None

@@ -1,6 +1,7 @@
 """``repro-trace`` -- summarize, filter, convert and validate traces.
 
-Operates on trace files produced by ``repro-serve --trace`` or
+Operates on trace files produced by a scenario with ``[tracing]``
+enabled and a ``path`` set (``repro-scenario run``), or by
 ``run_bench --trace`` (JSONL) and on the Chrome trace-event exports
 this tool itself produces.  Input format is sniffed from the file
 contents, so every subcommand accepts either format.

@@ -13,21 +13,21 @@
 * ``gateway`` -- a paced :class:`~repro.gateway.gateway.Gateway` over
   an elastic ``ClusterService`` under a wall or virtual clock.
 
-The builder is the only construction path.  ``repro-serve`` and
-``repro-gateway`` map their flags onto a spec (each result-affecting
-flag names its dotted spec path), call :meth:`ScenarioBuilder.setup`,
-attach their output-only sinks -- metrics file, progress lines,
-snapshot probe, KPI server -- to :attr:`ScenarioBuilder.runnable`, and
-drive it.  A flag-driven run is therefore the spec-driven run of its
-``--dump-scenario`` document, bit for bit (pinned by
-``tests/test_scenarios.py`` and the CI identity smoke).
+The builder is the only construction path and holds the only
+submission loop.  ``repro-scenario run`` calls
+:meth:`ScenarioBuilder.setup`, attaches its output-only sinks --
+metrics file, KPI server and file -- to
+:attr:`ScenarioBuilder.runnable`, and hangs progress lines and the
+snapshot-and-restore probe on :attr:`ScenarioBuilder.stream_hooks`
+before it calls :meth:`ScenarioBuilder.run`.  None of them changes the
+result.
 
 Every shape returns a :class:`ScenarioResult` whose
 :meth:`~ScenarioResult.fingerprint` is a SHA-256 over the observable
 outcome (completion records, sheds, profit bit patterns); gateway runs
 delegate to :meth:`GatewayResult.fingerprint
 <repro.gateway.gateway.GatewayResult.fingerprint>` so the scenario
-fingerprint equals the one the gateway CLI and bench already print.
+fingerprint equals the one the gateway bench already prints.
 """
 
 from __future__ import annotations
@@ -97,12 +97,11 @@ class ScenarioResult:
 
 
 def result_fingerprint(mode: str, raw: Any) -> str:
-    """Digest a run outcome; the CLIs print the same value.
+    """Digest a run outcome; ``repro-scenario run`` prints it.
 
     Gateway results keep their own richer fingerprint (submission
-    placement, drops, scale trajectory) so scenario runs, ``repro-
-    gateway`` and ``BENCH_gateway.json`` all agree on what "the same
-    run" means.
+    placement, drops, scale trajectory) so scenario runs and
+    ``BENCH_gateway.json`` agree on what "the same run" means.
     """
     if mode == "gateway":
         return raw.fingerprint()
@@ -169,6 +168,11 @@ class ScenarioBuilder:
         self.runnable: Any = None
         #: trace recorder when tracing is enabled
         self.tracer: Any = None
+        #: callables ``hook(submitted, job)`` the service and cluster
+        #: loop runs before each submission, and once more after the
+        #: last with ``job=None``; they read and may swap
+        #: :attr:`runnable` (see :meth:`checkpoint_restore`)
+        self.stream_hooks: list = []
         self._raw: Any = None
         self._load: Any = None
         self._torn_down = False
@@ -231,11 +235,10 @@ class ScenarioBuilder:
             records = _records_of(raw)
             metrics = getattr(raw, "metrics", None)
             end_time = _end_time_of(raw)
-        recoveries = getattr(raw, "recoveries", None) or getattr(
-            getattr(raw, "cluster", None), "recoveries", None
-        )
-        if recoveries:
-            extra["recoveries"] = recoveries
+        if mode in ("cluster", "gateway"):
+            extra.update(
+                self._cluster_extra(raw.cluster if mode == "gateway" else raw)
+            )
         return ScenarioResult(
             spec=self.spec,
             mode=mode,
@@ -251,11 +254,59 @@ class ScenarioBuilder:
             extra=extra,
         )
 
+    def _cluster_extra(self, cluster: Any) -> dict[str, Any]:
+        """What a cluster result adds to the summary: recoveries,
+        supervision events, degraded shards, cluster-level sheds, and
+        the steal counts of a coordinated cluster."""
+        extra: dict[str, Any] = {}
+        if cluster.recoveries:
+            extra["recoveries"] = cluster.recoveries
+        for key in ("supervision_events", "degraded_shards"):
+            if cluster.extra.get(key):
+                extra[key] = cluster.extra[key]
+        if cluster.extra.get("cluster_shed"):
+            extra["cluster_shed"] = len(cluster.extra["cluster_shed"])
+        if self.spec.cluster.coordinate:
+            values = cluster.metrics.values()
+            extra["steals"] = int(values.get("steals_total", 0))
+            extra["displaced"] = int(values.get("steals_displaced_total", 0))
+        return extra
+
+    def checkpoint_restore(self, path: Optional[str] = None) -> str:
+        """Snapshot the running service, discard it, and continue on a
+        copy restored from the snapshot (service mode only).
+
+        The snapshot goes to ``path`` when given, else through an
+        in-memory JSON round trip.  The restored service keeps the
+        live one's metrics registry, submission log and tracer, and
+        gets a fresh scheduler from the spec's recipe; it replaces
+        :attr:`runnable`.  Called from a :attr:`stream_hooks` entry,
+        the run continues bit-identically.  Returns where the snapshot
+        went.
+        """
+        from repro.service import snapshot
+
+        service = self.runnable
+        keep = dict(metrics=service.metrics, recorder=service.recorder)
+        if path:
+            snapshot.save_snapshot(service, path)
+            restored = snapshot.load_snapshot(
+                path, self.make_scheduler(), **keep
+            )
+        else:
+            blob = json.dumps(snapshot.service_to_dict(service))
+            restored = snapshot.service_from_dict(
+                json.loads(blob), self.make_scheduler(), **keep
+            )
+        if self.tracer is not None:
+            restored.attach_tracer(self.tracer)
+        self.runnable = restored
+        return path or "<memory>"
+
     def write_trace(self) -> Optional[str]:
         """Write the recorded trace to ``tracing.path`` as JSONL.
 
-        Every entry point calls this after driving the runnable, so a
-        spec's trace file is the same whichever CLI ran it.  Returns
+        :meth:`run` calls this after driving the runnable.  Returns
         the path written, or ``None`` when the spec names no path.
         """
         path = self.spec.tracing.path
@@ -502,11 +553,15 @@ class ScenarioBuilder:
         return self.runnable.run(self.specs)
 
     def _run_stream(self) -> Any:
-        runnable = self.runnable
-        runnable.start()
-        for job in self.specs:
-            runnable.submit(job, t=job.arrival)
-        return runnable.finish()
+        self.runnable.start()
+        hooks = self.stream_hooks
+        for submitted, job in enumerate(self.specs):
+            for hook in hooks:
+                hook(submitted, job)
+            self.runnable.submit(job, t=job.arrival)
+        for hook in hooks:
+            hook(len(self.specs), None)
+        return self.runnable.finish()
 
     def _run_gateway(self) -> Any:
         return self.runnable.run(

@@ -6,7 +6,22 @@ Subcommands:
     Build and execute one scenario, print its summary and result
     fingerprint.  ``--set section.key=value`` applies dotted overrides
     before running; ``--dump-scenario`` prints the canonical TOML
-    (post-override) instead of running.
+    (post-override) instead of running.  The run-time options attach
+    outputs that never change the result: ``--metrics`` and
+    ``--report-every`` (service and cluster; ``--report-every`` also
+    counts gateway ticks), ``--checkpoint-at``/``--checkpoint-path``
+    (service), ``--serve``/``--kpi`` (gateway).  One given in another
+    mode exits 2.  A shard that exhausts its restart budget under
+    ``cluster.on_exhausted = "raise"`` prints a JSON error summary on
+    stderr and exits 2.
+
+    A 2-shard process cluster with a crash at t=100, recovered by the
+    supervisor, progress every 250 submissions::
+
+        repro-scenario run examples/scenarios/service.toml \\
+            --set scenario.mode=cluster --set cluster.shards=2 \\
+            --set faults.kind=chaos --set faults.chaos=crash:1:100 \\
+            --metrics metrics.jsonl --report-every 250
 
 ``chaos SPEC``
     Run a faulted cluster or gateway spec and its fault-free twin
@@ -24,7 +39,7 @@ Subcommands:
 ``list [--kind KIND]``
     Print the component catalog (what names a spec may use).
 
-``matrix SPEC --axis scheduler=sns,edf --axis shards=1,4``
+``matrix SPEC --axis scheduler=sns,edf --axis shards=1,4`` (a cluster spec)
     Cross-product the axes over the base spec, run every cell through
     the parallel sweep runner, and print one comparison table with
     OPT-bound fractions.
@@ -35,7 +50,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from repro.errors import ScenarioError
 from repro.scenarios.registry import REGISTRY
@@ -79,40 +94,6 @@ def parse_axis(text: str) -> tuple[str, list[Any]]:
     return name.strip(), [parse_value(v) for v in values.split(",")]
 
 
-def spec_flag(
-    group, flag: str, path: str, help: str, **kwargs: Any
-) -> argparse.Action:
-    """Add ``flag`` to ``group`` as a setter of the dotted spec ``path``.
-
-    Type and default come from the spec field (a bool field becomes a
-    ``store_true`` switch); ``kwargs`` may override either.  The parsed
-    value lands under ``path`` in the namespace, where
-    :func:`flag_overrides` collects it, and the help text names the
-    path, so ``--help`` doubles as the flag -> spec table.
-    """
-    from repro.scenarios.spec import ScenarioSpec
-
-    section, key = path.split(".")
-    default = ScenarioSpec().to_dict()[section][key]
-    kwargs.setdefault("default", default)
-    if isinstance(default, bool):
-        kwargs.setdefault("action", "store_true")
-    else:
-        kwargs.setdefault("type", type(default))
-    if "choices" not in kwargs and kwargs.get("action") != "store_true":
-        kwargs.setdefault(
-            "metavar", flag.lstrip("-").replace("-", "_").upper()
-        )
-    return group.add_argument(
-        flag, dest=path, help=f"{help} [{path}]", **kwargs
-    )
-
-
-def flag_overrides(args: argparse.Namespace) -> dict[str, Any]:
-    """Collect the ``{dotted.path: value}`` overrides of spec flags."""
-    return {key: value for key, value in vars(args).items() if "." in key}
-
-
 def _report_error(prog: str, exc: ScenarioError) -> int:
     """Print a scenario error (with its suggestions) and return exit 2."""
     print(f"{prog}: {exc}", file=sys.stderr)
@@ -122,38 +103,6 @@ def _report_error(prog: str, exc: ScenarioError) -> int:
             file=sys.stderr,
         )
     return 2
-
-
-def run_flags(
-    prog: str,
-    args: argparse.Namespace,
-    to_spec: Callable[[argparse.Namespace], Any],
-    drivers: dict[str, Callable[[Any, argparse.Namespace], int]],
-) -> int:
-    """The ``main`` of a serving CLI: flags -> spec -> builder -> driver.
-
-    ``--scenario`` runs a spec file instead of the flags.  Otherwise
-    ``to_spec`` maps the flags onto a spec (a :class:`ScenarioError`
-    exits 2), ``--dump-scenario`` prints it, and the spec's mode picks
-    the driver that attaches the CLI's outputs to the built runnable
-    and drives it; teardown is guaranteed.
-    """
-    from repro.scenarios.builder import ScenarioBuilder
-
-    if args.scenario:
-        return main(["run", args.scenario])
-    try:
-        spec = to_spec(args)
-    except ScenarioError as exc:
-        return _report_error(prog, exc)
-    if args.dump_scenario:
-        sys.stdout.write(spec.to_toml())
-        return 0
-    builder = ScenarioBuilder(spec).setup()
-    try:
-        return drivers[spec.mode](builder, args)
-    finally:
-        builder.teardown()
 
 
 def _load(path: str, overrides: dict[str, Any]):
@@ -168,33 +117,260 @@ def _load(path: str, overrides: dict[str, Any]):
 # ----------------------------------------------------------------------
 # Subcommands
 # ----------------------------------------------------------------------
+#: run-time options of ``run``: output sinks and probes that never
+#: change the result -> the modes whose run they attach to
+RUN_OPTIONS = {
+    "--metrics": ("service", "cluster"),
+    "--report-every": ("service", "cluster", "gateway"),
+    "--checkpoint-at": ("service",),
+    "--checkpoint-path": ("service",),
+    "--serve": ("gateway",),
+    "--kpi": ("gateway",),
+}
+
+
+def _check_run_options(args: argparse.Namespace, mode: str) -> None:
+    """An option given in a mode it does not serve is a spec error."""
+    for flag, modes in RUN_OPTIONS.items():
+        if getattr(args, flag[2:].replace("-", "_")) is None:
+            continue
+        if mode not in modes:
+            raise ScenarioError(
+                f"{flag} serves {'/'.join(modes)} mode; this spec "
+                f"runs in {mode} mode",
+                location=flag,
+            )
+    if args.checkpoint_path is not None and args.checkpoint_at is None:
+        raise ScenarioError(
+            "--checkpoint-path needs --checkpoint-at",
+            location="--checkpoint-path",
+        )
+
+
+def _line(label: str, value: Any) -> None:
+    print(f"{label + ':':<19} {value}", flush=True)
+
+
+def _progress(runnable: Any, submitted: int, total: int) -> str:
+    line = f"t={runnable.now:>8d}  submitted={submitted}/{total}"
+    if not hasattr(runnable, "queue"):  # a cluster
+        return line
+    vals = runnable.metrics.values()
+    return (
+        f"{line}  depth={runnable.queue.depth}  "
+        f"in_flight={runnable.in_flight}  "
+        f"completed={int(vals.get('completed_total', 0))}  "
+        f"expired={int(vals.get('expired_total', 0))}  "
+        f"shed={len(runnable.shed_log)}  "
+        f"profit={vals.get('profit_total', 0.0):.2f}"
+    )
+
+
+def _attach_stream_outputs(
+    builder: Any, args: argparse.Namespace, outputs: Any
+) -> None:
+    """Progress lines, the checkpoint probe and a single service's
+    metrics sink, on the service/cluster submission loop."""
+    total = len(builder.specs)
+    if args.report_every:
+
+        def report(submitted: int, job: Any) -> None:
+            if submitted and submitted % args.report_every == 0:
+                line = _progress(builder.runnable, submitted, total)
+                print(line, flush=True)
+
+        builder.stream_hooks.append(report)
+    if args.checkpoint_at is not None:
+        done = False
+
+        def checkpoint(submitted: int, job: Any) -> None:
+            nonlocal done
+            if done or job is None or job.arrival < args.checkpoint_at:
+                return
+            done = True
+            where = builder.checkpoint_restore(args.checkpoint_path)
+            service = builder.runnable
+            _line(
+                "checkpoint",
+                f"t={service.now} restored from {where} "
+                f"({service.in_flight} in flight, "
+                f"depth={service.queue.depth})",
+            )
+
+        builder.stream_hooks.append(checkpoint)
+    if args.metrics and builder.spec.mode == "service":
+        builder.runnable.metrics.sink = outputs.enter_context(
+            open(args.metrics, "w", encoding="utf-8")
+        )
+
+
+def _attach_gateway_outputs(
+    builder: Any, args: argparse.Namespace, outputs: Any
+) -> None:
+    """The KPI server and the progress reporter, on the gateway's feed."""
+    import threading
+
+    feed = builder.runnable.feed
+    if args.serve is not None:
+        from repro.gateway.server import KpiServer
+
+        server = KpiServer(feed, port=args.serve).start()
+        outputs.callback(server.stop)
+        _line("kpi feed", f"{server.url}/kpi")
+    if args.report_every:
+        threading.Thread(
+            target=_report_ticks, args=(feed, args.report_every), daemon=True
+        ).start()
+
+
+def _report_ticks(feed: Any, every: int) -> None:
+    """Print a progress line per ``every`` published KPI snapshots.
+
+    Runs on its own thread consuming the feed like any other client, so
+    progress reporting exercises exactly the consumer path the SSE
+    server uses.
+    """
+    last = 0
+    while True:
+        events = feed.wait_for(last, timeout=0.5)
+        if not events:
+            if feed.closed:
+                return
+            continue
+        for seq, snap in events:
+            last = seq
+            if snap.get("final") or snap["tick"] % every:
+                continue
+            print(
+                f"tick={snap['tick']:>6d}  t={snap['sim_t']:>8d}  "
+                f"shards={snap['active_shards']}  "
+                f"depth={snap['queue_depth']}  "
+                f"buffered={snap['buffer_depth']}  "
+                f"shed={snap['shed_fraction']:.3f}  "
+                f"profit={snap['profit_total']:.2f}",
+                flush=True,
+            )
+
+
+def _abort(summary: dict, message: str) -> int:
+    """A shard the run cannot continue without: the structured summary
+    on stderr, one error line, exit 2."""
+    json.dump(summary, sys.stderr, indent=2)
+    sys.stderr.write("\n")
+    print(f"error: {message}; aborting", flush=True)
+    return 2
+
+
+def _write_outputs(
+    builder: Any, result: Any, args: argparse.Namespace
+) -> None:
+    """The files written after the run: metrics of a cluster (merged
+    shard samples), the KPI history of a gateway, the ``-o`` summary."""
+    from repro.service.telemetry import write_text_atomic
+
+    spec = builder.spec
+    if args.metrics:
+        if spec.mode == "cluster":
+            samples = sorted(
+                (
+                    {"shard": index, **sample}
+                    for index, shard in enumerate(result.raw.shard_results)
+                    for sample in shard.metrics.samples
+                ),
+                key=lambda s: (s["t"], s["shard"]),
+            )
+            write_text_atomic(
+                args.metrics, "".join(json.dumps(s) + "\n" for s in samples)
+            )
+        _line("metrics written", args.metrics)
+    if args.kpi:
+        from repro.gateway.kpi import snapshots_to_jsonl
+
+        # the feed keeps a bounded history; the result keeps every
+        # tick's snapshot, and the feed's newest entry is the final line
+        snapshots = result.raw.kpis + builder.runnable.feed.history()[-1:]
+        write_text_atomic(args.kpi, snapshots_to_jsonl(snapshots))
+        _line("kpi written", f"{args.kpi} ({len(snapshots)} snapshots)")
+    if args.output:
+        with open(args.output, "w") as fh:
+            json.dump(result.summary(), fh, indent=2, default=str)
+            fh.write("\n")
+
+
+def _print_summary(spec: Any, result: Any) -> None:
+    """The result lines of every mode's summary (``label: value``)."""
+    summary = result.summary()
+    for key in ("total_profit", "jobs", "completed", "expired", "shed"):
+        _line(key, summary[key])
+    _line("end_time", summary["end_time"])
+    extra = result.extra
+    for key, value in sorted(extra.items()):
+        if isinstance(value, (int, float, str)):
+            _line(key, value)
+    for event in extra.get("recoveries", []):
+        _line(
+            "recovery",
+            f"shard {event.shard} at t={event.time} "
+            f"(checkpoint t={event.checkpoint_time}, "
+            f"replayed {event.replayed} submissions, "
+            f"{event.wall_seconds * 1000:.1f} ms)",
+        )
+    for event in extra.get("supervision_events", []):
+        _line(
+            "supervision",
+            f"shard {event.shard} {event.reason} at t={event.time} -> "
+            f"{event.action} (#{event.restarts}, detect "
+            f"{event.detection_seconds * 1000:.1f} ms, restart "
+            f"{event.restart_seconds * 1000:.1f} ms)",
+        )
+    if extra.get("degraded_shards"):
+        _line("degraded", f"shards {extra['degraded_shards']}")
+    if spec.tracing.path:
+        _line(
+            "trace written",
+            f"{spec.tracing.path} ({len(result.trace_events)} events)",
+        )
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
+    import contextlib
+
+    from repro.errors import RestartBudgetExhausted, ShardFailedError
     from repro.scenarios.builder import ScenarioBuilder
 
     spec = _load(args.spec, parse_sets(args.set))
     if args.dump_scenario:
         sys.stdout.write(spec.to_toml())
         return 0
-    result = ScenarioBuilder(spec).execute()
-    summary = result.summary()
-    if args.output:
-        with open(args.output, "w") as fh:
-            json.dump(summary, fh, indent=2, default=str)
-            fh.write("\n")
-    print(f"scenario          {spec.name} [{spec.mode}] seed={spec.seed}")
-    print(f"spec fingerprint  {spec.fingerprint()}")
-    for key in ("total_profit", "jobs", "completed", "expired", "shed", "end_time"):
-        if key in summary:
-            print(f"{key:<17} {summary[key]}")
-    for key, value in sorted(result.extra.items()):
-        if isinstance(value, (int, float, str)):
-            print(f"{key:<17} {value}")
-    if spec.tracing.path:
-        print(
-            f"trace written     {spec.tracing.path} "
-            f"({len(result.trace_events)} events)"
+    _check_run_options(args, spec.mode)
+    _line("scenario", f"{spec.name} [{spec.mode}] seed={spec.seed}")
+    _line("spec fingerprint", spec.fingerprint())
+    builder = ScenarioBuilder(spec)
+    try:
+        with contextlib.ExitStack() as outputs:
+            builder.setup()
+            if spec.mode == "gateway":
+                _attach_gateway_outputs(builder, args, outputs)
+            elif spec.mode != "batch":
+                _attach_stream_outputs(builder, args, outputs)
+            builder.run()
+    except RestartBudgetExhausted as exc:
+        return _abort(
+            exc.summary(),
+            f"shard {exc.shard} recovery exhausted after {exc.restarts} "
+            f"restarts ({exc.fault})",
         )
-    print(f"result fingerprint {result.fingerprint()}")
+    except ShardFailedError as exc:
+        return _abort(
+            {"error": "shard-failed", "shard": exc.shard, "fault": exc.reason},
+            f"shard {exc.shard} failed ({exc.reason})",
+        )
+    finally:
+        builder.teardown()
+    result = builder.collect()
+    _print_summary(spec, result)
+    _write_outputs(builder, result, args)
+    _line("result fingerprint", result.fingerprint())
     return 0
 
 
@@ -311,6 +487,38 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the canonical TOML (post-overrides) instead of running",
     )
     run.add_argument("-o", "--output", help="write the result summary JSON here")
+    out = run.add_argument_group(
+        "run-time outputs (never change the result; each serves only "
+        "the modes named)"
+    )
+    out.add_argument(
+        "--metrics", metavar="PATH",
+        help="service, cluster: write JSONL metrics samples to PATH",
+    )
+    out.add_argument(
+        "--report-every", type=int, metavar="N",
+        help="service, cluster: a progress line every N submissions; "
+        "gateway: every N ticks (default quiet)",
+    )
+    out.add_argument(
+        "--checkpoint-at", type=int, metavar="T",
+        help="service: snapshot the service before the first job "
+        "arriving at or after T, restore it, and continue",
+    )
+    out.add_argument(
+        "--checkpoint-path", metavar="PATH",
+        help="service: write that snapshot to PATH (default: in memory)",
+    )
+    out.add_argument(
+        "--serve", type=int, metavar="PORT",
+        help="gateway: serve the live KPI feed over HTTP "
+        "(0 = pick a free port)",
+    )
+    out.add_argument(
+        "--kpi", metavar="PATH",
+        help="gateway: write every published KPI snapshot, then the "
+        "final line, to PATH as JSONL",
+    )
     run.set_defaults(fn=_cmd_run)
 
     chaos = sub.add_parser(

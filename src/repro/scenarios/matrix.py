@@ -2,9 +2,10 @@
 
 ``repro-scenario matrix`` takes a base spec plus axes like
 ``scheduler=sns,edf,nonclairvoyant workload=overload,diurnal
-shards=1,4`` and runs the full cross product through the existing
-parallel sweep runner (:func:`repro.analysis.sweep.sweep_values`), so
-matrix expansion inherits the sweep's guarantees: cells are keyed by
+shards=1,4`` (``shards`` over a cluster-mode spec) and runs the full
+cross product through the existing parallel sweep runner
+(:func:`repro.analysis.sweep.sweep_values`), so matrix expansion
+inherits the sweep's guarantees: cells are keyed by
 task order and each cell sees exactly the same ``(point, seed)`` pair
 serially and in parallel -- a 2-worker matrix run is cell-for-cell
 identical to the serial expansion.

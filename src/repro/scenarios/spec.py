@@ -12,8 +12,7 @@ deterministically: two specs are the same scenario iff
 :meth:`ScenarioSpec.fingerprint` agrees.
 
 TOML has no null, so optional integers use ``0 = off/unbounded`` and
-optional strings use ``""`` -- the same convention as the CLI flag
-defaults they mirror.
+optional strings use ``""``.
 """
 
 from __future__ import annotations
@@ -552,6 +551,13 @@ class ScenarioSpec:
                 f"workload.spike_fraction must be in [0, 1), got "
                 f"{w.spike_fraction}",
                 location="workload.spike_fraction",
+            )
+        if self.mode in ("batch", "service") and c.shards != 1:
+            raise ScenarioError(
+                f"cluster.shards = {c.shards} has no effect in {self.mode} "
+                "mode, which runs one machine pool; set scenario.mode = "
+                "'cluster' to shard the run",
+                location="cluster.shards",
             )
         if self.mode == "gateway":
             self._check_gateway_cluster()

@@ -2,8 +2,9 @@
 
 Turns the batch simulator into a long-running system: incremental
 stepping (:class:`SchedulingService`), bounded-queue admission with shed
-policies, JSON checkpoint/restore, telemetry with JSONL export, and the
-``repro-serve`` CLI.
+policies, JSON checkpoint/restore, and telemetry with JSONL export.
+From the shell, ``repro-scenario run examples/scenarios/service.toml``
+runs it.
 """
 
 from repro.service.queue import (

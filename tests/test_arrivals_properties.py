@@ -192,6 +192,35 @@ class TestSessionArrivals:
         with pytest.raises(WorkloadError):
             session_arrivals(10, 0.5, rng, max_session_jobs=0)
 
+    @settings(max_examples=300, deadline=None)
+    @given(alpha=st.floats(min_value=1.0, max_value=64.0, exclude_min=True))
+    def test_riemann_zeta_matches_scipy_bit_for_bit(self, alpha):
+        """The load generator's scipy-free zeta is Cephes' Hurwitz zeta
+        at q = 1, the routine behind ``scipy.special.zeta(x, 1)``."""
+        from scipy.special import zeta
+
+        from repro.gateway.load import riemann_zeta
+
+        assert riemann_zeta(alpha) == float(zeta(alpha, 1))
+
+    def test_riemann_zeta_equals_one_argument_zeta_at_default_alpha(self):
+        """At the default session_alpha the one-argument scipy zeta
+        the generator once called agrees exactly, so seeded sessions
+        streams keep their arrivals."""
+        from scipy.special import zeta
+
+        from repro.gateway.load import LoadConfig, riemann_zeta
+
+        alpha = LoadConfig().session_alpha
+        assert riemann_zeta(alpha) == float(zeta(alpha))
+
+    def test_riemann_zeta_rejects_the_pole(self):
+        from repro.gateway.load import riemann_zeta
+
+        for x in (1.0, 0.5, float("nan")):
+            with pytest.raises(WorkloadError):
+                riemann_zeta(x)
+
     def test_pareto_mean_session_length_math(self):
         """ceil(pareto(alpha) + 1) has mean 1 + zeta(alpha); the load
         generator's rate normalization depends on this identity."""

@@ -261,7 +261,7 @@ class TestClusterDeterminism:
         for mode in ("inprocess", "process"):
             spec = ScenarioSpec().with_overrides(
                 {
-                    "scenario.name": "repro-gateway",
+                    "scenario.name": "gateway",
                     "scenario.mode": "gateway",
                     "workload.kind": "open-loop",
                     "workload.n_jobs": 400,

@@ -7,8 +7,8 @@ selection surface so it cannot creep back half-way:
 
 * a spec document naming ``[engine] backend`` fails with the located
   unknown-key :class:`~repro.errors.ScenarioError`;
-* ``--engine`` is an argparse error on ``repro-serve`` and
-  ``repro-gateway``;
+* ``--engine`` is an argparse error on ``repro-scenario run``, for a
+  service spec and a gateway spec alike;
 * :class:`SchedulingService` takes no ``engine=`` kwarg;
 * snapshots written while the service still recorded its engine name
   restore onto the event engine and continue bit-identically.
@@ -55,13 +55,14 @@ class TestScenarioSpecField:
 
 
 class TestCliFlags:
-    @pytest.mark.parametrize("cli", ["repro.service.cli", "repro.gateway.cli"])
-    def test_engine_flag_is_a_parse_error(self, cli, capsys):
-        import importlib
+    @pytest.mark.parametrize("mode", ["service", "gateway"])
+    def test_engine_flag_is_a_parse_error(self, mode, capsys):
+        from repro.scenarios.cli import main as scenario_main
 
-        parser = importlib.import_module(cli).build_parser()
         with pytest.raises(SystemExit) as info:
-            parser.parse_args(["--n-jobs", "10", "--engine", "event"])
+            scenario_main(
+                ["run", f"examples/scenarios/{mode}.toml", "--engine", "event"]
+            )
         assert info.value.code == 2
         assert "--engine" in capsys.readouterr().err
 

@@ -106,6 +106,8 @@ class TestScenarioExamples:
         "chaos_under_tracing.toml",
         "chaos_cluster.toml",
         "chaos_gateway.toml",
+        "service.toml",
+        "gateway.toml",
     ]
 
     def test_all_specs_validate(self):

@@ -7,7 +7,7 @@ back half-way, and pin the checks the chaos path gained:
 * a spec naming ``faults.kind = "kill"`` fails at ``faults.kind`` with
   ``crash`` as the suggestion;
 * ``--fault-at`` and ``--fault-shard`` are argparse errors on
-  ``repro-serve``;
+  ``repro-scenario run``;
 * ``repro.cluster`` exports no ``FaultInjector`` or ``FaultPlan``;
 * ``faults.chaos`` is parsed by ``ScenarioSpec.validate``: an unknown
   kind, a malformed event, a bad seed, or a shard the run does not have
@@ -17,7 +17,6 @@ back half-way, and pin the checks the chaos path gained:
 
 from __future__ import annotations
 
-import importlib
 
 import pytest
 
@@ -49,9 +48,12 @@ class TestKillKind:
 class TestCliFlags:
     @pytest.mark.parametrize("flag", ["--fault-at", "--fault-shard"])
     def test_fault_flags_are_a_parse_error(self, flag, capsys):
-        parser = importlib.import_module("repro.service.cli").build_parser()
+        from repro.scenarios.cli import main as scenario_main
+
         with pytest.raises(SystemExit) as info:
-            parser.parse_args(["--shards", "2", flag, "1"])
+            scenario_main(
+                ["run", "examples/scenarios/service.toml", flag, "1"]
+            )
         assert info.value.code == 2
         assert flag in capsys.readouterr().err
 

@@ -11,13 +11,14 @@ Pinned here:
 * a process-mode gateway, whose shard registries live worker-side,
   publishes the same KPI snapshots as an in-process one, tick for
   tick, from the mirrors its stats fences refresh;
-* ``repro-gateway --kpi`` writes every published snapshot, not only the
-  feed's bounded history;
+* ``repro-scenario run --kpi`` writes every published snapshot, not
+  only the feed's bounded history;
 * ``repro-scenario chaos`` on a gateway spec honours ``cluster.mode``.
 """
 
 import json
 import pathlib
+import re
 from collections import deque
 
 import pytest
@@ -30,7 +31,6 @@ from repro.core import SNSScheduler
 from repro.dag import chain
 from repro.gateway import Gateway, LoadConfig, LoadGenerator, VirtualClock
 from repro.gateway.autoscale import Autoscaler
-from repro.gateway.cli import main as gateway_main
 from repro.gateway.kpi import RATE_WINDOW
 from repro.observability.metrics import RingHistogram, merged_summary, tail_window
 from repro.resilience.chaos import ChaosInjector, ChaosSchedule
@@ -372,11 +372,14 @@ class TestWorkerSideRegistries:
 class TestKpiFile:
     def test_kpi_file_keeps_every_snapshot(self, tmp_path, capsys):
         path = tmp_path / "k.jsonl"
-        assert gateway_main([
-            "--n-jobs", "4000", "--m", "8", "--load", "1.0", "--seed", "1",
-            "--process", "flash-crowd", "--clock", "virtual",
-            "--shards-max", "4", "--max-in-flight", "8", "--kpi", str(path),
-        ]) == 0
+        argv = ["run", str(GATEWAY_SPEC.parent / "gateway.toml")]
+        for pair in [
+            "workload.n_jobs=4000", "workload.m=8", "workload.load=1.0",
+            "seed=1", "workload.process=flash-crowd", "gateway.shards_max=4",
+            "service.max_in_flight=8",
+        ]:
+            argv += ["--set", pair]
+        assert scenario_main(argv + ["--kpi", str(path)]) == 0
         out = capsys.readouterr().out
         lines = [json.loads(line) for line in path.read_text().splitlines()]
         # more snapshots than the feed's 1024-entry history
@@ -386,7 +389,8 @@ class TestKpiFile:
         assert ticks == list(range(1, len(ticks) + 1))
         final = lines[-1]
         assert final["final"] is True
-        assert f"total_profit:    {final['total_profit']:.4f}" in out
+        printed = re.search(r"^total_profit:\s+(\S+)$", out, re.M).group(1)
+        assert float(printed) == final["total_profit"]
         assert not [p for p in tmp_path.iterdir() if ".tmp." in p.name]
 
     def test_interrupted_write_keeps_the_old_file(self, tmp_path, monkeypatch):

@@ -8,6 +8,7 @@ run is live -- no test doubles between the loop and the wire.
 
 import http.client
 import json
+import pathlib
 import threading
 
 import pytest
@@ -21,7 +22,7 @@ from repro.gateway import (
     LoadGenerator,
     VirtualClock,
 )
-from repro.gateway.cli import main as gateway_main
+from repro.scenarios.cli import main as scenario_main
 
 
 def _parse_sse(body):
@@ -166,47 +167,58 @@ class TestKpiServer:
         assert [seq for seq, _, _ in frames] == [3, 4]
 
 
+GATEWAY_SPEC = (
+    pathlib.Path(__file__).resolve().parents[1]
+    / "examples/scenarios/gateway.toml"
+)
+
+
+def _gateway_run(*pairs: str) -> list[str]:
+    """``repro-scenario run`` arguments for the gateway spec with
+    ``--set`` overrides."""
+    argv = ["run", str(GATEWAY_SPEC)]
+    for pair in pairs:
+        argv += ["--set", pair]
+    return argv
+
+
 class TestGatewayCLI:
     def test_smoke_virtual_clock_autoscale(self, tmp_path, capsys):
         kpi_path = tmp_path / "kpi.jsonl"
-        rc = gateway_main(
-            [
-                "--n-jobs", "200",
-                "--m", "8",
-                "--process", "flash-crowd",
-                "--shards-max", "4",
-                "--shards-initial", "2",
-                "--autoscale",
-                "--clock", "virtual",
-                "--max-in-flight", "8",
-                "--seed", "3",
-                "--kpi", str(kpi_path),
-            ]
+        rc = scenario_main(
+            _gateway_run(
+                "workload.n_jobs=200",
+                "workload.m=8",
+                "workload.process=flash-crowd",
+                "gateway.shards_max=4",
+                "gateway.shards_initial=2",
+                "autoscale.enabled=true",
+                "service.max_in_flight=8",
+                "seed=3",
+            )
+            + ["--kpi", str(kpi_path), "--report-every", "5"]
         )
         assert rc == 0
         out = capsys.readouterr().out
-        assert "repro-gateway:" in out
+        assert "scenario:" in out and "[gateway]" in out
         assert "total_profit:" in out
-        assert "fingerprint:" in out
+        assert "result fingerprint:" in out
         lines = kpi_path.read_text().strip().splitlines()
         assert lines
         first = json.loads(lines[0])
         assert {"tick", "active_shards", "shed_fraction"} <= set(first)
 
     def test_smoke_with_server(self, capsys):
-        rc = gateway_main(
-            [
-                "--n-jobs", "60",
-                "--m", "8",
-                "--shards-max", "2",
-                "--clock", "virtual",
-                "--serve", "0",
-            ]
+        rc = scenario_main(
+            _gateway_run(
+                "workload.n_jobs=60", "workload.m=8", "gateway.shards_max=2"
+            )
+            + ["--serve", "0"]
         )
         assert rc == 0
         out = capsys.readouterr().out
         assert "kpi feed:" in out
 
-    def test_rejects_unknown_process(self):
-        with pytest.raises(SystemExit):
-            gateway_main(["--process", "bogus"])
+    def test_rejects_unknown_process(self, capsys):
+        assert scenario_main(_gateway_run("workload.process=bogus")) == 2
+        assert "workload.process" in capsys.readouterr().err

@@ -52,6 +52,19 @@ def test_import_loads_no_scipy(module):
     assert loaded == []
 
 
+def test_sessions_load_imports_no_scipy():
+    loaded = _run(
+        "import json, sys\n"
+        "from repro.gateway.load import LoadConfig, LoadGenerator\n"
+        "specs = LoadGenerator(\n"
+        "    LoadConfig(n_jobs=60, m=4, process='sessions', seed=3)\n"
+        ").specs()\n"
+        "assert len(specs) == 60\n"
+        f"print(json.dumps({_SCIPY}))\n"
+    )
+    assert loaded == []
+
+
 def test_lp_bound_imports_scipy_on_first_call():
     out = _run(
         "import json, sys\n"

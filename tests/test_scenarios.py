@@ -5,10 +5,11 @@ The pinned properties:
 - ``ScenarioSpec -> TOML/JSON -> ScenarioSpec`` is the identity (and
   fingerprints agree), property-tested over randomized specs.
 - A seeded spec-driven run is bit-identical across repeats AND equal
-  to the equivalent flag-driven CLI run, for the single service, the
-  4-shard process cluster, and the VirtualClock gateway.
-- ``repro-serve --dump-scenario`` output re-runs to the same result
-  fingerprint as the flags that produced it.
+  to the ``repro-scenario run SPEC --set ...`` run of the same spec,
+  for the single service, the 4-shard process cluster, and the
+  VirtualClock gateway.
+- ``repro-scenario run --dump-scenario`` output re-runs to the same
+  result fingerprint as the ``--set`` flags that produced it.
 - A matrix run is cell-for-cell identical serially and in parallel.
 """
 
@@ -17,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import pathlib
 import re
 
 import pytest
@@ -181,6 +183,9 @@ def _force_valid(doc: dict) -> dict:
         wl = doc.setdefault("workload", {})
         if wl.get("kind") == "open-loop":
             wl["kind"] = "generated"
+        if mode != "cluster":
+            # one machine pool: only cluster mode shards the run
+            doc.get("cluster", {}).pop("shards", None)
         shards = doc.get("cluster", {}).get("shards", 1)
         wl["m"] = max(wl.get("m", 8), shards)
     return doc
@@ -258,8 +263,11 @@ class TestSpecRoundTrip:
 
 
 # ----------------------------------------------------------------------
-# Spec-driven vs flag-driven bit-identity
+# Spec-driven vs ``--set``-driven bit-identity
 # ----------------------------------------------------------------------
+SCENARIOS = pathlib.Path(__file__).resolve().parents[1] / "examples/scenarios"
+
+
 def _run_cli(main, argv):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -269,41 +277,53 @@ def _run_cli(main, argv):
 
 
 def _flag_fingerprint(out: str) -> str:
-    return re.search(r"^fingerprint:\s+(\w+)", out, re.M).group(1)
+    return re.search(r"^result fingerprint:\s+(\w+)", out, re.M).group(1)
+
+
+def _set_run(base: str, overrides: dict) -> tuple[str, str]:
+    """Run ``examples/scenarios/<base>`` with ``--set`` overrides through
+    ``repro-scenario run``; returns (fingerprint, dumped spec TOML)."""
+    from repro.scenarios.cli import main as scenario_main
+
+    argv = ["run", str(SCENARIOS / base)]
+    for key, value in overrides.items():
+        argv += ["--set", f"{key}={value}"]
+    out = _run_cli(scenario_main, argv)
+    return _flag_fingerprint(out), _run_cli(
+        scenario_main, argv + ["--dump-scenario"]
+    )
 
 
 class TestSpecVsFlagsIdentity:
     def test_service_spec_matches_flags_and_repeats(self, tmp_path):
-        from repro.service.cli import main as serve_main
+        from repro.scenarios.cli import main as scenario_main
 
-        flags = [
-            "--n-jobs", "60", "--m", "4", "--load", "2.5",
-            "--seed", "13", "--report-every", "0",
-        ]
-        fp_flags = _flag_fingerprint(_run_cli(serve_main, flags))
-
-        dump = _run_cli(serve_main, flags + ["--dump-scenario"])
-        spec = loads_spec(dump, "toml")
+        overrides = {
+            "workload.n_jobs": 60, "workload.m": 4, "workload.load": 2.5,
+            "seed": 13,
+        }
+        fp_flags, dump = _set_run("service.toml", overrides)
+        spec = load_spec(SCENARIOS / "service.toml").with_overrides(overrides)
+        assert loads_spec(dump, "toml") == spec
         r1, r2 = run_scenario(spec), run_scenario(spec)
         assert r1.fingerprint() == r2.fingerprint()
         assert r1.fingerprint() == fp_flags
 
-        # --scenario consumes the dumped spec back to the same result
+        # the dumped spec runs back to the same result
         path = tmp_path / "svc.toml"
         path.write_text(dump)
-        out = _run_cli(serve_main, ["--scenario", str(path)])
-        assert fp_flags in out
+        out = _run_cli(scenario_main, ["run", str(path)])
+        assert _flag_fingerprint(out) == fp_flags
 
     def test_process_cluster_spec_matches_flags(self, tmp_path):
-        from repro.service.cli import main as serve_main
-
-        flags = [
-            "--n-jobs", "60", "--m", "8", "--shards", "4",
-            "--cluster-mode", "process", "--seed", "13",
-            "--report-every", "0",
-        ]
-        fp_flags = _flag_fingerprint(_run_cli(serve_main, flags))
-        dump = _run_cli(serve_main, flags + ["--dump-scenario"])
+        fp_flags, dump = _set_run(
+            "service.toml",
+            {
+                "workload.n_jobs": 60, "workload.m": 8,
+                "scenario.mode": "cluster", "cluster.shards": 4,
+                "cluster.mode": "process", "seed": 13,
+            },
+        )
         spec = loads_spec(dump, "toml")
         assert spec.mode == "cluster" and spec.cluster.shards == 4
         r1, r2 = run_scenario(spec), run_scenario(spec)
@@ -313,19 +333,21 @@ class TestSpecVsFlagsIdentity:
     def test_supervisor_flags_survive_the_dump(self):
         """The restart budget and exhaustion policy reach the spec: an
         exhausted shard degrades in the spec run exactly as in the
-        flags run, instead of restarting under the default budget."""
-        from repro.service.cli import main as serve_main
+        ``--set`` run, instead of restarting under the default budget."""
+        from repro.scenarios.cli import main as scenario_main
 
-        flags = [
-            "--n-jobs", "300", "--m", "8", "--shards", "2",
-            "--cluster-mode", "inprocess", "--chaos", "crash:1:40",
-            "--max-restarts", "0", "--on-exhausted", "degrade",
-            "--heartbeat-timeout", "0.75", "--heartbeat-every", "8",
-            "--report-every", "0",
-        ]
-        out = _run_cli(serve_main, flags)
-        assert "degraded" in out
-        dump = _run_cli(serve_main, flags + ["--dump-scenario"])
+        argv = ["run", str(SCENARIOS / "service.toml")]
+        for pair in [
+            "workload.n_jobs=300", "workload.m=8", "scenario.mode=cluster",
+            "cluster.shards=2", "cluster.mode=inprocess",
+            "faults.kind=chaos", "faults.chaos=crash:1:40",
+            "cluster.max_restarts=0", "cluster.on_exhausted=degrade",
+            "cluster.heartbeat_timeout=0.75", "cluster.heartbeat_every=8",
+        ]:
+            argv += ["--set", pair]
+        out = _run_cli(scenario_main, argv)
+        assert re.search(r"^degraded:\s+shards \[1\]", out, re.M)
+        dump = _run_cli(scenario_main, argv + ["--dump-scenario"])
         spec = loads_spec(dump, "toml")
         assert (
             spec.cluster.max_restarts,
@@ -336,17 +358,16 @@ class TestSpecVsFlagsIdentity:
         assert run_scenario(spec).fingerprint() == _flag_fingerprint(out)
 
     def test_gateway_virtual_clock_spec_matches_flags(self, tmp_path):
-        from repro.gateway.cli import main as gateway_main
-
-        flags = [
-            "--n-jobs", "120", "--m", "8", "--clock", "virtual",
-            "--seed", "5", "--process", "flash-crowd",
-            "--autoscale", "--shards-initial", "2",
-        ]
-        fp_flags = _flag_fingerprint(_run_cli(gateway_main, flags))
-        dump = _run_cli(gateway_main, flags + ["--dump-scenario"])
+        fp_flags, dump = _set_run(
+            "gateway.toml",
+            {
+                "workload.n_jobs": 120, "workload.m": 8, "seed": 5,
+                "workload.process": "flash-crowd",
+                "autoscale.enabled": "true", "gateway.shards_initial": 2,
+            },
+        )
         spec = loads_spec(dump, "toml")
-        assert spec.mode == "gateway"
+        assert spec.mode == "gateway" and spec.gateway.clock == "virtual"
         r1, r2 = run_scenario(spec), run_scenario(spec)
         assert r1.fingerprint() == r2.fingerprint()
         assert r1.fingerprint() == fp_flags
@@ -367,7 +388,7 @@ class TestSpecVsFlagsIdentity:
         redump.write_text(dumped)
         out1 = _run_cli(scenario_main, ["run", str(path)])
         out2 = _run_cli(scenario_main, ["run", str(redump)])
-        fp = re.compile(r"result fingerprint (\w+)")
+        fp = re.compile(r"result fingerprint:\s+(\w+)")
         assert fp.search(out1).group(1) == fp.search(out2).group(1)
 
 
@@ -546,16 +567,20 @@ class TestUnifiedRegistries:
 # ----------------------------------------------------------------------
 class TestCliErrors:
     def test_serve_unknown_scheduler_exits_2_with_suggestion(self, capsys):
-        from repro.service.cli import main as serve_main
+        from repro.scenarios.cli import main as scenario_main
 
-        assert serve_main(["--scheduler", "snss", "--n-jobs", "5"]) == 2
+        argv = ["run", str(SCENARIOS / "service.toml")]
+        argv += ["--set", "scheduler.name=snss", "--set", "workload.n_jobs=5"]
+        assert scenario_main(argv) == 2
         err = capsys.readouterr().err
         assert "did you mean 'sns'" in err
 
     def test_gateway_unknown_router_exits_2_with_suggestion(self, capsys):
-        from repro.gateway.cli import main as gateway_main
+        from repro.scenarios.cli import main as scenario_main
 
-        assert gateway_main(["--router", "least-loded"]) == 2
+        argv = ["run", str(SCENARIOS / "gateway.toml")]
+        argv += ["--set", "cluster.router=least-loded"]
+        assert scenario_main(argv) == 2
         err = capsys.readouterr().err
         assert "did you mean 'least-loaded'" in err
 

@@ -1,7 +1,9 @@
-"""Tests for the metrics registry, JSONL export, and the repro-serve CLI."""
+"""Tests for the metrics registry, JSONL export, and the service run of
+``repro-scenario run`` (metrics file, progress, checkpoint probe)."""
 
 import io
 import json
+import pathlib
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 from repro.core import SNSScheduler
 from repro.service import MetricsRegistry, SchedulingService, make_shed_policy
 from repro.service.telemetry import MEAN_GAUGES, merge_registries
-from repro.service.cli import main as serve_main
+from repro.scenarios.cli import main as scenario_main
 from repro.workloads import WorkloadConfig, generate_workload
 
 
@@ -575,26 +577,34 @@ class TestServiceTelemetry:
         assert stamps == sorted(stamps)
 
 
+SERVICE_SPEC = str(
+    pathlib.Path(__file__).resolve().parents[1]
+    / "examples/scenarios/service.toml"
+)
+
+
 class TestCLI:
     def test_smoke_with_metrics_and_checkpoint(self, tmp_path, capsys):
         metrics_path = tmp_path / "metrics.jsonl"
-        rc = serve_main(
-            [
-                "--n-jobs", "120",
-                "--m", "4",
-                "--load", "3.0",
-                "--seed", "1",
-                "--capacity", "8",
-                "--max-in-flight", "6",
-                "--policy", "reject-lowest-density",
-                "--metrics", str(metrics_path),
-                "--report-every", "50",
-                "--checkpoint-at", "50",
-            ]
+        argv = ["run", SERVICE_SPEC]
+        for pair in [
+            "workload.n_jobs=120",
+            "workload.m=4",
+            "workload.load=3.0",
+            "seed=1",
+            "service.capacity=8",
+            "service.max_in_flight=6",
+            "service.shed_policy=reject-lowest-density",
+        ]:
+            argv += ["--set", pair]
+        rc = scenario_main(
+            argv
+            + ["--metrics", str(metrics_path)]
+            + ["--report-every", "50", "--checkpoint-at", "50"]
         )
         assert rc == 0
         out = capsys.readouterr().out
-        assert "repro-serve:" in out
+        assert "scenario:" in out and "submitted=100/120" in out
         assert "checkpoint:" in out
         assert "total_profit:" in out
         lines = metrics_path.read_text().strip().splitlines()
@@ -602,6 +612,7 @@ class TestCLI:
         record = json.loads(lines[-1])
         assert record["submitted_total"] == 120
 
-    def test_cli_rejects_unknown_policy(self):
-        with pytest.raises(SystemExit):
-            serve_main(["--policy", "bogus"])
+    def test_cli_rejects_unknown_policy(self, capsys):
+        argv = ["run", SERVICE_SPEC, "--set", "service.shed_policy=bogus"]
+        assert scenario_main(argv) == 2
+        assert "service.shed_policy" in capsys.readouterr().err
