@@ -30,9 +30,9 @@ A second snapshot, ``BENCH_cluster.json``, covers the sharded cluster
 (:mod:`repro.cluster`): process-mode throughput at shard counts
 1/2/4/8 (the k=4 point must clear 1.5x over k=1 -- on a single-CPU
 host the speedup comes from subproblem scaling, since per-decision
-scheduler cost grows with the active set each shard holds), migration
-on/off under a deliberately skewed router, and the wall-clock cost of
-a supervised crash-and-recover cycle with its fault-free-equality check.
+scheduler cost grows with the active set each shard holds), profit
+with and without the coordinator, and the wall-clock cost of a
+supervised crash-and-recover cycle with its fault-free-equality check.
 
 A third snapshot, ``BENCH_resilience.json``, covers the supervised
 cluster (:mod:`repro.resilience`): hang detection and restart latency
@@ -99,8 +99,6 @@ from repro.baselines.federated import FederatedScheduler  # noqa: E402
 from repro.dag.graph import DAGStructure  # noqa: E402
 from repro.cluster import (  # noqa: E402
     ClusterService,
-    QueueBalancer,
-    Router,
     ShardConfig,
     coordinate,
 )
@@ -424,16 +422,6 @@ def bench_scenario_overhead(quick: bool, repeats: int) -> dict:
 CLUSTER_SHARD_COUNTS = [1, 2, 4, 8]
 
 
-class _HotSpotRouter(Router):
-    """Routes everything to shard 0 -- the migration stressor."""
-
-    name = "hotspot"
-    needs_stats = False
-
-    def route(self, spec, stats):
-        return 0
-
-
 def _cluster_workload(quick: bool):
     n_jobs, m = (800, 16) if quick else (12000, 64)
     return m, generate_workload(
@@ -577,52 +565,6 @@ def bench_cluster_coordination(quick: bool, repeats: int) -> dict:
         # this just pins that coordination is not a slowdown cliff)
         "throughput_ok": coordinated["seconds"]
         <= 1.5 * rows["k1"]["seconds"],
-    }
-
-
-def bench_cluster_migration(quick: bool) -> dict:
-    """Shed/profit with and without migration under a skewed router."""
-    n_jobs = 200 if quick else 2000
-    m = 16
-    specs = generate_workload(
-        WorkloadConfig(
-            n_jobs=n_jobs, m=m, load=3.0, family="mixed", epsilon=1.0, seed=7
-        )
-    )
-    config = ShardConfig(
-        m=1,
-        scheduler="sns",
-        scheduler_kwargs={"epsilon": 1.0},
-        capacity=8,
-        max_in_flight=8,
-    )
-
-    def run(migrate: bool):
-        cluster = ClusterService(
-            m,
-            4,
-            config=config,
-            router=_HotSpotRouter(),
-            mode="process",
-            migration=QueueBalancer() if migrate else None,
-            migrate_every=2 if migrate else 0,
-        )
-        result = cluster.run_stream(specs)
-        return result, cluster
-
-    off, _ = run(False)
-    on, cluster = run(True)
-    return {
-        "n_jobs": n_jobs,
-        "m": m,
-        "shards": 4,
-        "shed_without": off.num_shed,
-        "shed_with": on.num_shed,
-        "profit_without": off.total_profit,
-        "profit_with": on.total_profit,
-        "migrated": cluster.cluster_metrics.values()["migrations_total"],
-        "improved": on.num_shed <= off.num_shed
-        and on.total_profit >= off.total_profit,
     }
 
 
@@ -1251,7 +1193,6 @@ def main(argv=None) -> int:
             "coordination": bench_cluster_coordination(
                 args.quick, args.repeats
             ),
-            "migration": bench_cluster_migration(args.quick),
             "recovery": bench_cluster_recovery(args.quick),
         }
         cluster_out = Path(args.cluster_output)
@@ -1269,12 +1210,10 @@ def main(argv=None) -> int:
             f"cluster k=4: {at4['speedup_vs_1']:.2f}x vs k=1, "
             f"coordinated profit {coordinated_row['profit_vs_k1']:.1%} of k=1 "
             f"({coordination['steals']} steals), "
-            f"migration improved={cluster_snapshot['migration']['improved']}, "
             f"recovery {cluster_snapshot['recovery']['recovery_seconds'] * 1e3:.1f} ms "
             f"identical={cluster_snapshot['recovery']['identical']}"
         )
         ok = ok and cluster_snapshot["recovery"]["identical"]
-        ok = ok and cluster_snapshot["migration"]["improved"]
         # coordination must beat plain sharding at every size (profits
         # are deterministic, so this gate never flakes)
         ok = ok and coordination["improves_uncoordinated"]

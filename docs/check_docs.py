@@ -5,7 +5,7 @@ Run from the repository root::
 
     PYTHONPATH=src python docs/check_docs.py
 
-Scans ``README.md`` and ``docs/*.md`` and verifies three kinds of
+Scans ``README.md`` and ``docs/*.md`` and verifies five kinds of
 references against the actual tree, exiting 1 with a per-reference
 report if any is broken:
 
@@ -22,6 +22,12 @@ report if any is broken:
    ``| kind | name | ... |`` (docs/SCENARIOS.md), and backticked
    ``kind:name`` tokens anywhere (e.g. `` `scheduler:sns` ``), must
    name components registered in the shared component registry.
+5. **Spec keys** — every ``--set KEY=`` in the documents (code fences
+   included) and in the comments of ``examples/scenarios/*.toml`` must
+   name a scenario-spec field, resolved as
+   ``ScenarioSpec.with_overrides`` resolves a dotted path (a bare
+   ``name``/``mode``/``seed`` is a ``scenario.`` key).  The placeholder
+   ``section.key`` is exempt.
 
 The point is to fail CI when a doc names a module, symbol, or file that
 a refactor renamed — the docs are checked against the code, not against
@@ -180,6 +186,41 @@ def check_components(text: str, doc: str, errors):
             verify(match.group(1), match.group(2), f"`{token}`")
 
 
+SET_RE = re.compile(r"--set\s+([\w.]+)=")
+
+
+def spec_key_exists(key: str) -> bool:
+    """Whether ``--set key=...`` names a spec field: the path rules of
+    :meth:`~repro.scenarios.spec.ScenarioSpec.with_overrides` over the
+    canonical dict, which materializes every field."""
+    from repro.scenarios.spec import ScenarioSpec
+
+    parts = key.split(".")
+    if len(parts) == 1:
+        parts = ["scenario", parts[0]]
+    if len(parts) == 3 and parts[:2] == ["scheduler", "kwargs"]:
+        return True
+    doc = ScenarioSpec().to_dict()
+    return len(parts) == 2 and parts[1] in doc.get(parts[0], {})
+
+
+def check_spec_keys(text: str, doc: str, errors):
+    for lineno, line in enumerate(text.splitlines(), 1):
+        for key in SET_RE.findall(line):
+            if key != "section.key" and not spec_key_exists(key):
+                errors.append(
+                    f"{doc}:{lineno}: --set {key}= names no spec key"
+                )
+
+
+def scenario_comments(path: pathlib.Path) -> str:
+    """A spec file's comment lines only (line numbers kept)."""
+    return "\n".join(
+        line if line.lstrip().startswith("#") else ""
+        for line in path.read_text().splitlines()
+    )
+
+
 def main(argv=None) -> int:
     argparse.ArgumentParser(description=__doc__).parse_args(argv)
     errors = []
@@ -190,6 +231,10 @@ def main(argv=None) -> int:
         check_dotted_names(text, doc, errors)
         check_paths(text, path, errors)
         check_components(text, doc, errors)
+        check_spec_keys(text, doc, errors)
+    for path in sorted((ROOT / "examples" / "scenarios").glob("*.toml")):
+        doc = path.relative_to(ROOT).as_posix()
+        check_spec_keys(scenario_comments(path), doc, errors)
     if errors:
         print(f"docs-consistency: {len(errors)} broken reference(s)")
         for err in errors:

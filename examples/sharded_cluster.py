@@ -1,14 +1,12 @@
 #!/usr/bin/env python
-"""Sharded serving: route, migrate, crash and recover a cluster.
+"""Sharded serving: route, crash and recover a cluster.
 
 Walks the :mod:`repro.cluster` subsystem end to end on one overloaded
 stream:
 
 1. route the same trace through a 4-shard cluster under each router and
    compare profit against the single monolithic service;
-2. turn migration on under a deliberately skewed router and watch the
-   queue balancer rescue shed jobs from the hot shard;
-3. crash a shard mid-stream and let the supervisor recover it from its
+2. crash a shard mid-stream and let the supervisor recover it from its
    latest checkpoint plus submission-log replay -- finishing
    bit-identically to the fault-free run.
 
@@ -16,13 +14,7 @@ Run:  python examples/sharded_cluster.py
 """
 
 from repro.analysis import format_table
-from repro.cluster import (
-    ClusterService,
-    QueueBalancer,
-    Router,
-    ShardConfig,
-    make_router,
-)
+from repro.cluster import ClusterService, ShardConfig, make_router
 from repro.cluster.router import ROUTERS
 from repro.core import SNSScheduler
 from repro.resilience import ChaosInjector, ChaosSchedule, SupervisorConfig
@@ -37,16 +29,6 @@ CONFIG = ShardConfig(
     capacity=8,
     max_in_flight=8,
 )
-
-
-class HotSpotRouter(Router):
-    """Worst-case placement: every job to shard 0."""
-
-    name = "hotspot"
-    needs_stats = False
-
-    def route(self, spec, stats):
-        return 0
 
 
 def main() -> None:
@@ -72,27 +54,7 @@ def main() -> None:
     print("Routers vs single service (same stream):")
     print(format_table(["router", "shards", "shed", "profit"], rows))
 
-    # -- 2. migration rescues a hot shard -------------------------------
-    print("\nMigration under a hotspot router (everything to shard 0):")
-    for migrate in (False, True):
-        cluster = ClusterService(
-            M,
-            K,
-            config=CONFIG,
-            router=HotSpotRouter(),
-            mode="inprocess",
-            migration=QueueBalancer() if migrate else None,
-            migrate_every=2 if migrate else 0,
-        )
-        result = cluster.run_stream(specs)
-        moved = cluster.cluster_metrics.values().get("migrations_total", 0)
-        print(
-            f"  migration={'on ' if migrate else 'off'}  "
-            f"shed={result.num_shed:3d}  migrated={int(moved):3d}  "
-            f"profit={result.total_profit:.2f}"
-        )
-
-    # -- 3. crash shard 1 mid-stream, recover, lose nothing -------------
+    # -- 2. crash shard 1 mid-stream, recover, lose nothing -------------
     print("\nFault injection (crash shard 1 mid-stream, process mode):")
     mid = sorted(s.arrival for s in specs)[len(specs) // 2]
 

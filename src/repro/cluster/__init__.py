@@ -1,10 +1,11 @@
-"""Sharded multi-process serving: routed admission, migration, recovery.
+"""Sharded multi-process serving: routed admission, stealing, recovery.
 
 Scales the single-process :mod:`repro.service` layer out: ``m``
 machines split into ``k`` independent machine-pool shards, each running
 its own scheduler-S service, with jobs placed by a pluggable router at
-submit time, queued work rebalanced by a migration policy, and crashed
-shards of a supervised cluster restored from checkpoints plus
+submit time, running jobs moved between shards only by the
+coordinator's steals (and queued jobs only by an elastic resize), and
+crashed shards of a supervised cluster restored from checkpoints plus
 submission-log replay (faults are injected by
 :mod:`repro.resilience.chaos`).
 
@@ -16,7 +17,6 @@ Package map
 * :mod:`repro.cluster.shard` -- in-process and worker-process shard
   handles over one command protocol, and the encoded
   :class:`ShardCheckpoint` a shard snapshot travels as.
-* :mod:`repro.cluster.migration` -- queued-job rebalancing policies.
 * :mod:`repro.cluster.service` -- the one :class:`ClusterService`
   (fixed or elastic shard count, unsupervised or supervised) and the
   merged :class:`ClusterResult`, with its :class:`RecoveryEvent`
@@ -43,7 +43,6 @@ from repro.cluster.coordinator import (
     coordinate,
 )
 from repro.cluster.elastic import ElasticCluster
-from repro.cluster.migration import MigrationMove, MigrationPolicy, QueueBalancer
 from repro.cluster.router import (
     BandAwareRouter,
     ConsistentHashRouter,
@@ -81,10 +80,7 @@ __all__ = [
     "ElasticCluster",
     "InProcessShard",
     "LeastLoadedRouter",
-    "MigrationMove",
-    "MigrationPolicy",
     "ProcessShard",
-    "QueueBalancer",
     "ROUTERS",
     "RecoveryEvent",
     "RoundRobinRouter",

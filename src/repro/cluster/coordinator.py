@@ -19,10 +19,9 @@ cooperating parts:
   those, instead of discovering after the fact that the chosen shard
   parks it while another shard's band had room.
 
-* **Density-aware work-stealing of queued and running jobs** -- a
-  :class:`StealPlanner` extends the PR 3
-  :class:`~repro.cluster.migration.QueueBalancer` pairing from queued
-  jobs to jobs *inside* a donor shard's engine, migrated through the
+* **Density-aware work-stealing of running jobs** -- a
+  :class:`StealPlanner` pairs overloaded donors with roomy receivers
+  and moves jobs *inside* a donor shard's engine through the
   checkpoint-grade extract/inject path
   (:meth:`~repro.sim.engine.Simulator.extract_active` /
   :meth:`~repro.sim.engine.Simulator.inject_active`).  Victims are the
@@ -202,9 +201,8 @@ class BandLedger:
 class StealPlanner:
     """Density-aware planning of running-job steals across shards.
 
-    Extends the :class:`~repro.cluster.migration.QueueBalancer` idea --
-    pair overloaded donors with roomy receivers, greedily and
-    deterministically -- to jobs *inside* donor engines.  Victims
+    Pairs overloaded donors with roomy receivers, greedily and
+    deterministically, over jobs *inside* donor engines.  Victims
     (parked or starved jobs, highest density first) move when a
     receiver admits them, in one of two ways:
 

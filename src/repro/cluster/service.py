@@ -31,9 +31,6 @@ the policies layered on the same routing:
 
 On top of placement every configuration offers:
 
-* **migration** -- a :class:`~repro.cluster.migration.MigrationPolicy`
-  periodically moves queued-but-unstarted jobs from overloaded to idle
-  shards (off by default);
 * **fault recovery** -- with a supervisor, shards are periodically
   checkpointed and every submission is logged, so a crashed shard is
   restored from its latest checkpoint plus a keyed log-tail replay with
@@ -55,7 +52,7 @@ deepest active queue into it; scale-down re-routes the highest unit's
 queued jobs over the healthy remainder and lets its running jobs
 finish there as a lame duck.
 
-With the consistent-hash router and migration off, a fixed k-shard
+With the consistent-hash router and no coordinator, a fixed k-shard
 in-process cluster run over a fixed trace is *bit-identical* (per-job
 records and profit) to k independent service runs over the router's
 partition of that trace -- the determinism property the cluster tests
@@ -71,7 +68,6 @@ from functools import cached_property
 from typing import Any, Iterable, Optional, Sequence, Union
 
 from repro.cluster.config import ShardConfig, partition_machines
-from repro.cluster.migration import MigrationPolicy
 from repro.cluster.router import Router, ShardStats, make_router
 from repro.cluster.shard import (
     ProcessShard,
@@ -210,11 +206,6 @@ class ClusterService:
         How the cluster reaches its shards: ``"inprocess"`` (direct
         calls) or ``"process"`` (one worker process per shard, commands
         over pipes).  Results are the same in both.
-    migration:
-        Optional :class:`~repro.cluster.migration.MigrationPolicy`;
-        requires ``migrate_every``.
-    migrate_every:
-        Simulated-time interval between rebalance ticks.
     fault_injector:
         Optional :class:`~repro.resilience.chaos.ChaosInjector` fired at
         every decision point; needs a supervisor.
@@ -244,7 +235,7 @@ class ClusterService:
     tracer:
         Optional cluster-level
         :class:`~repro.observability.recorder.TraceRecorder`.  The
-        cluster records routing, migration, checkpoint and recovery
+        cluster records routing, scale-move, checkpoint and recovery
         events on it and hands every shard a shard-tagged view
         (in-process shards then record their full service/engine
         lifecycle; process-mode shards stay parent-side-only).  Shard
@@ -262,8 +253,6 @@ class ClusterService:
         config: Optional[ShardConfig] = None,
         router: Union[Router, str] = "consistent-hash",
         mode: str = "inprocess",
-        migration: Optional[MigrationPolicy] = None,
-        migrate_every: int = 0,
         fault_injector: Optional[Any] = None,
         checkpoint_every: Optional[int] = None,
         stats_refresh: int = 32,
@@ -274,8 +263,6 @@ class ClusterService:
         wal_fsync_every: int = 8,
         tracer: Optional[Any] = None,
     ) -> None:
-        if migration is not None and migrate_every < 1:
-            raise ClusterError("migration requires migrate_every >= 1")
         if stats_refresh < 1:
             raise ClusterError("stats_refresh must be >= 1")
         sizes = partition_machines(m, k)
@@ -303,8 +290,6 @@ class ClusterService:
         for shard in self.shards:
             if isinstance(shard, ProcessShard):
                 shard.rpc = rpc
-        self.migration = migration
-        self.migrate_every = int(migrate_every)
         self.fault_injector = fault_injector
         if isinstance(supervisor, SupervisorConfig):
             supervisor = ShardSupervisor(supervisor)
@@ -373,7 +358,6 @@ class ClusterService:
         self._now = 0
         self._started = False
         self._last_checkpoint_t: Optional[int] = None
-        self._last_migrate_t = 0
         self._stats_cache: Optional[list[ShardStats]] = None
         self._submits_since_stats = 0
         #: armed chaos state (see the injection surface below)
@@ -410,7 +394,7 @@ class ClusterService:
         """Route one job to a shard at time ``t`` (default: now).
 
         Runs the decision-point hooks (checkpoint, fault firing,
-        migration, heartbeats) first, then routes and forwards the
+        heartbeats) first, then routes and forwards the
         submission.  Returns the chosen shard index, or ``-1`` when a
         supervised cluster has no healthy shard and sheds the job
         itself (recorded in :attr:`cluster_shed`).
@@ -1097,8 +1081,8 @@ class ClusterService:
     def _router_stats(self) -> list[ShardStats]:
         """Stats for the router, over the active prefix only, in both
         shard modes: a view refreshed every :attr:`stats_refresh`
-        submissions (and dropped on advance, scale, migration and
-        degrade), or index-only placeholders for a stats-free router."""
+        submissions (and dropped on advance, scale and degrade), or
+        index-only placeholders for a stats-free router."""
         if not self.router.needs_stats:
             return [
                 ShardStats(index=s.index, m=s.config.m, alive=s.alive)
@@ -1141,8 +1125,7 @@ class ClusterService:
     # ------------------------------------------------------------------
     def _hooks(self, t: int) -> None:
         """Decision-point hooks, in recovery-safe order: checkpoint,
-        fire chaos faults, migrate (migration re-checkpoints),
-        heartbeat."""
+        fire chaos faults, heartbeat."""
         if (
             self.checkpoint_every is not None
             and self._last_checkpoint_t is not None
@@ -1151,39 +1134,8 @@ class ClusterService:
             self.checkpoint_all()
         if self.fault_injector:
             self.fault_injector.maybe_fire(self, t)
-        if (
-            self.migration is not None
-            and t - self._last_migrate_t >= self.migrate_every
-        ):
-            self._rebalance(t)
-            self._last_migrate_t = t
         if self.supervisor is not None:
             self.supervisor.tick(self, t)
-
-    def _rebalance(self, t: int) -> None:
-        """Apply one migration tick at cluster time ``t``."""
-        moved = 0
-        tracer = self.tracer
-        emit = tracer is not None and tracer.enabled
-        for move in self.migration.plan(self._prefix_stats()):
-            for spec in self.shards[move.src].take_queued(move.n):
-                if emit:
-                    tracer.event(
-                        t,
-                        "migrate",
-                        spec.job_id,
-                        {"src": move.src, "dst": move.dst},
-                    )
-                self._deliver(move.dst, spec, t)
-                moved += 1
-        if moved:
-            self.cluster_metrics.counter("migrations_total").inc(moved)
-            self._stats_cache = None
-            # keep the recovery invariant: the latest checkpoint must
-            # postdate the migration, or a log replay would resurrect
-            # jobs that migrated away
-            if self._log_submissions:
-                self.checkpoint_all()
 
     # ------------------------------------------------------------------
     # Chaos injection surface (see repro.resilience.chaos)

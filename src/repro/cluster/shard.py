@@ -233,7 +233,7 @@ class ShardHandle:
         raise NotImplementedError
 
     def take_queued(self, n: int) -> list[JobSpec]:
-        """Pop up to ``n`` newest queued-but-unstarted jobs (migration)."""
+        """Pop up to ``n`` newest queued-but-unstarted jobs (a scale move)."""
         raise NotImplementedError
 
     def coordination_view(
@@ -935,7 +935,7 @@ class ProcessShard(ShardHandle):
         return self._call("stats", telemetry)
 
     def take_queued(self, n: int) -> list[JobSpec]:
-        """Round-trip migration pop."""
+        """Round-trip scale-move pop."""
         return self._call("take_queued", n)
 
     def coordination_view(

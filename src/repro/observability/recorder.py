@@ -62,7 +62,7 @@ EVENT_KINDS: tuple[str, ...] = (
     "checkpoint",       # one shard checkpoint was persisted
     "recovery",         # a crashed shard was restored + replayed
     "supervision",      # the supervisor handled a shard failure
-    "migrate",          # queued job moved between shards
+    "migrate",          # scale step moved queued jobs
     "cluster-shed",     # no healthy shard could admit the job
     "steal",            # running job stolen between shards (coordinator)
     "steal-resolve",    # pending steal transaction settled after a crash

@@ -58,7 +58,8 @@ class ScenarioResult:
     records: dict[int, Any]
     #: profit earned by completed-on-time jobs
     total_profit: float
-    #: jobs dropped before release (service/cluster shed + gateway drops)
+    #: jobs dropped before release (shard sheds, cluster-level sheds
+    #: and gateway drops)
     num_shed: int
     #: simulated end time
     end_time: int
@@ -236,9 +237,11 @@ class ScenarioBuilder:
             metrics = getattr(raw, "metrics", None)
             end_time = _end_time_of(raw)
         if mode in ("cluster", "gateway"):
-            extra.update(
-                self._cluster_extra(raw.cluster if mode == "gateway" else raw)
-            )
+            cluster = raw.cluster if mode == "gateway" else raw
+            # jobs the cluster itself refused (no healthy shard) or
+            # closed the books on are sheds too
+            num_shed += len(cluster.extra.get("cluster_shed", ()))
+            extra.update(self._cluster_extra(cluster))
         return ScenarioResult(
             spec=self.spec,
             mode=mode,
@@ -470,11 +473,11 @@ class ScenarioBuilder:
             checkpoint_dir=c.checkpoint_dir or None,
         )
 
-    def _build_cluster(self, k: int, **kwargs: Any) -> Any:
+    def _build_cluster(self, k: int, k_initial: Optional[int] = None) -> Any:
         """The run's ``ClusterService`` over ``k`` shards, coordinated
         when the spec asks.  Cluster and gateway modes both build here,
-        so every ``[cluster]`` knob reaches either shape; ``kwargs``
-        carry the shape's own (elasticity, migration)."""
+        so every ``[cluster]`` knob reaches either shape; a gateway's
+        cluster is elastic (``k_initial`` active units)."""
         from repro.cluster import ClusterService, coordinate
 
         c = self.spec.cluster
@@ -488,7 +491,7 @@ class ScenarioBuilder:
             checkpoint_every=c.checkpoint_every,
             stats_refresh=c.stats_refresh,
             tracer=self.tracer,
-            **kwargs,
+            k_initial=k_initial,
             **self._supervision(),
         )
         if c.coordinate:
@@ -503,14 +506,7 @@ class ScenarioBuilder:
         return cluster
 
     def _setup_cluster(self) -> None:
-        from repro.cluster import QueueBalancer
-
-        c = self.spec.cluster
-        self.runnable = self._build_cluster(
-            c.shards,
-            migration=QueueBalancer() if c.migrate_every else None,
-            migrate_every=c.migrate_every,
-        )
+        self.runnable = self._build_cluster(self.spec.cluster.shards)
 
     def _setup_gateway(self) -> None:
         from repro.gateway.gateway import Gateway

@@ -103,7 +103,6 @@ class ClusterSection:
     #: band-aware when coordinated)
     router: str = ""
     mode: str = "process"
-    migrate_every: int = 0
     coordinate: bool = False
     coordinate_every: int = 64
     steal_batch: int = 64
@@ -373,6 +372,18 @@ class ScenarioSpec:
         )
         if self.cluster.router:
             _check_component("cluster.router", "router", self.cluster.router)
+        if (
+            self.mode in ("cluster", "gateway")
+            and self.cluster.router == "band-aware"
+            and not self.cluster.coordinate
+        ):
+            raise ScenarioError(
+                "cluster.router = 'band-aware' needs cluster.coordinate = "
+                "true; without the coordinator's band ledger it places "
+                "every job as 'consistent-hash' does",
+                location="cluster.router",
+                suggestions=["consistent-hash"],
+            )
         if self.faults.kind == "kill":
             raise ScenarioError(
                 "faults.kind = 'kill' was removed; a supervised 'crash' "
@@ -497,7 +508,6 @@ class ScenarioSpec:
             ("service.max_in_flight", self.service.max_in_flight, 0, None),
             ("service.sample_every", self.service.sample_every, 0, None),
             ("cluster.shards", c.shards, 1, w.m if clustered else None),
-            ("cluster.migrate_every", c.migrate_every, 0, None),
             ("cluster.coordinate_every", c.coordinate_every, 1, None),
             ("cluster.steal_batch", c.steal_batch, 1, None),
             ("cluster.max_displaced", c.max_displaced, 0, None),
@@ -569,25 +579,15 @@ class ScenarioSpec:
                 )
 
     def _check_gateway_cluster(self) -> None:
-        """``[cluster]`` keys a gateway run would ignore: its elastic
-        cluster takes its size from ``gateway.shards_max`` and builds
-        no migration."""
-        default = ClusterSection()
-        for key, use in [
-            ("shards", "size it with gateway.shards_max"),
-            (
-                "migrate_every",
-                "it builds no queue migration (cluster.coordinate = true "
-                "moves work between shards)",
-            ),
-        ]:
-            value = getattr(self.cluster, key)
-            if value != getattr(default, key):
-                raise ScenarioError(
-                    f"cluster.{key} = {value} has no effect in gateway "
-                    f"mode; {use}",
-                    location=f"cluster.{key}",
-                )
+        """The ``[cluster]`` key a gateway run would ignore: its elastic
+        cluster takes its size from ``gateway.shards_max``."""
+        shards = self.cluster.shards
+        if shards != ClusterSection.shards:
+            raise ScenarioError(
+                f"cluster.shards = {shards} has no effect in gateway "
+                "mode; size it with gateway.shards_max",
+                location="cluster.shards",
+            )
 
     def with_overrides(
         self, overrides: dict[str, Any]

@@ -187,8 +187,8 @@ class IngestQueue:
         """Remove and return up to ``n`` entries from the *tail* (newest
         first).
 
-        The migration layer uses this to move queued-but-unstarted jobs
-        off an overloaded shard: taking from the tail preserves the FIFO
+        An elastic cluster's resize uses this to move queued-but-unstarted
+        jobs off a shard: taking from the tail preserves the FIFO
         release order of everything that stays, and the newest jobs have
         waited least, so moving them forfeits the least accumulated
         queue position.

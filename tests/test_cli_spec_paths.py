@@ -202,8 +202,8 @@ CLUSTER_SMOKE_LEAST_LOADED = (
     "e390c39f34ab017ef044e00aaffaabba"
 )
 CLUSTER_SMOKE_CONSISTENT_HASH = (
-    "d8859290fcec746930cdb9902cd6ac77"
-    "036d1b53ef357b8949a443e546f55bee"
+    "f1770b24e3bba22c8a31e882eb4431ff"
+    "c14e3eca84c523868da0daad62b2b3b6"
 )
 COORDINATOR_SMOKE = (
     "3b294d2183b082ffba456c30af617dec"
@@ -239,7 +239,6 @@ CLUSTER_SMOKE = _sets(
     cluster__router="least-loaded",
     service__capacity=8,
     service__max_in_flight=8,
-    cluster__migrate_every=20,
 )
 DURABLE = _sets(
     scenario__mode="cluster",
@@ -300,6 +299,10 @@ class TestReferenceRuns:
             "shard 1 crash at t=43 -> degrade"
         )
         assert _lines(out, "cluster_shed") == ["6"]
+        # every job is recorded or shed, cluster-level sheds included
+        jobs, shed = (int(_lines(out, key)[0]) for key in ("jobs", "shed"))
+        assert jobs + shed == 300
+        assert shed == 6
         out = _ok(
             [GATEWAY]
             + _sets(
@@ -621,7 +624,6 @@ class TestRangeErrors:
             {
                 "mode": "cluster",
                 "cluster.shards": 2,
-                "cluster.migrate_every": 5,
                 "cluster.checkpoint_dir": "C",
             },
         ],

@@ -1,9 +1,9 @@
 """Tests for repro.cluster: partitioning, routers, shard handles, the
-cluster service, migration, and the telemetry roll-up.
+cluster service, and the telemetry roll-up.
 
 The two load-bearing pins:
 
-* **determinism** -- with the consistent-hash router and migration off,
+* **determinism** -- with the consistent-hash router and no coordinator,
   a k-shard in-process cluster run over a fixed trace is bit-identical
   (per-job completion records and total profit) to k independent
   ``SchedulingService`` runs over the router's partition of the trace;
@@ -21,8 +21,6 @@ from repro.cluster import (
     ConsistentHashRouter,
     DensityAwareRouter,
     LeastLoadedRouter,
-    MigrationMove,
-    QueueBalancer,
     ROUTERS,
     RoundRobinRouter,
     Router,
@@ -302,10 +300,6 @@ class TestClusterService:
         with pytest.raises(ClusterError):
             cluster.submit(workload(n_jobs=1)[0], t=0)
 
-    def test_migration_requires_interval(self):
-        with pytest.raises(ClusterError):
-            ClusterService(8, 2, config=SNS_CFG, migration=QueueBalancer())
-
     def test_cluster_metrics_count_routing(self):
         specs = workload(n_jobs=30)
         cluster = ClusterService(
@@ -337,77 +331,6 @@ class TestClusterService:
         cluster.advance_to(50)
         assert all(s.stats().now == 50 for s in cluster.shards)
         cluster.finish()
-
-
-class HotSpotRouter(Router):
-    """Degenerate router: everything to shard 0 (migration stressor)."""
-
-    name = "hotspot"
-    needs_stats = False
-
-    def route(self, spec, stats):
-        return 0
-
-
-class TestMigration:
-    CFG = ShardConfig(
-        m=1,
-        scheduler="sns",
-        scheduler_kwargs={"epsilon": 1.0},
-        capacity=8,
-        max_in_flight=8,
-    )
-
-    def test_queue_balancer_plans_deterministically(self):
-        stats = [
-            ShardStats(index=0, m=4, queue_depth=10),
-            ShardStats(index=1, m=4, queue_depth=0),
-            ShardStats(index=2, m=4, queue_depth=0),
-        ]
-        policy = QueueBalancer(batch=4)
-        moves = policy.plan(stats)
-        assert moves == [
-            MigrationMove(src=0, dst=1, n=4),
-            MigrationMove(src=0, dst=2, n=3),
-        ]
-
-    def test_no_moves_when_balanced(self):
-        stats = [ShardStats(index=i, m=4, queue_depth=1) for i in range(3)]
-        assert QueueBalancer().plan(stats) == []
-
-    def test_migration_rescues_hotspot(self):
-        specs = workload(n_jobs=120)
-        off = ClusterService(
-            16, 4, config=self.CFG, router=HotSpotRouter(), mode="inprocess"
-        ).run_stream(specs)
-        cluster = ClusterService(
-            16,
-            4,
-            config=self.CFG,
-            router=HotSpotRouter(),
-            mode="inprocess",
-            migration=QueueBalancer(),
-            migrate_every=2,
-        )
-        on = cluster.run_stream(specs)
-        assert on.num_shed < off.num_shed
-        assert on.total_profit > off.total_profit
-        assert cluster.cluster_metrics.values()["migrations_total"] > 0
-
-    def test_migration_works_in_process_mode(self):
-        specs = workload(n_jobs=60)
-        cluster = ClusterService(
-            16,
-            4,
-            config=self.CFG,
-            router=HotSpotRouter(),
-            mode="process",
-            migration=QueueBalancer(),
-            migrate_every=2,
-        )
-        result = cluster.run_stream(specs)
-        assert result.num_jobs + result.num_shed == len(specs)
-        assert cluster.cluster_metrics.values()["migrations_total"] > 0
 
 
 class TestShardEnvFlag:

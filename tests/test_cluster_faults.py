@@ -8,13 +8,7 @@ equal to the fault-free run on the same trace.
 
 import pytest
 
-from repro.cluster import (
-    ClusterService,
-    QueueBalancer,
-    RecoveryEvent,
-    Router,
-    ShardConfig,
-)
+from repro.cluster import ClusterService, RecoveryEvent, ShardConfig
 from repro.errors import ClusterError
 from repro.resilience import (
     ChaosEvent,
@@ -45,15 +39,13 @@ def crashes(chaos):
     )
 
 
-def run(specs, *, mode, chaos=None, migration=None, migrate_every=0):
+def run(specs, *, mode, chaos=None):
     cluster = ClusterService(
         16,
         4,
         config=CFG,
         router="consistent-hash",
         mode=mode,
-        migration=migration,
-        migrate_every=migrate_every,
         **crashes(chaos),
     )
     return cluster.run_stream(specs)
@@ -124,19 +116,16 @@ class TestRecoveryPin:
         assert faulted.records == clean.records
         assert faulted.total_profit == clean.total_profit
 
-    def test_fault_with_migration(self):
-        """Checkpoints are refreshed after migration ticks, so replay
-        never resurrects a job that was migrated away."""
-
-        class HotSpot(Router):
-            name = "hotspot"
-            needs_stats = False
-
-            def route(self, spec, stats):
-                return 0
-
-        specs = workload()
+    def test_fault_with_scale_moves(self):
+        """Checkpoints are refreshed after scale-time queue moves, so
+        replay never resurrects a job that moved away: a crash of the
+        donor right after a scale-up split is invisible in the result."""
+        specs = sorted(workload(), key=lambda sp: (sp.arrival, sp.job_id))
         at = mid_stream_time(specs)
+        first = next(i for i, sp in enumerate(specs) if sp.arrival == at)
+        # one unit active until the crash; then split shard 0's queue
+        # into unit 1 and, later, the deepest queues into units 2 and 3
+        steps = {first: 2, first + 30: 4}
         cfg = ShardConfig(
             m=1,
             scheduler="sns",
@@ -145,21 +134,26 @@ class TestRecoveryPin:
             max_in_flight=8,
         )
 
-        def migrated_run(chaos):
+        def scaled_run(chaos):
             cluster = ClusterService(
                 16,
                 4,
+                k_initial=1,
                 config=cfg,
-                router=HotSpot(),
                 mode="inprocess",
-                migration=QueueBalancer(),
-                migrate_every=2,
                 **crashes(chaos),
             )
-            return cluster.run_stream(specs)
+            cluster.start()
+            for i, spec in enumerate(specs):
+                if i in steps:
+                    cluster.scale_to(steps[i], t=spec.arrival)
+                cluster.submit(spec, t=spec.arrival)
+            return cluster.finish()
 
-        clean = migrated_run(None)
-        faulted = migrated_run(f"crash:0:{at}")
+        clean = scaled_run(None)
+        faulted = scaled_run(f"crash:0:{at}")
+        moved = [event.moved for event in faulted.extra["scale_events"]]
+        assert len(moved) == 3 and all(moved)
         assert len(faulted.recoveries) == 1
         assert faulted.records == clean.records
         assert faulted.total_profit == clean.total_profit

@@ -76,7 +76,6 @@ class TestExamples:
     def test_sharded_cluster(self):
         out = run_example("sharded_cluster.py")
         assert "Routers vs single service" in out
-        assert "migration=on" in out
         assert "bit-identical to fault-free run: True" in out
 
     def test_coordinated_cluster(self):

@@ -188,6 +188,10 @@ def _force_valid(doc: dict) -> dict:
             doc.get("cluster", {}).pop("shards", None)
         shards = doc.get("cluster", {}).get("shards", 1)
         wl["m"] = max(wl.get("m", 8), shards)
+    cluster = doc.get("cluster", {})
+    if mode in ("cluster", "gateway") and cluster.get("router") == "band-aware":
+        # band-aware routing needs the coordinator's band ledger
+        cluster["coordinate"] = True
     return doc
 
 
@@ -485,6 +489,19 @@ class TestScenarioBuilder:
             ScenarioSpec.from_dict(doc)
         assert info.value.location == "engine.picker"
         doc["engine"]["picker"] = "fifo"
+        ScenarioSpec.from_dict(doc)
+
+    @pytest.mark.parametrize("mode", ["cluster", "gateway"])
+    def test_band_aware_router_needs_coordinator(self, mode):
+        doc = {
+            "scenario": {"mode": mode},
+            "workload": {"kind": "open-loop" if mode == "gateway" else ""},
+            "cluster": {"router": "band-aware"},
+        }
+        with pytest.raises(ScenarioError) as info:
+            ScenarioSpec.from_dict(doc)
+        assert info.value.location == "cluster.router"
+        doc["cluster"]["coordinate"] = True
         ScenarioSpec.from_dict(doc)
 
     def test_tracing_collects_events(self):

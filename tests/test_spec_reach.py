@@ -61,7 +61,7 @@ BUILT = [
 ]
 
 #: fields a gateway run has no use for: validate must refuse them
-REJECTED = [("cluster.shards", 2), ("cluster.migrate_every", 5)]
+REJECTED = [("cluster.shards", 2)]
 
 #: fields ``Gateway.run`` reads rather than the constructor
 RUN_ARGS = [("gateway.max_ticks", 2)]
