@@ -81,8 +81,15 @@ class ShardConfig:
     """Everything needed to (re)build one shard's service, picklable.
 
     ``scheduler`` / ``scheduler_kwargs`` name a
-    :data:`SCHEDULER_REGISTRY` entry; the remaining fields mirror the
+    :data:`SCHEDULER_REGISTRY` entry; ``keep_samples`` is the
+    shard registry's :class:`~repro.service.telemetry.MetricsRegistry`
+    flag; the remaining fields mirror the
     :class:`~repro.service.service.SchedulingService` constructor.
+
+    A shard keeps no telemetry samples by default: only a run's
+    metrics log reads them (``repro-scenario run --metrics`` in
+    cluster mode sets ``keep_samples``), and without them the shard
+    service builds no sample and syncs its gauges when read.
     """
 
     m: int
@@ -95,6 +102,7 @@ class ShardConfig:
     horizon: Optional[int] = None
     preemption_overhead: float = 0.0
     sample_every: Optional[int] = None
+    keep_samples: bool = False
 
     def __post_init__(self) -> None:
         if self.m < 1:
@@ -113,13 +121,20 @@ class ShardConfig:
         """Fresh scheduler instance from the recipe."""
         return make_scheduler(self.scheduler, **self.scheduler_kwargs)
 
+    def build_registry(self) -> MetricsRegistry:
+        """Fresh shard registry: samples kept iff ``keep_samples``."""
+        return MetricsRegistry(keep_samples=self.keep_samples)
+
     def build_service(
         self,
         *,
         metrics: Optional[MetricsRegistry] = None,
         recorder: Optional[Any] = None,
     ) -> SchedulingService:
-        """Fresh :class:`SchedulingService` from the recipe."""
+        """Fresh :class:`SchedulingService` from the recipe, with
+        ``metrics`` or else :meth:`build_registry`'s registry."""
+        if metrics is None:
+            metrics = self.build_registry()
         return SchedulingService(
             m=self.m,
             scheduler=self.build_scheduler(),

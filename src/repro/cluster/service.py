@@ -143,7 +143,12 @@ class ClusterResult:
 
     @property
     def num_shed(self) -> int:
-        """Number of jobs dropped before release, cluster-wide."""
+        """Number of jobs the shards dropped before release.
+
+        Shard sheds only: a supervised cluster's own sheds (no healthy
+        shard, work lost with a degraded shard) are in
+        ``extra["cluster_shed"]``, which callers that count every shed
+        add themselves (``ScenarioBuilder.collect`` does)."""
         return sum(r.num_shed for r in self.shard_results)
 
     @property

@@ -334,7 +334,9 @@ class InProcessShard(ShardHandle):
             self.start()
             return
         self.service = service_from_dict(
-            checkpoint.decode(), self.config.build_scheduler()
+            checkpoint.decode(),
+            self.config.build_scheduler(),
+            metrics=self.config.build_registry(),
         )
         if self.tracer is not None:
             self.service.attach_tracer(self.tracer)
@@ -413,7 +415,7 @@ class InProcessShard(ShardHandle):
     def take_queued(self, n: int) -> list[JobSpec]:
         """Pop newest queued jobs off the ingest queue."""
         self._require_alive()
-        return [entry.spec for entry in self.service.queue.take_newest(n)]
+        return self.service.take_queued(n)
 
     def coordination_view(
         self, limit: Optional[int] = None

@@ -17,11 +17,16 @@ Two things to read off the table:
   (placement is a pure function of the job id), which is the
   configuration the equivalence tests pin against independent
   per-shard services.
+
+The clusters run without a coordinator, so ``band-aware`` has no row:
+with no band ledger bound it places every job on its consistent-hash
+anchor, and its row would repeat ``consistent-hash``.
 """
 
 from __future__ import annotations
 
 import time
+from typing import Any, Iterator
 
 from repro.cluster import ClusterService, ShardConfig, make_router
 from repro.cluster.router import ROUTERS
@@ -30,18 +35,45 @@ from repro.experiments.common import ExperimentResult
 from repro.service import SchedulingService
 from repro.workloads import WorkloadConfig, generate_workload
 
+#: the routers E15 compares: every one that places without a
+#: coordinator (band-aware alone needs one)
+UNCOORDINATED_ROUTERS = tuple(
+    name for name in sorted(ROUTERS) if name != "band-aware"
+)
 
-def run(quick: bool = False) -> ExperimentResult:
-    """Regenerate the cluster-vs-single-service table."""
+
+def workload(quick: bool = False) -> tuple[list, int]:
+    """E15's stream and machine count."""
     n_jobs, m = (150, 16) if quick else (1500, 32)
     specs = generate_workload(
         WorkloadConfig(
             n_jobs=n_jobs, m=m, load=3.0, family="mixed", epsilon=1.0, seed=7
         )
     )
+    return specs, m
+
+
+def cluster_runs(specs: list, m: int) -> Iterator[tuple[str, Any, float]]:
+    """Stream ``specs`` through an unsupervised 4-shard in-process
+    cluster per router in :data:`UNCOORDINATED_ROUTERS`; yields
+    ``(router, ClusterResult, wall seconds)``.  An unsupervised cluster
+    sheds only in its shards, so ``ClusterResult.num_shed`` counts
+    every shed."""
     config = ShardConfig(
         m=1, scheduler="sns", scheduler_kwargs={"epsilon": 1.0}
     )
+    for name in UNCOORDINATED_ROUTERS:
+        cluster = ClusterService(
+            m, 4, config=config, router=make_router(name), mode="inprocess"
+        )
+        t0 = time.perf_counter()
+        result = cluster.run_stream(specs)
+        yield name, result, time.perf_counter() - t0
+
+
+def run(quick: bool = False) -> ExperimentResult:
+    """Regenerate the cluster-vs-single-service table."""
+    specs, m = workload(quick)
     rows = []
 
     t0 = time.perf_counter()
@@ -58,13 +90,7 @@ def run(quick: bool = False) -> ExperimentResult:
         ]
     )
 
-    for name in sorted(ROUTERS):
-        cluster = ClusterService(
-            m, 4, config=config, router=make_router(name), mode="inprocess"
-        )
-        t0 = time.perf_counter()
-        result = cluster.run_stream(specs)
-        elapsed = time.perf_counter() - t0
+    for name, result, elapsed in cluster_runs(specs, m):
         completions = sum(
             r.result.counters.completions for r in result.shard_results
         )

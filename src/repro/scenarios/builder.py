@@ -157,12 +157,21 @@ class ScenarioBuilder:
     Either call the phases explicitly (``setup() -> run() -> collect()
     -> teardown()``), or use :meth:`execute` / :func:`run_scenario`
     which chain them with teardown guaranteed.
+
+    ``shard_samples`` makes every cluster shard keep its telemetry
+    samples (:attr:`ShardConfig.keep_samples
+    <repro.cluster.config.ShardConfig.keep_samples>`), for a metrics
+    log written from the shard results; shards keep none otherwise.
+    It changes no result.
     """
 
-    def __init__(self, spec: ScenarioSpec) -> None:
+    def __init__(
+        self, spec: ScenarioSpec, *, shard_samples: bool = False
+    ) -> None:
         install_default_components()
         spec.validate()
         self.spec = spec
+        self.shard_samples = shard_samples
         #: materialized workload, set by setup()
         self.specs: Optional[list] = None
         #: the runnable (engine/service/cluster/gateway), set by setup()
@@ -423,6 +432,7 @@ class ScenarioBuilder:
             horizon=spec.engine.horizon or None,
             preemption_overhead=spec.engine.preemption_overhead,
             sample_every=spec.service.sample_every or None,
+            keep_samples=self.shard_samples,
         )
 
     def _fault_injector(self) -> Any:

@@ -345,7 +345,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     _check_run_options(args, spec.mode)
     _line("scenario", f"{spec.name} [{spec.mode}] seed={spec.seed}")
     _line("spec fingerprint", spec.fingerprint())
-    builder = ScenarioBuilder(spec)
+    # a cluster's metrics log is its shards' samples, kept only for it
+    builder = ScenarioBuilder(
+        spec, shard_samples=bool(args.metrics) and spec.mode == "cluster"
+    )
     try:
         with contextlib.ExitStack() as outputs:
             builder.setup()

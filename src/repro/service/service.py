@@ -16,6 +16,7 @@ implies but the batch driver cannot express:
 * **telemetry** -- queue depth, shed rate, utilization, profit rate and
   jobs in flight are sampled into a
   :class:`~repro.service.telemetry.MetricsRegistry` at decision points;
+  a registry that keeps no samples has its gauges synced when read;
 * **restart safety** -- the whole service state checkpoints to JSON and
   restores bit-identically (:mod:`repro.service.snapshot`).
 
@@ -38,7 +39,8 @@ from repro.sim.scheduler import Scheduler
 from repro.service.queue import IngestQueue, QueuedJob, ShedPolicy, sns_density
 from repro.service.telemetry import MetricsRegistry
 
-#: Gauges every sample refreshes, in the order they are first created.
+#: Gauges every sample refreshes, in the order they are first created;
+#: synced on read when the registry records no samples.
 SYNCED_GAUGES: tuple[str, ...] = (
     "queue_depth",
     "in_flight",
@@ -137,7 +139,9 @@ class SchedulingService:
         densities; defaults to the scheduler's own constants when it has
         them, else ``Constants.from_epsilon(1.0)``.
     metrics:
-        Telemetry registry; a fresh in-memory one by default.
+        Telemetry registry; a fresh in-memory one (which keeps every
+        sample) by default.  May be swapped for another registry
+        mid-run; the outgoing one keeps the values it last synced.
     sample_every:
         Minimum simulated-time gap between telemetry samples (``None``
         samples at every decision point).
@@ -196,18 +200,29 @@ class SchedulingService:
         if constants is None:
             constants = Constants.from_epsilon(1.0)
         self.constants = constants
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self._metrics = metrics if metrics is not None else MetricsRegistry()
         self.sample_every = sample_every
         self.recorder = recorder
         #: jobs dropped before release, in drop order
         self.shed_log: list[ShedRecord] = []
         self._last_sample_t: Optional[int] = None
-        # (registry, its SYNCED_GAUGES objects), bound on the first sync:
+        # (registry, its _GaugeSync), bound on the first sync:
         # registries and checkpoints taken before it hold no gauges
-        self._synced: Optional[tuple[MetricsRegistry, tuple[Any, ...]]] = None
+        self._synced: Optional[tuple[MetricsRegistry, _GaugeSync]] = None
         # (registry, its "queue_depth" histogram), bound on the first
         # sample the same way
         self._depth: Optional[tuple[MetricsRegistry, Any]] = None
+
+    @property
+    def metrics(self) -> MetricsRegistry:
+        """The telemetry registry (see the ``metrics`` parameter)."""
+        return self._metrics
+
+    @metrics.setter
+    def metrics(self, registry: MetricsRegistry) -> None:
+        # the outgoing registry keeps what an eager sync left in it
+        self._metrics.settle()
+        self._metrics = registry
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -255,7 +270,7 @@ class SchedulingService:
         now = self.sim.now
         if self.recorder is not None:
             self.recorder.record(now, spec)
-        self.metrics.counter("submitted_total").inc()
+        self._metrics.counter("submitted_total").inc()
         entry = QueuedJob(
             spec=spec,
             enqueued_at=now,
@@ -298,6 +313,8 @@ class SchedulingService:
         are shed as ``"starved"``.
         """
         self.start()
+        metrics = self._metrics
+        metrics.settle()
         while self.queue.depth:
             self._release()
             if not self.queue.depth:
@@ -310,14 +327,15 @@ class SchedulingService:
                     self._note_shed(entry, self.sim.now, "starved")
                 break
         result = self.sim.finish()
-        self._sync_gauges(
+        self._gauge_sync().sync(
             result.end_time, 0, result.total_profit, result.counters
         )
-        self.metrics.gauge("queue_depth").set(0)
-        self.metrics.sample(result.end_time)
+        metrics.gauge("queue_depth").set(0)
+        if metrics.records_samples:
+            metrics.sample(result.end_time)
         self._last_sample_t = result.end_time
         return ServiceResult(
-            result=result, shed=list(self.shed_log), metrics=self.metrics
+            result=result, shed=list(self.shed_log), metrics=metrics
         )
 
     # ------------------------------------------------------------------
@@ -332,9 +350,10 @@ class SchedulingService:
         ``None`` when the job is not live inside this engine.
         """
         self.start()
+        self._metrics.settle()
         payload = self.sim.extract_active(job_id)
         if payload is not None:
-            self.metrics.counter("stolen_out_total").inc()
+            self._metrics.counter("stolen_out_total").inc()
         return payload
 
     def inject_running(self, payload: dict, t: Optional[int] = None) -> None:
@@ -348,10 +367,11 @@ class SchedulingService:
         self.start()
         if t is not None and t > self.sim.now:
             self.advance_to(t)
+        self._metrics.settle()
         self.sim.inject_active(payload)
         # no telemetry sample here: injection is a coordinator action,
         # not a stream event
-        self.metrics.counter("stolen_in_total").inc()
+        self._metrics.counter("stolen_in_total").inc()
 
     def forget_pending(self, job_id: int) -> Optional[JobSpec]:
         """Withdraw a submitted-but-unreleased job from the engine.
@@ -363,7 +383,15 @@ class SchedulingService:
         or ``None``; no shed or completion record is written.
         """
         self.start()
+        self._metrics.settle()
         return self.sim.forget_pending(job_id)
+
+    def take_queued(self, n: int) -> list[JobSpec]:
+        """Pop up to ``n`` of the newest queued jobs and return their
+        specs, newest first (the cluster's scale moves).  Nothing is
+        shed or recorded: the caller delivers them elsewhere."""
+        self._metrics.settle()
+        return [entry.spec for entry in self.queue.take_newest(n)]
 
     def coordination_view(self, limit: Optional[int] = None) -> Optional[dict]:
         """Band/queue state for the cluster coordinator's ledger.
@@ -456,7 +484,7 @@ class SchedulingService:
             # admission latency: intended arrival -> release into the
             # engine, covering both queue waiting and (under a paced
             # gateway) delivery quantization; 0 in pass-through mode
-            self.metrics.histogram(KPI_HISTOGRAM).observe(
+            self._metrics.histogram(KPI_HISTOGRAM).observe(
                 max(0, now - spec.arrival)
             )
             if spec.arrival < now:
@@ -475,7 +503,7 @@ class SchedulingService:
                     {"waited": now - entry.enqueued_at},
                 )
             self.sim.submit(spec)
-            self.metrics.counter("released_total").inc()
+            self._metrics.counter("released_total").inc()
 
     def _note_shed(self, entry: QueuedJob, t: int, reason: str) -> None:
         self.shed_log.append(
@@ -487,9 +515,9 @@ class SchedulingService:
                 profit=entry.spec.profit,
             )
         )
-        self.metrics.counter("shed_total").inc()
+        self._metrics.counter("shed_total").inc()
         if reason == "expired-in-queue":
-            self.metrics.counter("queue_expired_total").inc()
+            self._metrics.counter("queue_expired_total").inc()
         tracer = self.tracer
         if tracer is not None and tracer.enabled:
             tracer.event(
@@ -504,42 +532,40 @@ class SchedulingService:
             )
 
     def _maybe_sample(self) -> None:
-        metrics = self.metrics
+        metrics = self._metrics
         depth = self._depth
         if depth is None or depth[0] is not metrics:
             depth = self._depth = (metrics, metrics.histogram("queue_depth"))
         depth[1].observe(self.queue.depth)
         now = self.sim.now
+        every = self.sample_every
         if (
-            self.sample_every is not None
+            every is not None
             and self._last_sample_t is not None
-            and now - self._last_sample_t < self.sample_every
+            and now - self._last_sample_t < every
         ):
             return
-        self._sync_gauges(now, *self.sim.readings())
-        metrics.sample(now)
         self._last_sample_t = now
+        if metrics.records_samples:
+            self._gauge_sync()()
+            metrics.sample(now)
+        elif every is None:
+            # Every submit and advance ends here with a sample due, so
+            # this mark always stands for the current state; the other
+            # paths that change it (finish, steals, scale moves, a
+            # registry swap) settle first.
+            metrics.mark_stale(self._gauge_sync())
+        else:
+            self._gauge_sync()()
 
-    def _sync_gauges(
-        self, now: int, in_flight: int, profit: float, counters: Any
-    ) -> None:
-        metrics = self.metrics
+    def _gauge_sync(self) -> "_GaugeSync":
+        metrics = self._metrics
         synced = self._synced
         if synced is None or synced[0] is not metrics:
-            # bind in SYNCED_GAUGES order: gauge creation order is the
-            # order state_to_dict (and so a checkpoint) lists them in
             synced = self._synced = (
-                metrics, tuple(metrics.gauge(n) for n in SYNCED_GAUGES)
+                metrics, _GaugeSync(metrics, self.sim, self.queue)
             )
-        queue, flight, completed, expired, total, rate, util = synced[1]
-        queue.set(self.queue.depth)
-        flight.set(in_flight)
-        completed.set(counters.completions)
-        expired.set(counters.expiries)
-        total.set(profit)
-        rate.set(profit / now if now > 0 else 0.0)
-        allocated = counters.allocated_steps
-        util.set(counters.busy_steps / allocated if allocated > 0 else 0.0)
+        return synced[1]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = f"t={self.sim.now}" if self.sim.started else "idle"
@@ -548,3 +574,43 @@ class SchedulingService:
             f"queue={self.queue.depth}/{self.queue.capacity}, "
             f"shed={len(self.shed_log)})"
         )
+
+
+class _GaugeSync:
+    """Writes one registry's :data:`SYNCED_GAUGES` from a service.
+
+    Calling it syncs from the engine's live readings; it is what the
+    service hands :meth:`~repro.service.telemetry.MetricsRegistry.
+    mark_stale`.  It holds the gauges, the engine and the queue, but
+    neither the service nor the registry, so a marked registry forms no
+    reference cycle.
+    """
+
+    __slots__ = ("gauges", "sim", "queue")
+
+    def __init__(
+        self, registry: MetricsRegistry, sim: Simulator, queue: IngestQueue
+    ) -> None:
+        # bind in SYNCED_GAUGES order: gauge creation order is the
+        # order state_to_dict (and so a checkpoint) lists them in
+        self.gauges = tuple(registry.gauge(n) for n in SYNCED_GAUGES)
+        self.sim = sim
+        self.queue = queue
+
+    def __call__(self) -> None:
+        sim = self.sim
+        self.sync(sim.now, *sim.readings())
+
+    def sync(
+        self, now: int, in_flight: int, profit: float, counters: Any
+    ) -> None:
+        """Set the gauges from one set of readings."""
+        queue, flight, completed, expired, total, rate, util = self.gauges
+        queue.set(self.queue.depth)
+        flight.set(in_flight)
+        completed.set(counters.completions)
+        expired.set(counters.expiries)
+        total.set(profit)
+        rate.set(profit / now if now > 0 else 0.0)
+        allocated = counters.allocated_steps
+        util.set(counters.busy_steps / allocated if allocated > 0 else 0.0)

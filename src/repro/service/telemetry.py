@@ -5,7 +5,10 @@ admissions, sheds, completions) and gauges (instantaneous values: queue
 depth, jobs in flight, utilization).  The service samples the registry
 at decision points; each sample is a flat dict stamped with simulated
 time, retained in memory and/or streamed to a JSONL sink, so a metrics
-log can be tailed live or post-processed with any JSON tooling.
+log can be tailed live or post-processed with any JSON tooling.  A
+registry that neither retains nor streams samples gets none built: the
+service marks its gauges stale instead (:meth:`MetricsRegistry.
+mark_stale`), and the registry brings them up to date before any read.
 
 No external dependencies, no threads, no wall-clock: simulated time is
 the only clock, which keeps telemetry deterministic and replayable.
@@ -15,7 +18,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, IO, Iterable, Optional
+from typing import Any, Callable, IO, Iterable, Optional
 
 #: Gauges that are averaged (not summed) by :func:`merge_registries` --
 #: ratios and rates, where summing across shards is meaningless.
@@ -62,7 +65,15 @@ class MetricsRegistry:
         one JSON line immediately (streaming export).
     keep_samples:
         Retain samples in :attr:`samples` (default).  Disable for long
-        runs that only stream to a sink.
+        runs that only stream to a sink.  A registry that neither
+        retains nor streams (:attr:`records_samples` false) gets no
+        sample built by the service, and its service-owned gauges are
+        synced on read: every read method (:meth:`values`,
+        :meth:`value`, :meth:`gauge`, :meth:`state_to_dict`,
+        :meth:`sample`, :meth:`restore_from_dict`, :meth:`merge_from`
+        and :func:`merge_registries`) first runs the refresh the owner
+        left with :meth:`mark_stale`, so it sees exactly what an eager
+        sync would have set.
     """
 
     def __init__(
@@ -79,6 +90,32 @@ class MetricsRegistry:
         self.keep_samples = bool(keep_samples)
         #: retained samples, one flat dict per call to :meth:`sample`
         self.samples: list[dict[str, Any]] = []
+        # the owner's pending gauge sync (see mark_stale), run and
+        # cleared by the next read
+        self._stale: Optional[Callable[[], None]] = None
+
+    @property
+    def records_samples(self) -> bool:
+        """Whether a sample taken now would be kept or streamed."""
+        return self.keep_samples or self.sink is not None
+
+    def mark_stale(self, refresh: Callable[[], None]) -> None:
+        """Defer a gauge sync until the next read.
+
+        ``refresh`` must set the gauges to what the owner would have set
+        them to now, and stay valid until the next read or the next
+        :meth:`mark_stale` -- the owner runs :meth:`settle` before it
+        changes the state ``refresh`` reads.  A later mark replaces an
+        earlier one.
+        """
+        self._stale = refresh
+
+    def settle(self) -> None:
+        """Run the pending refresh left by :meth:`mark_stale`, if any."""
+        refresh = self._stale
+        if refresh is not None:
+            self._stale = None
+            refresh()
 
     # ------------------------------------------------------------------
     def counter(self, name: str) -> Counter:
@@ -90,7 +127,8 @@ class MetricsRegistry:
         return metric
 
     def gauge(self, name: str) -> Gauge:
-        """Get (or lazily create) the gauge called ``name``."""
+        """Get (or lazily create) the gauge called ``name``, up to date."""
+        self.settle()
         metric = self._gauges.get(name)
         if metric is None:
             metric = self._gauges[name] = Gauge(name)
@@ -139,6 +177,7 @@ class MetricsRegistry:
         """Current value of every metric, counters before gauges, each
         kind sorted by name; a gauge shadows a counter of the same name
         at the counter's position."""
+        self.settle()
         return {name: metric.value for name, metric in self._pairs()}
 
     def _pairs(self) -> list[tuple[str, Any]]:
@@ -163,6 +202,7 @@ class MetricsRegistry:
         """Current value of one metric as :meth:`values` reports it (a
         gauge shadows a counter of the same name); 0.0 when absent.
         Nothing is created."""
+        self.settle()
         metric = self._gauges.get(name) or self._counters.get(name)
         return metric.value if metric is not None else 0.0
 
@@ -173,6 +213,7 @@ class MetricsRegistry:
         The sample is appended to :attr:`samples` (when retained) and
         written to the sink (when set); it is also returned.
         """
+        self.settle()
         record: dict[str, Any] = {"t": int(t)}
         for name, metric in self._pairs():
             record[name] = metric.value
@@ -221,6 +262,7 @@ class MetricsRegistry:
         which equals folding the registries in one by one."""
         groups: dict[str, list[Any]] = {}
         for other in others:
+            other.settle()
             for name, counter in other._counters.items():
                 self.counter(name).inc(counter.value)
             for name, gauge in other._gauges.items():
@@ -246,6 +288,7 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     def state_to_dict(self) -> dict[str, Any]:
         """Serialize metric values (samples are log output, not state)."""
+        self.settle()
         return {
             "counters": {n: c.value for n, c in self._counters.items()},
             "gauges": {n: g.value for n, g in self._gauges.items()},

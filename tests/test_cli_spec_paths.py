@@ -24,6 +24,7 @@ from repro.scenarios import (
     REGISTRY,
     ScenarioSpec,
     install_default_components,
+    load_spec,
     loads_spec,
     run_scenario,
 )
@@ -225,6 +226,61 @@ CHECKPOINTED_SERVICE = (
     "de55dd0e145cb4f3c5444e35789fbbe1"
     "7e2fc0253bcdd64ea7a6fa07be3cf26d"
 )
+#: SHA-256 of the cluster-smoke ``--metrics`` file (the shards' samples,
+#: merged), per router; the same in both shard modes
+CLUSTER_SMOKE_METRICS = {
+    "least-loaded": (
+        "71edf1d30fd019a685ea8d071431b569"
+        "c5f831c99d4da7084cc5ecd4fd1f4024"
+    ),
+    "consistent-hash": (
+        "b93ee5b3bbc2568add9e42240fd20800"
+        "e4f6d6f417d0691200df05b47ffd78d4"
+    ),
+}
+#: the gateway spec's default run (4 shards) on 400 jobs
+GATEWAY_DEFAULT_400 = (
+    "d4daf6bf0e39aeba20a2f69139ba34ec"
+    "45e767c579af4d852d2de7fc50af54ab"
+)
+#: the checkpointed service run's ``--report-every 25`` progress lines,
+#: gauges read at every sample (the default) and every 7 steps
+SERVICE_PROGRESS = [
+    "t=      49  submitted=25/200  depth=7  in_flight=8  completed=4  "
+    "expired=5  shed=1  profit=4.20",
+    "t=      98  submitted=50/200  depth=4  in_flight=8  completed=8  "
+    "expired=18  shed=12  profit=8.33",
+    "t=     142  submitted=75/200  depth=10  in_flight=8  completed=9  "
+    "expired=23  shed=25  profit=9.34",
+    "t=     194  submitted=100/200  depth=7  in_flight=8  completed=13  "
+    "expired=33  shed=39  profit=13.41",
+    "t=     244  submitted=125/200  depth=6  in_flight=8  completed=16  "
+    "expired=36  shed=59  profit=16.64",
+    "t=     299  submitted=150/200  depth=7  in_flight=8  completed=18  "
+    "expired=45  shed=72  profit=19.48",
+    "t=     340  submitted=175/200  depth=12  in_flight=8  completed=19  "
+    "expired=49  shed=87  profit=20.66",
+    "t=     377  submitted=200/200  depth=12  in_flight=8  completed=20  "
+    "expired=54  shed=106  profit=21.83",
+]
+SERVICE_PROGRESS_EVERY_7 = [
+    "t=      49  submitted=25/200  depth=7  in_flight=8  completed=4  "
+    "expired=5  shed=1  profit=4.20",
+    "t=      98  submitted=50/200  depth=4  in_flight=8  completed=7  "
+    "expired=16  shed=12  profit=7.77",
+    "t=     142  submitted=75/200  depth=10  in_flight=8  completed=9  "
+    "expired=22  shed=25  profit=9.34",
+    "t=     194  submitted=100/200  depth=7  in_flight=8  completed=13  "
+    "expired=31  shed=39  profit=13.41",
+    "t=     244  submitted=125/200  depth=6  in_flight=8  completed=16  "
+    "expired=36  shed=59  profit=16.64",
+    "t=     299  submitted=150/200  depth=7  in_flight=8  completed=17  "
+    "expired=45  shed=72  profit=18.51",
+    "t=     340  submitted=175/200  depth=12  in_flight=8  completed=19  "
+    "expired=48  shed=87  profit=20.66",
+    "t=     377  submitted=200/200  depth=12  in_flight=8  completed=20  "
+    "expired=53  shed=106  profit=21.83",
+]
 
 
 #: ``--set`` lines of the runs the CI smoke jobs make
@@ -362,6 +418,7 @@ class TestReferenceRuns:
                 metrics[mode] = path.read_bytes()
             assert metrics["inprocess"] == metrics["process"]
             assert metrics["process"].count(b"\n") > 0
+            assert _sha256(path) == CLUSTER_SMOKE_METRICS[router]
 
     def test_coordinator_smoke_steals(self):
         out = _ok(
@@ -458,6 +515,29 @@ class TestReferenceRuns:
         ]
         assert not _lines(runs[False][0], "checkpoint")
         assert runs[True][1] == runs[False][1]
+
+    def test_service_progress_lines(self):
+        """The progress line reads the service's gauges, synced on read
+        when nothing keeps samples, through a snapshot-and-restore too;
+        with ``sample_every`` they lag to the last sample."""
+        for probe in ([], ["--checkpoint-at", "100"]):
+            out = _ok([SERVICE, *CHECKPOINTED, "--report-every", "25", *probe])
+            assert re.findall(r"^t=.*$", out, re.M) == SERVICE_PROGRESS
+        out = _ok(
+            [SERVICE, *CHECKPOINTED, *_sets(service__sample_every=7)]
+            + ["--report-every", "25"]
+        )
+        assert re.findall(r"^t=.*$", out, re.M) == SERVICE_PROGRESS_EVERY_7
+
+    def test_gateway_shards_keep_no_samples(self):
+        """Nothing reads a gateway shard's samples, so none are kept."""
+        spec = load_spec(GATEWAY).with_overrides(
+            {"workload.n_jobs": 400}
+        )
+        result = run_scenario(spec)
+        assert result.fingerprint() == GATEWAY_DEFAULT_400
+        shards = result.raw.cluster.shard_results
+        assert [len(s.metrics.samples) for s in shards] == [0, 0, 0, 0]
 
     def test_checkpoint_to_a_file(self, tmp_path):
         path = tmp_path / "snap.json"

@@ -104,7 +104,20 @@ class TestShapes:
         from repro.cluster.router import ROUTERS
 
         rows = results["E15"].rows
-        assert [row[0] for row in rows] == ["single"] + sorted(ROUTERS)
+        assert [row[0] for row in rows] == ["single"] + [
+            name for name in sorted(ROUTERS) if name != "band-aware"
+        ]
         for row in rows:
             assert row[2] > 0  # completed
             assert row[4] > 0  # profit
+
+    def test_e15_clusters_shed_only_in_shards(self):
+        """E15's clusters are unsupervised: nothing is shed at the
+        cluster level, so its shed column (``ClusterResult.num_shed``,
+        shard sheds only) counts every shed."""
+        from repro.experiments import e15_cluster
+
+        specs, m = e15_cluster.workload(quick=True)
+        for name, result, _ in e15_cluster.cluster_runs(specs, m):
+            assert result.extra.get("cluster_shed", []) == [], name
+            assert len(result.shed) == result.num_shed, name
